@@ -9,7 +9,7 @@ the induced diffusion by Monte Carlo.
 
 __version__ = "0.1.0"
 
-from .constants import DimensionConstants, interval_I, kappa_d, m_d
+from .constants import interval_I, kappa_d, m_d
 from .fields import (
     ClassEstimate,
     DriftSpec,
@@ -53,7 +53,6 @@ __all__ = [
     "m_d",
     "kappa_d",
     "interval_I",
-    "DimensionConstants",
     "DriftSpec",
     "drift_from_config",
     "ClassEstimate",

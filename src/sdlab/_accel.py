@@ -1,114 +1,17 @@
 """Hot numeric kernels: Euler-Maruyama stepping with trilinear drift lookup.
 
-Two interchangeable lanes compute the same update:
-
-* a numba @njit kernel (default whenever numba imports), and
-* a vectorized pure-numpy fallback.
-
-Lane selection: env var SDL_NUMBA=0 forces the numpy lane; SDL_NUMBA=1
-requests numba (falling back with a warning if the import failed);
-unset means "numba if available".  Results are deterministic within a
-lane for a fixed seed; across lanes they agree to float reordering.
-benchmarks/bench_sim.py times one against the other.
+One vectorized numpy lane computes the update; results are
+deterministic for a fixed seed.  ``sdbench feller`` times it.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled():
-    flag = os.environ.get("SDL_NUMBA", "").strip()
-    if flag == "0":
-        return False
-    if flag == "1":
-        if not HAVE_NUMBA:
-            warnings.warn("SDL_NUMBA=1 but numba is not importable; using numpy lane")
-        return HAVE_NUMBA
-    return HAVE_NUMBA
 
 
 def active_lane():
-    return "numba" if numba_enabled() else "numpy"
-
-
-@njit(cache=True)
-def _em_chunk_numba(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored):
-    m = pos.shape[0]
-    steps = noise.shape[1]
-    L = n * h
-    for i in range(m):
-        if censored[i]:
-            continue
-        x0 = pos[i, 0]
-        x1 = pos[i, 1]
-        x2 = pos[i, 2]
-        for s in range(steps):
-            u0 = (x0 % L) / h
-            u1 = (x1 % L) / h
-            u2 = (x2 % L) / h
-            i0 = int(u0) % n
-            j0 = int(u1) % n
-            k0 = int(u2) % n
-            f0 = u0 - int(u0)
-            f1 = u1 - int(u1)
-            f2 = u2 - int(u2)
-            i1 = (i0 + 1) % n
-            j1 = (j0 + 1) % n
-            k1 = (k0 + 1) % n
-            w000 = (1.0 - f0) * (1.0 - f1) * (1.0 - f2)
-            w001 = (1.0 - f0) * (1.0 - f1) * f2
-            w010 = (1.0 - f0) * f1 * (1.0 - f2)
-            w011 = (1.0 - f0) * f1 * f2
-            w100 = f0 * (1.0 - f1) * (1.0 - f2)
-            w101 = f0 * (1.0 - f1) * f2
-            w110 = f0 * f1 * (1.0 - f2)
-            w111 = f0 * f1 * f2
-            b0 = (
-                field[0, i0, j0, k0] * w000 + field[0, i0, j0, k1] * w001
-                + field[0, i0, j1, k0] * w010 + field[0, i0, j1, k1] * w011
-                + field[0, i1, j0, k0] * w100 + field[0, i1, j0, k1] * w101
-                + field[0, i1, j1, k0] * w110 + field[0, i1, j1, k1] * w111
-            )
-            b1 = (
-                field[1, i0, j0, k0] * w000 + field[1, i0, j0, k1] * w001
-                + field[1, i0, j1, k0] * w010 + field[1, i0, j1, k1] * w011
-                + field[1, i1, j0, k0] * w100 + field[1, i1, j0, k1] * w101
-                + field[1, i1, j1, k0] * w110 + field[1, i1, j1, k1] * w111
-            )
-            b2 = (
-                field[2, i0, j0, k0] * w000 + field[2, i0, j0, k1] * w001
-                + field[2, i0, j1, k0] * w010 + field[2, i0, j1, k1] * w011
-                + field[2, i1, j0, k0] * w100 + field[2, i1, j0, k1] * w101
-                + field[2, i1, j1, k0] * w110 + field[2, i1, j1, k1] * w111
-            )
-            x0 = x0 + drift_sign * b0 * dt + sqrt2dt * noise[i, s, 0]
-            x1 = x1 + drift_sign * b1 * dt + sqrt2dt * noise[i, s, 1]
-            x2 = x2 + drift_sign * b2 * dt + sqrt2dt * noise[i, s, 2]
-            if x0 < lo or x0 > hi or x1 < lo or x1 > hi or x2 < lo or x2 > hi:
-                censored[i] = True
-                break
-        pos[i, 0] = x0
-        pos[i, 1] = x1
-        pos[i, 2] = x2
+    """Name of the path-simulation lane, recorded in run manifests."""
+    return "numpy"
 
 
 def trilinear_at(field, points, n, h):
@@ -140,7 +43,8 @@ def trilinear_at(field, points, n, h):
     return out[0] if single else out
 
 
-def _em_chunk_numpy(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored):
+def em_chunk(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored):
+    """Advance one chunk of paths through all steps (in place)."""
     steps = noise.shape[1]
     for s in range(steps):
         active = ~censored
@@ -153,11 +57,3 @@ def _em_chunk_numpy(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, ce
         out = np.any((pts < lo) | (pts > hi), axis=1)
         idx = np.nonzero(active)[0]
         censored[idx[out]] = True
-
-
-def em_chunk(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored):
-    """Advance one chunk of paths through all steps (in place)."""
-    if numba_enabled():
-        _em_chunk_numba(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored)
-    else:
-        _em_chunk_numpy(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored)

@@ -9,7 +9,6 @@ reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import beta as _beta
 from scipy.special import gamma as _gamma
@@ -31,7 +30,6 @@ __all__ = [
     "C_p_resolvent",
     "K_1r",
     "K_2q",
-    "DimensionConstants",
     "constants_table",
 ]
 
@@ -191,34 +189,6 @@ def K_1r(r, p, delta, lam, m_rd):
     pp = holder_conjugate(p)
     integral = _power_tail_integral(0.5 / rp, 0.5 / pp, lam)
     return m_rd * c_q_fractional(rp) * C_r_delta(p, delta) * integral
-
-
-@dataclass(frozen=True)
-class DimensionConstants:
-    """Bundle of the dimension-dependent constants for one d."""
-
-    d: int
-
-    @property
-    def m_d(self):
-        return m_d(self.d)
-
-    @property
-    def kappa_d(self):
-        return kappa_d(self.d)
-
-    @property
-    def feller_threshold(self):
-        return feller_threshold(self.d)
-
-    def c_p(self, p):
-        return c_p(p)
-
-    def interval_I(self, delta):
-        return interval_I(delta, self.d)
-
-    def guard(self, p, delta):
-        return neumann_guard_value(p, delta, self.d)
 
 
 def constants_table(d_values, deltas):

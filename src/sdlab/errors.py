@@ -39,11 +39,7 @@ class NeumannMaxTermsError(SdlabError):
 
 
 class PowerIterationError(SdlabError):
-    """Eigenvalue power iteration failed to converge."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """The top-eigenvalue solve of a class estimator failed to converge."""
 
 
 class QuadratureError(SdlabError):

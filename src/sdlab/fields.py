@@ -10,9 +10,10 @@ smallness delta of a sampled field in three senses:
 * ``F_half`` -- ||b|^(1/2) (lam - Lap)^(-1/4)|_{2->2} <= sqrt(delta)
 
 Each returns the minimizing lambda over a log-spaced grid together with
-the full delta(lambda) curve.  Because the grid caps the sampled field
-at its nearest-node values, every reported delta is a lower bound for
-the continuum value.
+the full delta(lambda) curve.  Each delta is the exact value, up to the
+eigensolver's machine-precision tolerance, for the sampled grid
+operator; it is not a one-sided bound for the continuum value (the
+grid kernel of (lam - Lap)^(-1/2) rings, so ``K`` can exceed it).
 """
 
 from __future__ import annotations
@@ -219,123 +220,63 @@ def mollify(b, eps):
     return GridVectorField(b.grid, out)
 
 
-def _block_power_iteration(apply_op, shape, tol=1e-8, max_iter=500, seed=0, block=4):
-    """Largest eigenvalue of a symmetric positive operator on grid values.
+def _top_eigenvalue(sym, weight, seed):
+    """Largest eigenvalue of S W S, with S the real multiplier ``sym`` and W the weight.
 
-    Block power iteration (orthogonal iteration with a Rayleigh-Ritz
-    extraction): a scalar iterate crawls when the top of the spectrum is
-    nearly degenerate, and the small block absorbs mild clustering.  The
-    first start column is all-ones plus seeded noise so flat spectra
-    (constant fields, whose maximizer is the zero mode) converge
-    immediately; convergence is judged on the top Ritz value.
+    Implicitly restarted Lanczos (ARPACK) run to machine precision
+    (tol=0).  The start vector is all-ones plus seeded noise, so flat
+    spectra (constant fields, whose maximizer is the zero mode) converge
+    at once.
     """
-    rng = np.random.default_rng(seed)
-    n_total = int(np.prod(shape))
-    block = min(block, n_total)
-    V = rng.standard_normal((n_total, block))
-    V[:, 0] = 1.0 + 0.01 * V[:, 0]
-    V, _ = np.linalg.qr(V)
-    rq_old = np.inf
-    residual = np.inf
-    for _ in range(max_iter):
-        W = np.column_stack([apply_op(V[:, j].reshape(shape)).ravel() for j in range(block)])
-        H = V.T @ W
-        H = 0.5 * (H + H.T)
-        evals, evecs = np.linalg.eigh(H)
-        rq = float(evals[-1])
-        if rq == 0.0:
-            return 0.0, 0.0
-        y = evecs[:, -1]
-        residual = float(np.linalg.norm(W @ y - rq * (V @ y)))
-        if abs(rq - rq_old) <= tol * max(abs(rq), 1e-300):
-            return rq, residual
-        rq_old = rq
-        V, _ = np.linalg.qr(W)
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations", residual=residual
-    )
-
-
-def _power_iteration(apply_op, shape, tol=1e-8, max_iter=500, seed=0, block=4):
-    """Top eigenvalue: block power iteration with a Krylov fallback.
-
-    Fields whose magnitude has many near-equal node maxima drive the
-    weighted operator toward a nearly diagonal limit at large lambda;
-    the top of the spectrum is then clustered beyond what any small
-    block resolves and plain power iteration provably crawls.  In that
-    case a restarted Lanczos solve (same tolerance, deterministic start)
-    finishes the job; only if that also fails does the non-convergence
-    error propagate.
-    """
-    try:
-        return _block_power_iteration(
-            apply_op, shape, tol=tol, max_iter=min(150, max_iter), seed=seed, block=block
-        )
-    except PowerIterationError:
-        pass
+    # imported here: scipy.sparse.linalg costs ~70 ms and ~10 MB to load,
+    # and only the F and F_half estimators need it
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    n_total = int(np.prod(shape))
-    lo = LinearOperator(
-        (n_total, n_total),
-        matvec=lambda x: np.asarray(apply_op(x.reshape(shape)), dtype=float).ravel(),
-        dtype=np.float64,
-    )
-    rng = np.random.default_rng(seed)
-    v0 = np.ones(n_total) + 0.01 * rng.standard_normal(n_total)
+    shape = weight.shape
+    n_total = weight.size
+
+    def matvec(x):
+        half = ifftn(sym * fftn(x.reshape(shape))).real
+        return ifftn(sym * fftn(weight * half)).real.ravel()
+
+    lo = LinearOperator((n_total, n_total), matvec=matvec, dtype=np.float64)
+    v0 = np.ones(n_total) + 0.01 * np.random.default_rng(seed).standard_normal(n_total)
     try:
-        vals, vecs = eigsh(lo, k=1, which="LA", tol=tol, v0=v0, maxiter=3000)
+        vals = eigsh(lo, k=1, which="LA", tol=0, v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
-        raise PowerIterationError(
-            "power iteration stalled and the Krylov fallback did not converge",
-            residual=None,
-        ) from exc
-    rq = float(vals[0])
-    v = vecs[:, 0]
-    residual = float(np.linalg.norm(lo.matvec(v) - rq * v))
-    return rq, residual
+        raise PowerIterationError("Lanczos eigensolver did not converge") from exc
+    return float(vals[0])
 
 
 def _fractional_symbol(grid, lam, alpha):
     return np.power(lam + grid.k_squared, -alpha)
 
 
-def estimate_class_F_half(b, lambda_grid=None, tol=1e-8, max_iter=500, seed=0):
+def _estimate_weighted_class(name, b, lambda_grid, seed, power, alpha):
+    """delta(lambda) = top eigenvalue of (lam-Lap)^(-alpha) |b|^power (lam-Lap)^(-alpha).
+
+    A zero weight gives delta = 0 without a solve (Lanczos cannot start
+    on the zero operator).
+    """
+    lams = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
+    weight = b.magnitude() ** power
+    grid = b.grid
+    curve = np.zeros(len(lams))
+    if np.any(weight):
+        for i, lam in enumerate(lams):
+            curve[i] = _top_eigenvalue(_fractional_symbol(grid, lam, alpha), weight, seed)
+    i0 = int(np.argmin(curve))
+    return ClassEstimate(name, float(curve[i0]), float(lams[i0]), lams.copy(), curve)
+
+
+def estimate_class_F_half(b, lambda_grid=None, seed=0):
     """delta(lambda) = top eigenvalue of (lam-Lap)^(-1/4) |b| (lam-Lap)^(-1/4)."""
-    lams = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    mag = b.magnitude()
-    grid = b.grid
-    curve = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        sym = _fractional_symbol(grid, lam, 0.25)
-
-        def op(v):
-            w = ifftn(sym * fftn(v)).real
-            w = mag * w
-            return ifftn(sym * fftn(w)).real
-
-        curve[i], _ = _power_iteration(op, grid.shape, tol=tol, max_iter=max_iter, seed=seed)
-    i0 = int(np.argmin(curve))
-    return ClassEstimate("F_half", float(curve[i0]), float(lams[i0]), lams.copy(), curve)
+    return _estimate_weighted_class("F_half", b, lambda_grid, seed, power=1, alpha=0.25)
 
 
-def estimate_class_F(b, lambda_grid=None, tol=1e-8, max_iter=500, seed=0):
+def estimate_class_F(b, lambda_grid=None, seed=0):
     """delta(lambda) = top eigenvalue of (lam-Lap)^(-1/2) |b|^2 (lam-Lap)^(-1/2)."""
-    lams = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    mag2 = b.magnitude() ** 2
-    grid = b.grid
-    curve = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        sym = _fractional_symbol(grid, lam, 0.5)
-
-        def op(v):
-            w = ifftn(sym * fftn(v)).real
-            w = mag2 * w
-            return ifftn(sym * fftn(w)).real
-
-        curve[i], _ = _power_iteration(op, grid.shape, tol=tol, max_iter=max_iter, seed=seed)
-    i0 = int(np.argmin(curve))
-    return ClassEstimate("F", float(curve[i0]), float(lams[i0]), lams.copy(), curve)
+    return _estimate_weighted_class("F", b, lambda_grid, seed, power=2, alpha=0.5)
 
 
 def kato_column_norms(b, lam):
@@ -355,39 +296,14 @@ def kato_column_norms(b, lam):
     return grid.cell_volume() * corr
 
 
-def kato_column_norm_at(b, lam, index):
-    """Single-column L1 norm by direct application to a unit-mass delta."""
-    grid = b.grid
-    dy = GridFunction.delta(grid, index)
-    sym = _fractional_symbol(grid, lam, 0.5).astype(np.complex128)
-    col = np.abs(ifftn(sym * fftn(dy.values)))
-    return float(grid.cell_volume() * np.sum(b.magnitude() * col))
-
-
-def estimate_class_K(b, lambda_grid=None, sample=None, seed=0):
+def estimate_class_K(b, lambda_grid=None):
     """1->1 norm of |b| (lam-Lap)^(-1/2): max over source nodes of column L1 norm.
 
-    With ``sample`` set, sweeps only that many sources: the nodes with
-    the largest |b| (where the maximizing column lives) topped up with
-    seeded random nodes.  The default sweeps every column via the FFT
-    correlation.
+    Every column is swept at once by the FFT correlation of
+    ``kato_column_norms``.
     """
     lams = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    grid = b.grid
-    curve = np.empty(len(lams))
-    if sample is None:
-        for i, lam in enumerate(lams):
-            curve[i] = float(np.max(kato_column_norms(b, lam)))
-    else:
-        mag = b.magnitude().ravel()
-        order = np.argsort(mag)[::-1]
-        top = order[: max(1, sample // 2)]
-        rng = np.random.default_rng(seed)
-        extra = rng.integers(0, mag.size, size=max(0, sample - len(top)))
-        flat_idx = np.unique(np.concatenate([top, extra]))
-        idxs = [np.unravel_index(int(i), grid.shape) for i in flat_idx]
-        for i, lam in enumerate(lams):
-            curve[i] = max(kato_column_norm_at(b, lam, idx) for idx in idxs)
+    curve = np.array([float(np.max(kato_column_norms(b, lam))) for lam in lams])
     i0 = int(np.argmin(curve))
     return ClassEstimate("K", float(curve[i0]), float(lams[i0]), lams.copy(), curve)
 

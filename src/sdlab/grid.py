@@ -328,13 +328,6 @@ def divergence_apply(v):
     return GridFunction(grid, out)
 
 
-def dot_with_field(field, vector):
-    """Pointwise complex dot product field . vector -> GridFunction."""
-    if field.grid != vector.grid:
-        raise GridMismatchError("grids differ")
-    return GridFunction(field.grid, np.sum(field.values * vector.values, axis=0))
-
-
 def fourier_eval(f, points):
     """Evaluate the trigonometric interpolant of f at off-grid points.
 

@@ -130,10 +130,12 @@ class LinearOp:
 
 
 class ResolventAssembly:
-    """Precomputed factor arrays for one (params, field) pair.
+    """Precomputed weight arrays for one (params, field) pair.
 
-    The assembly is immutable after construction; all apply_* methods
-    are pure, so concurrent use on shared inputs is safe.
+    The weights are fixed at construction.  The multiplier symbols
+    (zeta + |k|^2)^(-alpha) are computed on first use of each exponent
+    and kept in ``_sym_cache``, so applying an assembly mutates it; the
+    cached values never change once stored.
     """
 
     def __init__(self, params, b, representation="direct", neumann_tol=1e-10, neumann_kmax=200):
@@ -163,73 +165,53 @@ class ResolventAssembly:
         self.weight_vec = b.values * scale
         self.weight_out = mag ** (1.0 / params.p_conj)
         self.weight_in_mag = mag ** (1.0 / p)
-
-        z = params.zeta
-        k2 = self.grid.k_squared
-        self.sym_res = np.power(z + k2, -1.0)
-        self.sym_grad_res = [1j * kc * self.sym_res for kc in self.grid.k_components]
         self._sym_cache = {}
 
     def _sym(self, alpha):
+        """(zeta + |k|^2)^(-alpha) on the grid frequencies, cached per alpha."""
         key = float(alpha)
         if key not in self._sym_cache:
             self._sym_cache[key] = np.power(self.params.zeta + self.grid.k_squared, -key)
-        return self._sym_cache[key]
-
-    def _grad_sym(self, alpha):
-        key = ("grad", float(alpha))
-        if key not in self._sym_cache:
-            base = np.power(self.params.zeta + self.grid.k_squared, -alpha)
-            self._sym_cache[key] = [1j * kc * base for kc in self.grid.k_components]
         return self._sym_cache[key]
 
     # -- factor applications on raw value arrays ------------------------
 
     def _input_values(self, v, alpha=1.0):
         """weight_vec . grad (zeta - Lap)^(-alpha) v"""
-        vhat = fftn(v)
-        syms = self.sym_grad_res if alpha == 1.0 else self._grad_sym(alpha)
-        acc = self.weight_vec[0] * ifftn(syms[0] * vhat)
+        vhat = self._sym(alpha) * fftn(v)
+        ks = self.grid.k_components
+        acc = self.weight_vec[0] * ifftn(1j * ks[0] * vhat)
         for j in range(1, self.grid.d):
-            acc += self.weight_vec[j] * ifftn(syms[j] * vhat)
+            acc += self.weight_vec[j] * ifftn(1j * ks[j] * vhat)
         return acc
 
     def _input_adjoint_values(self, v, alpha=1.0):
-        syms = self.sym_grad_res if alpha == 1.0 else self._grad_sym(alpha)
-        acc = np.conj(syms[0]) * fftn(np.conj(self.weight_vec[0]) * v)
+        ks = self.grid.k_components
+        acc = -1j * ks[0] * fftn(np.conj(self.weight_vec[0]) * v)
         for j in range(1, self.grid.d):
-            acc += np.conj(syms[j]) * fftn(np.conj(self.weight_vec[j]) * v)
-        return ifftn(acc)
+            acc += -1j * ks[j] * fftn(np.conj(self.weight_vec[j]) * v)
+        return ifftn(np.conj(self._sym(alpha)) * acc)
 
     def _output_values(self, v, alpha=1.0):
         """(zeta - Lap)^(-alpha) (weight_out * v)"""
-        sym = self.sym_res if alpha == 1.0 else self._sym(alpha)
-        return ifftn(sym * fftn(self.weight_out * v))
+        return ifftn(self._sym(alpha) * fftn(self.weight_out * v))
 
     def _output_adjoint_values(self, v, alpha=1.0):
-        sym = self.sym_res if alpha == 1.0 else self._sym(alpha)
-        return self.weight_out * ifftn(np.conj(sym) * fftn(v))
+        return self.weight_out * ifftn(np.conj(self._sym(alpha)) * fftn(v))
 
     def _loop_values(self, v):
         """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v)"""
-        vhat = fftn(self.weight_out * v)
-        acc = self.weight_vec[0] * ifftn(self.sym_grad_res[0] * vhat)
-        for j in range(1, self.grid.d):
-            acc += self.weight_vec[j] * ifftn(self.sym_grad_res[j] * vhat)
-        return acc
+        return self._input_values(self.weight_out * v)
 
     def _loop_adjoint_values(self, v):
-        acc = np.conj(self.sym_grad_res[0]) * fftn(np.conj(self.weight_vec[0]) * v)
-        for j in range(1, self.grid.d):
-            acc += np.conj(self.sym_grad_res[j]) * fftn(np.conj(self.weight_vec[j]) * v)
-        return self.weight_out * ifftn(acc)
+        return self.weight_out * self._input_adjoint_values(v)
 
     def _weighted_resolvent_values(self, v):
         """|b|^(1/p) (zeta - Lap)^(-1) v"""
-        return self.weight_in_mag * ifftn(self.sym_res * fftn(v))
+        return self.weight_in_mag * ifftn(self._sym(1.0) * fftn(v))
 
     def _weighted_resolvent_adjoint_values(self, v):
-        return ifftn(np.conj(self.sym_res) * fftn(self.weight_in_mag * v))
+        return ifftn(np.conj(self._sym(1.0)) * fftn(self.weight_in_mag * v))
 
     def _symmetric_loop_values(self, v):
         """(zeta-Lap)^(-1/4) |b|^(1/2) (weight_vec . grad (zeta-Lap)^(-3/4) v)
@@ -284,7 +266,7 @@ class ResolventAssembly:
         return GridFunction(self.grid, self._loop_values(f.values))
 
     def apply_free_resolvent(self, f):
-        return GridFunction(self.grid, ifftn(self.sym_res * fftn(f.values)))
+        return GridFunction(self.grid, ifftn(self._sym(1.0) * fftn(f.values)))
 
     # -- series inversion -------------------------------------------------
 
@@ -339,7 +321,7 @@ class ResolventAssembly:
         symmetric under exponent conjugation), so the same series engine
         inverts it.
         """
-        free = ifftn(np.conj(self.sym_res) * fftn(v))
+        free = ifftn(np.conj(self._sym(1.0)) * fftn(v))
         g = self._output_adjoint_values(v)
         w, _ = self._neumann(g, self._loop_adjoint_values, tol=tol, kmax=kmax)
         return free - self._input_adjoint_values(w)
@@ -355,7 +337,7 @@ class ResolventAssembly:
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
         v = f.values
-        free = ifftn(self.sym_res * fftn(v))
+        free = ifftn(self._sym(1.0) * fftn(v))
         rep = self.representation
         if rep == "direct":
             g = self._input_values(v)

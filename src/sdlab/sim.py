@@ -91,8 +91,7 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     ``payoff`` may be a GridFunction (read at terminal points by
     trilinear interpolation) or a callable on (N, d) points.  Per-path
     randomness comes from streams derived from (seed, chunk index), so
-    identical SimParams reproduce identical statistics bit for bit
-    within a lane.
+    identical SimParams reproduce identical statistics bit for bit.
     """
     grid = sp.drift.grid
     if grid.d != 3:

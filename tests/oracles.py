@@ -36,22 +36,28 @@ def dense_generator(grid, b):
     return out
 
 
+def _resolvent_symbol(grid, zeta):
+    """1/(zeta + |k|^2), built here from the grid frequencies."""
+    return 1.0 / (zeta + grid.k_squared)
+
+
 def dense_input_factor(grid, assembly):
     """b^(1/p) . grad (zeta - Lap)^(-1) as a dense matrix."""
+    sym = _resolvent_symbol(grid, assembly.params.zeta)
     out = np.zeros((grid.node_count(),) * 2, dtype=np.complex128)
     for j in range(grid.d):
-        mult = dense_multiplier(grid, assembly.sym_grad_res[j])
+        mult = dense_multiplier(grid, 1j * grid.k_components[j] * sym)
         out += dense_weight(assembly.weight_vec[j]) @ mult
     return out
 
 
 def dense_output_factor(grid, assembly):
-    mult = dense_multiplier(grid, assembly.sym_res)
+    mult = dense_multiplier(grid, _resolvent_symbol(grid, assembly.params.zeta))
     return mult @ dense_weight(assembly.weight_out)
 
 
 def dense_weighted_resolvent(grid, assembly):
-    mult = dense_multiplier(grid, assembly.sym_res)
+    mult = dense_multiplier(grid, _resolvent_symbol(grid, assembly.params.zeta))
     return dense_weight(assembly.weight_in_mag) @ mult
 
 
@@ -61,3 +67,21 @@ def dense_loop_factor(grid, assembly):
 
 def apply_dense(M, f_values):
     return (M @ f_values.ravel()).reshape(f_values.shape)
+
+
+def kato_column_norm(grid, mag, lam, index):
+    """L1 norm of column ``index`` of |b| (lam - Lap)^(-1/2), read off the dense matrix.
+
+    The column is |b| times the kernel applied to a unit-mass delta
+    (node value h^-d), integrated with cell weight h^d: the two cancel.
+    """
+    mult = dense_multiplier(grid, np.power(lam + grid.k_squared, -0.5).astype(np.complex128))
+    col = mult[:, np.ravel_multi_index(index, grid.shape)]
+    return float(np.sum(mag.ravel() * np.abs(col)))
+
+
+def dense_class_delta(grid, mag, lam, alpha, power):
+    """Top eigenvalue of (lam - Lap)^(-alpha) |b|^power (lam - Lap)^(-alpha) by eigvalsh."""
+    mult = dense_multiplier(grid, np.power(lam + grid.k_squared, -alpha).astype(np.complex128))
+    M = mult @ dense_weight(mag ** power) @ mult
+    return float(np.linalg.eigvalsh(0.5 * (M + np.conj(M).T))[-1])

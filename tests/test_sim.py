@@ -1,9 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
-from sdlab._accel import HAVE_NUMBA, active_lane, trilinear_at
+from sdlab._accel import trilinear_at
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair, mollify, truncate
 from sdlab.grid import Grid, GridFunction, GridVectorField
 from sdlab.resolvent import ResolventParams
@@ -63,41 +61,6 @@ def test_constant_drift_displacement(g16):
     )
     res = simulate_paths(sp, payoff=lambda p: p[:, 0])
     assert abs(res.payoff_mean - (8.0 - c * t)) <= 3 * res.payoff_se
-
-
-def test_lanes_agree(g16):
-    if not HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    b = DriftSpec("smooth-random", amp=0.4, kmax=1, seed=9).on_grid(g16)
-    sp = SimParams(drift=b, t=0.05, dt=1e-3, paths=2000, seed=5, x0=center(g16))
-    prev = os.environ.get("SDL_NUMBA")
-    try:
-        os.environ["SDL_NUMBA"] = "1"
-        r_numba = simulate_paths(sp, payoff=lambda p: p[:, 1])
-        os.environ["SDL_NUMBA"] = "0"
-        r_numpy = simulate_paths(sp, payoff=lambda p: p[:, 1])
-    finally:
-        if prev is None:
-            os.environ.pop("SDL_NUMBA", None)
-        else:
-            os.environ["SDL_NUMBA"] = prev
-    np.testing.assert_allclose(r_numba.terminal, r_numpy.terminal, rtol=1e-12, atol=1e-12)
-    assert abs(r_numba.payoff_mean - r_numpy.payoff_mean) < 1e-12
-
-
-def test_lane_env_flag(g16):
-    prev = os.environ.get("SDL_NUMBA")
-    try:
-        os.environ["SDL_NUMBA"] = "0"
-        assert active_lane() == "numpy"
-        if HAVE_NUMBA:
-            os.environ["SDL_NUMBA"] = "1"
-            assert active_lane() == "numba"
-    finally:
-        if prev is None:
-            os.environ.pop("SDL_NUMBA", None)
-        else:
-            os.environ["SDL_NUMBA"] = prev
 
 
 def test_censoring_counts_and_flag(g16):
