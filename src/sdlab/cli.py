@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import constants as Cmod
-from .acceptance import run_all
+from .acceptance import CRITERIA, run_all
 from .errors import ConfigError, GuardViolationError
 from .fields import (
     drift_from_config,
@@ -77,6 +77,23 @@ def experiment(name, required=(), optional=()):
     return register
 
 
+def _nonfinite_key(value, key=""):
+    """Key path of the first NaN or infinite number in a config value, else None."""
+    if isinstance(value, float) and not np.isfinite(value):
+        return key
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for sub_key, sub in items:
+        found = _nonfinite_key(sub, sub_key)
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(name, cfg):
     spec = EXPERIMENTS[name]
     if not isinstance(cfg, dict):
@@ -92,6 +109,9 @@ def validate_config(name, cfg):
     for key in spec["required"]:
         if key not in cfg:
             raise ConfigError(f"{key}: required key missing for experiment {name!r}")
+    bad = _nonfinite_key(cfg)
+    if bad is not None:
+        raise ConfigError(f"{bad}: non-finite number; every config number must be finite")
     return cfg
 
 
@@ -514,8 +534,13 @@ def run_simulate(cfg, out, seed):
 @experiment("acceptance", required=(), optional=("only",))
 def run_acceptance(cfg, out, seed):
     only = cfg.get("only")
-    indices = set(int(i) for i in only) if only is not None else None
-    results = run_all(indices)
+    if only is not None and not (
+        isinstance(only, list) and all(isinstance(i, int) and 1 <= i <= len(CRITERIA) for i in only)
+    ):
+        raise ConfigError(
+            f"only (--only): expected a list of criterion indices in 1..{len(CRITERIA)}, got {only!r}"
+        )
+    results = run_all(None if only is None else set(only))
     rows = []
     ok = True
     for r in results:
@@ -613,7 +638,15 @@ def main(argv=None):
     name = args.command
     threads = os.environ.get("SDL_THREADS")
     if threads is not None:
-        set_fft_workers(int(threads))
+        try:
+            n_threads = int(threads)
+        except ValueError:
+            n_threads = 0
+        if n_threads < 1:
+            print(f"config error: SDL_THREADS: expected a positive integer, got {threads!r}",
+                  file=sys.stderr)
+            return 2
+        set_fft_workers(n_threads)
     elif args.threads is not None:
         set_fft_workers(args.threads)
     cfg = {}
@@ -626,7 +659,12 @@ def main(argv=None):
             return 2
     if name == "acceptance" and args.only:
         cfg = dict(cfg)
-        cfg["only"] = [int(x) for x in args.only.split(",")]
+        try:
+            cfg["only"] = [int(x) for x in args.only.split(",")]
+        except ValueError:
+            print(f"config error: --only: expected comma-separated criterion indices, got {args.only!r}",
+                  file=sys.stderr)
+            return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

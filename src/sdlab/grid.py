@@ -34,7 +34,20 @@ __all__ = [
     "set_fft_workers",
 ]
 
-_FFT_WORKERS = int(os.environ.get("SDL_THREADS", "0")) or min(4, os.cpu_count() or 1)
+
+def _env_fft_workers():
+    """SDL_THREADS when it is a positive integer, else min(4, cores).
+
+    A bad value must not break ``import sdlab``; the CLI reports it.
+    """
+    try:
+        n = int(os.environ.get("SDL_THREADS", "0"))
+    except ValueError:
+        n = 0
+    return n if n > 0 else min(4, os.cpu_count() or 1)
+
+
+_FFT_WORKERS = _env_fft_workers()
 
 
 def set_fft_workers(n):

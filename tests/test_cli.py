@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +242,32 @@ def test_console_script_help():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_bad_sdl_threads_imports_and_exits_2(tmp_path, monkeypatch, capsys):
+    import sdlab
+
+    src = str(Path(sdlab.__file__).parents[1])
+    env = dict(os.environ, SDL_THREADS="abc", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", "import sdlab"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for value in ("abc", "0", "-2"):
+        monkeypatch.setenv("SDL_THREADS", value)
+        assert main(["constants", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "SDL_THREADS" in err
+
+
+@pytest.mark.parametrize("only", ["1,x", "13", "0"])
+def test_acceptance_bad_only_exits_2(tmp_path, capsys, only):
+    assert main(["acceptance", "--only", only, "--out", str(tmp_path / "o")]) == 2
+    assert "--only" in capsys.readouterr().err
+
+
+def test_nonfinite_field_exits_2_and_names_key(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        {"field": {"kind": "constant", "vector": [float("nan"), 0, 0]}, "grid": {"n": 8, "L": 8}},
+    )
+    assert main(["estimate-class", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "field.vector[0]" in capsys.readouterr().err

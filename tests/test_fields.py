@@ -149,6 +149,37 @@ def test_estimator_nonconvergence_raises(monkeypatch):
         estimate_class_F_half(b, lambda_grid=[1.0])
 
 
+@pytest.mark.parametrize("fn", [estimate_class_F, estimate_class_F_half])
+def test_estimator_matvec_costs_one_fft_pair(monkeypatch, fn):
+    import scipy.sparse.linalg
+    from sdlab import fields
+
+    counts = {"fft": 0, "matvec": 0}
+    real_eigsh = scipy.sparse.linalg.eigsh
+
+    def counted_fft(transform):
+        def wrapped(values):
+            counts["fft"] += 1
+            return transform(values)
+
+        return wrapped
+
+    def counted_eigsh(op, **kwargs):
+        def matvec(x):
+            counts["matvec"] += 1
+            return op.matvec(x)
+
+        counted = scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+        return real_eigsh(counted, **kwargs)
+
+    monkeypatch.setattr(fields, "fftn", counted_fft(fields.fftn))
+    monkeypatch.setattr(fields, "ifftn", counted_fft(fields.ifftn))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
+    fn(DriftSpec("hardy", c=0.3).on_grid(Grid(3, 8, 8.0)), lambda_grid=[1.0])
+    assert counts["matvec"] > 0
+    assert counts["fft"] == 2 * counts["matvec"]
+
+
 def test_estimator_scaling():
     g = Grid(3, 16, 8.0)
     b = DriftSpec("hardy", c=0.1).on_grid(g)

@@ -275,6 +275,29 @@ def test_estimate_op_norm_sanity(grid16):
     assert est == pytest.approx(1.0 / zeta, rel=1e-3)
 
 
+@pytest.mark.parametrize("factor", ["loop", "input", "output"])
+def test_p2_op_norm_dense_svd_oracle(grid8, bounded_field8, factor):
+    a = ResolventAssembly(make_params(p=2.0), bounded_field8)
+    op, dense = {
+        "loop": (a.loop_factor(), dense_loop_factor),
+        "input": (a.input_factor(), dense_input_factor),
+        "output": (a.output_factor(), dense_output_factor),
+    }[factor]
+    exact = np.linalg.svd(dense(grid8, a), compute_uv=False)[0]
+    assert 1.0 - 1e-6 <= estimate_op_norm(op, 2.0) / exact <= 1.0 + 1e-9
+
+
+def test_p2_loop_norm_constant_field_closed_form(grid16):
+    # a constant drift makes the loop factor the multiplier i c.k / (zeta + |k|^2)
+    c = np.array([0.2, 0.0, 0.0])
+    b = DriftSpec("constant", vector=list(c)).on_grid(grid16)
+    zeta = complex(3.0, 1.0)
+    a = ResolventAssembly(make_params(p=2.0, zeta=zeta), b)
+    ck = sum(cj * kj for cj, kj in zip(c, grid16.k_components))
+    exact = np.max(np.abs(ck / (zeta + grid16.k_squared)))
+    assert estimate_op_norm(a.loop_factor(), 2.0) == pytest.approx(exact, rel=1e-9)
+
+
 def test_loop_norm_below_delta_at_p2(hardy16):
     # at p = 2 the factor chain bounds the loop norm by the measured delta
     est = estimate_class_F_half(hardy16, lambda_grid=np.logspace(-1, 2, 6))
