@@ -2,6 +2,15 @@
 
 One vectorized numpy lane computes the update; results are
 deterministic for a fixed seed.  ``sdbench feller`` times it.
+
+The drift is read from the field viewed as a ``(c, n^3)`` table, so one
+``np.take`` per cell corner gathers every component of every point, and
+the eight corner weights are formed once per lookup.  Points are held
+component-major, ``(3, m)``, so each weight multiplies a contiguous row.
+The Euler-Maruyama lane is mask-free: every path of a chunk takes every
+step, and censored paths are then put back where they left the safety
+box, so no step selects the uncensored paths by a mask.  The noise is
+read in place, one ``(m, 3)`` slice per step.
 """
 
 from __future__ import annotations
@@ -14,46 +23,65 @@ def active_lane():
     return "numpy"
 
 
+def _trilinear(table, points, n, h):
+    """Trilinear torus interpolation of a (c, n^3) table at (3, m) points -> (c, m)."""
+    u = points / h
+    floor = np.floor(u)
+    frac = u - floor
+    rest = 1.0 - frac
+    idx0 = floor.astype(np.int64)
+    idx0 %= n
+    idx1 = idx0 + 1
+    idx1[idx1 == n] = 0
+    for axis, stride in ((0, n * n), (1, n)):
+        idx0[axis] *= stride
+        idx1[axis] *= stride
+    # corner order (i, j, k) = 000, 001, 010, ..., 111, i the slowest axis
+    ij = ((idx0[0] + idx0[1], rest[0] * rest[1]), (idx0[0] + idx1[1], rest[0] * frac[1]),
+          (idx1[0] + idx0[1], frac[0] * rest[1]), (idx1[0] + idx1[1], frac[0] * frac[1]))
+    k = ((idx0[2], rest[2]), (idx1[2], frac[2]))
+    out = None
+    for flat_ij, w_ij in ij:
+        for flat_k, w_k in k:
+            corner = np.take(table, flat_ij + flat_k, axis=1)
+            corner *= w_ij * w_k
+            if out is None:
+                out = corner
+            else:
+                out += corner
+    return out
+
+
 def trilinear_at(field, points, n, h):
     """Trilinear torus interpolation of (n,n,n) or (c,n,n,n) arrays at points."""
-    single = field.ndim == 3
-    comps = field[None] if single else field
-    L = n * h
-    u = (points % L) / h
-    idx0 = np.floor(u).astype(np.int64)
-    frac = u - idx0
-    idx0 %= n
-    idx1 = (idx0 + 1) % n
-    i0, j0, k0 = idx0[:, 0], idx0[:, 1], idx0[:, 2]
-    i1, j1, k1 = idx1[:, 0], idx1[:, 1], idx1[:, 2]
-    f0, f1, f2 = frac[:, 0], frac[:, 1], frac[:, 2]
-    out = np.empty((comps.shape[0], len(points)), dtype=comps.dtype)
-    for c in range(comps.shape[0]):
-        F = comps[c]
-        out[c] = (
-            F[i0, j0, k0] * (1 - f0) * (1 - f1) * (1 - f2)
-            + F[i0, j0, k1] * (1 - f0) * (1 - f1) * f2
-            + F[i0, j1, k0] * (1 - f0) * f1 * (1 - f2)
-            + F[i0, j1, k1] * (1 - f0) * f1 * f2
-            + F[i1, j0, k0] * f0 * (1 - f1) * (1 - f2)
-            + F[i1, j0, k1] * f0 * (1 - f1) * f2
-            + F[i1, j1, k0] * f0 * f1 * (1 - f2)
-            + F[i1, j1, k1] * f0 * f1 * f2
-        )
-    return out[0] if single else out
+    out = _trilinear(field.reshape(-1, n ** 3), np.ascontiguousarray(points.T), n, h)
+    return out[0] if field.ndim == 3 else out
 
 
 def em_chunk(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored):
-    """Advance one chunk of paths through all steps (in place)."""
-    steps = noise.shape[1]
-    for s in range(steps):
-        active = ~censored
-        if not active.any():
+    """Advance one chunk of paths through all steps (in place).
+
+    A path is censored at the first step that takes it outside [lo, hi]
+    and stays frozen at that position for the remaining steps.
+    """
+    table = field.reshape(-1, n ** 3)
+    x = np.ascontiguousarray(pos.T)
+    frozen = np.flatnonzero(censored)
+    held = x[:, frozen]
+    for s in range(noise.shape[1]):
+        if len(frozen) == len(censored):
             break
-        pts = pos[active]
-        b = trilinear_at(field, pts, n, h).T
-        pts = pts + drift_sign * b * dt + sqrt2dt * noise[active, s, :]
-        pos[active] = pts
-        out = np.any((pts < lo) | (pts > hi), axis=1)
-        idx = np.nonzero(active)[0]
-        censored[idx[out]] = True
+        # x + drift_sign * b * dt + sqrt2dt * noise, rounded in that order
+        move = _trilinear(table, x, n, h)
+        move *= drift_sign
+        move *= dt
+        x += move
+        np.multiply(noise[:, s, :].T, sqrt2dt, out=move)
+        x += move
+        x[:, frozen] = held
+        outside = (x < lo) | (x > hi)
+        censored |= outside[0] | outside[1] | outside[2]
+        if np.count_nonzero(censored) != len(frozen):
+            frozen = np.flatnonzero(censored)
+            held = x[:, frozen]
+    pos[...] = x.T

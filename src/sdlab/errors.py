@@ -13,6 +13,14 @@ class SpectralDomainError(SdlabError):
     """A multiplier parameter lies outside its half-plane of validity."""
 
 
+class NonFiniteFieldError(SdlabError, ValueError):
+    """A drift field holds a NaN or infinite value.
+
+    It is a ValueError too, so the CLI reports a field config that
+    samples to such values as a config error (exit 2).
+    """
+
+
 class GuardViolationError(SdlabError):
     """The smallness condition gating the Neumann inversion fails.
 

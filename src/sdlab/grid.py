@@ -15,7 +15,7 @@ import os
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import GridMismatchError, SpectralDomainError
+from .errors import GridMismatchError, NonFiniteFieldError, SpectralDomainError
 
 __all__ = [
     "Grid",
@@ -194,7 +194,10 @@ class GridFunction:
 
 
 class GridVectorField:
-    """d complex components per node; drift catalog entries are real-valued."""
+    """d complex components per node; drift catalog entries are real-valued.
+
+    Every component value must be finite (``NonFiniteFieldError``).
+    """
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=np.complex128)
@@ -202,6 +205,9 @@ class GridVectorField:
             raise GridMismatchError(
                 f"component shape {values.shape} does not match (d,)+grid {((grid.d,) + grid.shape)}"
             )
+        bad = values.size - np.count_nonzero(np.isfinite(values))
+        if bad:
+            raise NonFiniteFieldError(f"drift field holds {bad} NaN or infinite component value(s)")
         self.grid = grid
         self.values = values
 

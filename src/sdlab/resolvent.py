@@ -165,6 +165,8 @@ class ResolventAssembly:
         self.weight_vec = b.values * scale
         self.weight_out = mag ** (1.0 / params.p_conj)
         self.weight_in_mag = mag ** (1.0 / p)
+        # b = 0: the resolvent is the free one, and apply skips the series
+        self.zero_drift = not np.any(self.weight_vec)
         self._sym_cache = {}
 
     def _sym(self, alpha):
@@ -178,7 +180,10 @@ class ResolventAssembly:
 
     def _input_values(self, v, alpha=1.0):
         """weight_vec . grad (zeta - Lap)^(-alpha) v"""
-        vhat = self._sym(alpha) * fftn(v)
+        return self._weighted_gradient(self._sym(alpha) * fftn(v))
+
+    def _weighted_gradient(self, vhat):
+        """weight_vec . grad of the grid function whose transform is vhat"""
         ks = self.grid.k_components
         acc = self.weight_vec[0] * ifftn(1j * ks[0] * vhat)
         for j in range(1, self.grid.d):
@@ -322,8 +327,7 @@ class ResolventAssembly:
         inverts it.
         """
         free = ifftn(np.conj(self._sym(1.0)) * fftn(v))
-        g = self._output_adjoint_values(v)
-        w, _ = self._neumann(g, self._loop_adjoint_values, tol=tol, kmax=kmax)
+        w, _ = self._neumann(self.weight_out * free, self._loop_adjoint_values, tol=tol, kmax=kmax)
         return free - self._input_adjoint_values(w)
 
     def resolvent_op(self):
@@ -336,16 +340,21 @@ class ResolventAssembly:
 
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
+        if self.zero_drift:
+            return self.apply_free_resolvent(f)
         v = f.values
-        free = ifftn(self._sym(1.0) * fftn(v))
         rep = self.representation
+        if rep == "symmetric":
+            v1 = ifftn(self._sym(0.25) * fftn(v))
+            w, _ = self._neumann(v1, self._symmetric_loop_values, tol=tol, kmax=kmax)
+            return GridFunction(self.grid, ifftn(self._sym(0.75) * fftn(w)))
+        # the free term's transform, shared with the input factor of direct and split
+        shat = self._sym(1.0) * fftn(v)
         if rep == "direct":
-            g = self._input_values(v)
-            w, _ = self._neumann(g, self._loop_values, tol=tol, kmax=kmax)
+            w, _ = self._neumann(self._weighted_gradient(shat), self._loop_values, tol=tol, kmax=kmax)
             corr = self._output_values(w)
         elif rep == "split":
-            g = self._input_values(v)
-            w, _ = self._neumann(g, self._loop_values, tol=tol, kmax=kmax)
+            w, _ = self._neumann(self._weighted_gradient(shat), self._loop_values, tol=tol, kmax=kmax)
             half = ifftn(self._sym(0.5) * fftn(self.weight_out * w))
             corr = ifftn(self._sym(0.5) * fftn(half))
         elif rep == "fractional":
@@ -357,13 +366,9 @@ class ResolventAssembly:
             w, _ = self._neumann(v2, self._loop_values, tol=tol, kmax=kmax)
             v4 = ifftn(self._sym(0.5 / qp) * fftn(self.weight_out * w))
             corr = ifftn(self._sym(0.5 + 0.5 / pr.q) * fftn(v4))
-        elif rep == "symmetric":
-            v1 = ifftn(self._sym(0.25) * fftn(v))
-            w, _ = self._neumann(v1, self._symmetric_loop_values, tol=tol, kmax=kmax)
-            return GridFunction(self.grid, ifftn(self._sym(0.75) * fftn(w)))
         else:  # pragma: no cover
             raise AssertionError(rep)
-        return GridFunction(self.grid, free - corr)
+        return GridFunction(self.grid, ifftn(shat) - corr)
 
 
 def apply_generator(b, f):

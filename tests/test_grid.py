@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdlab.errors import GridMismatchError, SpectralDomainError
+from sdlab.errors import GridMismatchError, NonFiniteFieldError, SpectralDomainError
 from sdlab.grid import (
     Grid,
     GridFunction,
@@ -189,6 +189,14 @@ def test_vector_field_shapes(grid8):
         GridVectorField(grid8, np.zeros((2,) + grid8.shape))
     v = GridVectorField.zeros(grid8)
     assert v.magnitude().max() == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_vector_field_rejects_nonfinite(grid8, value):
+    values = np.zeros((3,) + grid8.shape, dtype=np.complex128)
+    values[1, 2, 3, 4] = value
+    with pytest.raises(NonFiniteFieldError, match="1 NaN or infinite"):
+        GridVectorField(grid8, values)
 
 
 def test_serialization_roundtrip(tmp_path, grid8, random_f8):

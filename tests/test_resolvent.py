@@ -371,3 +371,52 @@ def test_norm_bound_report_rows(grid16, hardy16):
     }
     loop_row = next(r for r in rows if r[0] == "loop_factor")
     assert loop_row[4]  # measured below the guard bound
+
+
+def _count_transforms(monkeypatch):
+    from sdlab import resolvent
+
+    counts = {"fft": 0}
+
+    def counted(transform):
+        def wrapped(values):
+            counts["fft"] += 1
+            return transform(values)
+
+        return wrapped
+
+    monkeypatch.setattr(resolvent, "fftn", counted(resolvent.fftn))
+    monkeypatch.setattr(resolvent, "ifftn", counted(resolvent.ifftn))
+    return counts
+
+
+def test_direct_apply_transform_count(monkeypatch, hardy16, rng):
+    # free term and input factor share one forward transform: 4k + 7 for k terms
+    pr = make_params(delta=0.05, lam=0.5, p=2.0, zeta=complex(40.0, 0.0))
+    a = ResolventAssembly(pr, hardy16)
+    terms = []
+    neumann = a._neumann
+
+    def recorded(*args, **kwargs):
+        total, history = neumann(*args, **kwargs)
+        terms.append(len(history))
+        return total, history
+
+    a._neumann = recorded
+    f = GridFunction(hardy16.grid, rng.standard_normal(hardy16.grid.shape) + 0j)
+    counts = _count_transforms(monkeypatch)
+    a.apply(f)
+    assert terms[0] > 0
+    assert counts["fft"] == 4 * terms[0] + 7
+
+
+@pytest.mark.parametrize("rep", ["direct", "fractional", "split", "symmetric"])
+def test_zero_field_apply_is_free_resolvent(monkeypatch, rep, grid16, zero_field16, rng):
+    pr = make_params(delta=0.0, lam=0.5, p=2.0, zeta=complex(2.0, 1.0))
+    a = ResolventAssembly(pr, zero_field16, rep)
+    f = GridFunction(grid16, rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape))
+    free = a.apply_free_resolvent(f).values
+    counts = _count_transforms(monkeypatch)
+    out = a.apply(f).values
+    assert counts["fft"] == 2
+    np.testing.assert_array_equal(out, free)

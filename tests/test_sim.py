@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sdlab._accel import trilinear_at
+from sdlab._accel import em_chunk, trilinear_at
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair, mollify, truncate
 from sdlab.grid import Grid, GridFunction, GridVectorField
 from sdlab.resolvent import ResolventParams
-from sdlab.sim import SimParams, mc_vs_semigroup, simulate_paths, strong_feller_probe
+from sdlab.sim import SimParams, _chunk_noise, mc_vs_semigroup, simulate_paths, strong_feller_probe
 
 
 def zero_drift(grid):
@@ -84,6 +84,76 @@ def test_trilinear_matches_grid_nodes(g16):
     vals = trilinear_at(field, pts.astype(float), g16.n, g16.h)
     for c in range(3):
         np.testing.assert_allclose(vals[c], field[c][idx[:, 0], idx[:, 1], idx[:, 2]], rtol=1e-12)
+
+
+def _per_component_trilinear(field, points, n, h):
+    """Trilinear torus interpolation of a (c, n, n, n) field, one component at a time."""
+    u = (points % (n * h)) / h
+    idx0 = np.floor(u).astype(np.int64)
+    frac = u - idx0
+    idx0 %= n
+    idx1 = (idx0 + 1) % n
+    i0, j0, k0 = idx0.T
+    i1, j1, k1 = idx1.T
+    f0, f1, f2 = frac.T
+    out = np.empty((field.shape[0], len(points)))
+    for c, F in enumerate(field):
+        out[c] = (
+            F[i0, j0, k0] * (1 - f0) * (1 - f1) * (1 - f2)
+            + F[i0, j0, k1] * (1 - f0) * (1 - f1) * f2
+            + F[i0, j1, k0] * (1 - f0) * f1 * (1 - f2)
+            + F[i0, j1, k1] * (1 - f0) * f1 * f2
+            + F[i1, j0, k0] * f0 * (1 - f1) * (1 - f2)
+            + F[i1, j0, k1] * f0 * (1 - f1) * f2
+            + F[i1, j1, k0] * f0 * f1 * (1 - f2)
+            + F[i1, j1, k1] * f0 * f1 * f2
+        )
+    return out
+
+
+def test_trilinear_matches_per_component_reference_off_the_base_period(g16):
+    rng = np.random.default_rng(1)
+    field = rng.standard_normal((3,) + g16.shape)
+    pts = rng.uniform(0.0, g16.length, size=(500, 3))
+    want = _per_component_trilinear(field, pts, g16.n, g16.h)
+    shifted = pts + g16.length * rng.integers(-2, 3, size=pts.shape)
+    np.testing.assert_allclose(trilinear_at(field, shifted, g16.n, g16.h), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trilinear_at(field[1], pts, g16.n, g16.h), want[1], rtol=0, atol=1e-12)
+
+
+def _masked_em(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored):
+    """Euler-Maruyama that steps only the uncensored paths (the reference lane)."""
+    for s in range(noise.shape[1]):
+        active = ~censored
+        if not active.any():
+            break
+        pts = pos[active]
+        b = _per_component_trilinear(field, pts, n, h).T
+        pts = pts + drift_sign * b * dt + sqrt2dt * noise[active, s, :]
+        pos[active] = pts
+        out = np.any((pts < lo) | (pts > hi), axis=1)
+        censored[np.nonzero(active)[0][out]] = True
+
+
+@pytest.mark.parametrize("drift_sign", [-1.0, 1.0])
+def test_em_chunk_matches_masked_lane(g16, drift_sign):
+    # a start one cell inside the safety box, so that part of the paths is censored
+    field = np.ascontiguousarray(DriftSpec("smooth-random", amp=1.5, kmax=2, seed=3).on_grid(g16).values.real)
+    m, steps, dt = 2000, 120, 1e-3
+    lo, hi = 2 * g16.h, g16.length - 2 * g16.h
+    noise = _chunk_noise(5, 0, m, steps)
+    runs = []
+    for lane in (em_chunk, _masked_em):
+        pos = np.tile([lo + g16.h, 8.0, hi - 0.5 * g16.h], (m, 1))
+        censored = np.zeros(m, dtype=np.bool_)
+        lane(pos, field, g16.n, g16.h, dt, np.sqrt(2 * dt), noise, drift_sign, lo, hi, censored)
+        runs.append((pos, censored))
+    (pos, censored), (want_pos, want_censored) = runs
+    assert 0 < censored.sum() < m
+    np.testing.assert_array_equal(censored, want_censored)
+    np.testing.assert_allclose(pos, want_pos, rtol=0, atol=1e-12)
+    # a censored path is frozen at its first position outside the safety box
+    assert np.all(np.any((pos[censored] < lo) | (pos[censored] > hi), axis=1))
 
 
 def _coupled_em(field_arr, g, x0, t, dt_fine, n_paths, seed, levels=3):
