@@ -24,13 +24,10 @@ from .grid import (
     Grid,
     GridFunction,
     GridVectorField,
-    MultiplierSymbol,
-    apply_multiplier,
     bessel_norm,
     gradient_apply,
     laplacian_apply,
     lp_norm,
-    multiply_pointwise,
     pairing,
 )
 from .resolvent import REPRESENTATIONS, ResolventAssembly, ResolventParams
@@ -42,12 +39,9 @@ __all__ = [
     "Grid",
     "GridFunction",
     "GridVectorField",
-    "MultiplierSymbol",
-    "apply_multiplier",
     "lp_norm",
     "pairing",
     "bessel_norm",
-    "multiply_pointwise",
     "laplacian_apply",
     "gradient_apply",
     "m_d",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants as C
+from .errors import GuardViolationError
 from .fields import (
     DriftSpec,
     estimate_class_F_half,
@@ -30,7 +31,7 @@ from .kernels import (
     truncation_l1_curve,
     yukawa_value,
 )
-from .regularity import make_test_functions, rough_input, weak_identity_residual
+from .regularity import bessel_smoothing_study, make_test_functions, weak_identity_residual
 from .resolvent import (
     ResolventAssembly,
     ResolventParams,
@@ -214,7 +215,7 @@ def loop_norm_bounds():
         pairs = [(est.delta, est.lam)]
         try:
             pairs.append(guarded_pair(est, p=2.5, d=3, margin=0.7))
-        except Exception:
+        except GuardViolationError:
             pass
         for delta, lam in pairs:
             for p in (2.0, 2.5):
@@ -466,16 +467,9 @@ def smoothing_refinement():
     """Order-(1+1/q) norms of resolvent outputs stay bounded under refinement."""
     p, q = 2.5, 3.0
     delta, lam = 0.25, 1.0
-    rows = []
-    for n in (16, 32, 64):
-        g = Grid(3, n, 16.0)
-        b = _hardy(n, 16.0, 0.2)
-        pr = ResolventParams(p=p, zeta=complex(2 * C.kappa_d(3) * lam, 0.0), delta=delta, lam=lam)
-        f = rough_input(g, seed=21)
-        u = ResolventAssembly(pr, b, representation="fractional").apply(f)
-        from .grid import bessel_norm
-
-        rows.append((n, bessel_norm(u, 1 + 1 / q, p), bessel_norm(f, 1 + 1 / q, p)))
+    pr = ResolventParams(p=p, zeta=complex(2 * C.kappa_d(3) * lam, 0.0), delta=delta, lam=lam)
+    fields = [_hardy(n, 16.0, 0.2) for n in (16, 32, 64)]
+    rows = bessel_smoothing_study(fields, pr, q, seed=21)
     outs = [r[1] for r in rows]
     ins = [r[2] for r in rows]
     bounded = all(outs[i + 1] <= outs[i] * 1.1 for i in range(len(outs) - 1))

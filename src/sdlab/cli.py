@@ -26,6 +26,7 @@ from . import constants as Cmod
 from .acceptance import CRITERIA, run_all
 from .errors import ConfigError, GuardViolationError
 from .fields import (
+    default_lambda_grid,
     drift_from_config,
     estimate_class_F,
     estimate_class_F_half,
@@ -34,7 +35,7 @@ from .fields import (
     mollify,
     truncate,
 )
-from .grid import Grid, GridFunction, GridVectorField, lp_norm, set_fft_workers
+from .grid import Grid, GridFunction, GridVectorField, lp_norm, parse_thread_count, set_fft_workers
 from .gridio import save_grid_function, write_csv, write_manifest
 from .kernels import (
     KernelProbe,
@@ -193,7 +194,7 @@ def run_constants(cfg, out, seed):
 def run_estimate_class(cfg, out, seed):
     grid = _grid_from(cfg)
     b = _field_from(cfg, grid)
-    lams = np.asarray(cfg.get("lambda_grid", np.logspace(-2, 4, 16)), dtype=float)
+    lams = np.asarray(cfg.get("lambda_grid", default_lambda_grid()), dtype=float)
     classes = cfg.get("classes", ["F_half", "F", "K"])
     est_fns = {"F_half": estimate_class_F_half, "F": estimate_class_F, "K": estimate_class_K}
     rows = []
@@ -442,20 +443,11 @@ def run_smoothing_study(cfg, out, seed):
     sizes = [int(n) for n in cfg.get("sizes", [16, 32, 64])]
     delta = float(cfg.get("delta", 0.25))
     lam = float(cfg.get("lam", 1.0))
-    fc = cfg["field"]
-
-    def make_grid(n):
-        return Grid(base.d, n, base.length)
-
-    def make_field(grid):
-        return _field_from({"field": fc}, grid)
-
-    def params_factory(grid, b):
-        return ResolventParams(
-            p=p, zeta=complex(2 * Cmod.kappa_d(grid.d) * lam, 0.0), delta=delta, lam=lam, d=grid.d
-        )
-
-    rows = bessel_smoothing_study(make_grid, make_field, params_factory, p, q, sizes, seed=seed)
+    fields = [_field_from(cfg, Grid(base.d, n, base.length)) for n in sizes]
+    params = ResolventParams(
+        p=p, zeta=complex(2 * Cmod.kappa_d(base.d) * lam, 0.0), delta=delta, lam=lam, d=base.d
+    )
+    rows = bessel_smoothing_study(fields, params, q, seed=seed)
     out_rows = []
     prev = None
     ok = True
@@ -638,11 +630,8 @@ def main(argv=None):
     name = args.command
     threads = os.environ.get("SDL_THREADS")
     if threads is not None:
-        try:
-            n_threads = int(threads)
-        except ValueError:
-            n_threads = 0
-        if n_threads < 1:
+        n_threads = parse_thread_count(threads)
+        if n_threads is None:
             print(f"config error: SDL_THREADS: expected a positive integer, got {threads!r}",
                   file=sys.stderr)
             return 2
@@ -671,7 +660,8 @@ def main(argv=None):
     try:
         cfg = validate_config(name, cfg)
         status = EXPERIMENTS[name]["fn"](cfg, out, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # sdlab constructors reject out-of-range config values with ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GuardViolationError as exc:

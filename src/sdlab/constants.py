@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import beta as _beta
 from scipy.special import gamma as _gamma
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "c_p",
     "interval_I",
     "feller_threshold",
-    "feller_admissible",
     "neumann_guard_value",
     "c_q_fractional",
     "C_r_delta",
@@ -28,8 +26,6 @@ __all__ = [
     "C2",
     "C3",
     "C_p_resolvent",
-    "K_1r",
-    "K_2q",
     "constants_table",
 ]
 
@@ -93,24 +89,6 @@ def feller_threshold(d):
     return 4.0 * (d - 2.0) / (d - 1.0) ** 2
 
 
-def feller_admissible(delta, d):
-    """Whether m_d delta < 4(d-2)/(d-1)^2; if so also the exponent range.
-
-    Returns (ok, p_range) where p_range = (d-1, 2/(1-sqrt(1-m_d delta)))
-    or None when the condition fails or the range is empty.
-    """
-    md = m_d(d)
-    thr = feller_threshold(d)
-    if md * delta >= thr:
-        return False, None
-    s = math.sqrt(1.0 - md * delta)
-    hi = math.inf if s == 1.0 else 2.0 / (1.0 - s)
-    lo = d - 1.0
-    if lo >= hi:
-        return True, None
-    return True, (lo, hi)
-
-
 def neumann_guard_value(p, delta, d):
     """m_d c_p delta; the series inverse is guarded by this being < 1."""
     return m_d(d) * c_p(p) * delta
@@ -155,40 +133,6 @@ def C_p_resolvent(p, delta, d):
     if g >= 1.0:
         raise ValueError(f"m_d c_p delta = {g:.6g} >= 1")
     return 1.0 + C1(p, delta, d) * C2(p, delta, d) / (1.0 - g)
-
-
-def _power_tail_integral(a, b, lam):
-    """integral_0^inf t^(a-1) (t+lam)^(-b) dt = lam^(a-b) B(a, b-a), 0 < a < b."""
-    if not 0.0 < a < b:
-        raise ValueError(f"requires 0 < a < b, got a={a}, b={b}")
-    return lam ** (a - b) * _beta(a, b - a)
-
-
-def K_2q(q, p, delta, lam):
-    """Bound constant for the fractional-weight factor Q_p(q).
-
-    c_q C_{p',delta} integral_0^inf t^(-1+1/(2q)) (t+lam)^(-1/(2p)) dt;
-    the integral converges at infinity only for q > p.
-    """
-    if not q > p:
-        raise ValueError(f"requires q > p, got q={q}, p={p}")
-    integral = _power_tail_integral(0.5 / q, 0.5 / p, lam)
-    return c_q_fractional(q) * C_r_delta(holder_conjugate(p), delta) * integral
-
-
-def K_1r(r, p, delta, lam, m_rd):
-    """Bound constant for the fractional-gradient factor G_p(r).
-
-    m_rd c_{r'} C_{p,delta} integral_0^inf t^(-1+1/(2r')) (t+lam)^(-1/(2p')) dt;
-    m_rd has no closed form and is supplied from the kernel-probe estimate.
-    The integral converges only for r < p.
-    """
-    if not 1.0 <= r < p:
-        raise ValueError(f"requires 1 <= r < p, got r={r}, p={p}")
-    rp = holder_conjugate(r)
-    pp = holder_conjugate(p)
-    integral = _power_tail_integral(0.5 / rp, 0.5 / pp, lam)
-    return m_rd * c_q_fractional(rp) * C_r_delta(p, delta) * integral
 
 
 def constants_table(d_values, deltas):

@@ -36,7 +36,6 @@ __all__ = [
     "estimate_class_F_half",
     "estimate_class_F",
     "estimate_class_K",
-    "inclusion_checks",
     "guarded_pair",
     "default_lambda_grid",
 ]
@@ -328,52 +327,6 @@ def guarded_pair(estimate, p, d, margin=0.7):
     raise GuardViolationError(
         f"no lambda in the estimate curve meets guard margin {margin} at p={p}"
     )
-
-
-def _single_lambda(est_fn, b, lam, **kw):
-    return est_fn(b, lambda_grid=np.array([lam]), **kw).delta
-
-
-def inclusion_checks(b, split=None, lambda_grid=None, tol=0.05):
-    """Cross-class consistency report at a common lambda.
-
-    Checks, with a discretization allowance ``tol``:
-
-    * delta_half <= sqrt(delta_F) * (1 + tol)
-    * delta_half <= delta_K * (1 + tol)
-    * for b = b1 + f (when ``split`` gives the two parts):
-      sqrt(delta_half(b)) <= (delta_F(b1)^(1/4) + sqrt(delta_K(f))) * (1 + tol)
-
-    Report-only: returns a dict with the measured values and pass flags.
-    """
-    half = estimate_class_F_half(b, lambda_grid=lambda_grid)
-    lam = half.lam
-    dF = _single_lambda(estimate_class_F, b, lam)
-    dK = _single_lambda(estimate_class_K, b, lam)
-    report = {
-        "lambda": lam,
-        "delta_half": half.delta,
-        "delta_F": dF,
-        "delta_K": dK,
-        "half_vs_sqrtF": half.delta <= np.sqrt(dF) * (1.0 + tol),
-        "half_vs_K": half.delta <= dK * (1.0 + tol),
-    }
-    if split is not None:
-        b1, f = split
-        dF1 = _single_lambda(estimate_class_F, b1, lam)
-        dK2 = _single_lambda(estimate_class_K, f, lam)
-        lhs = np.sqrt(half.delta)
-        rhs = dF1 ** 0.25 + np.sqrt(dK2)
-        report.update(
-            {
-                "split_delta_F_b1": dF1,
-                "split_delta_K_f": dK2,
-                "sum_rule_lhs": lhs,
-                "sum_rule_rhs": rhs,
-                "sum_rule": lhs <= rhs * (1.0 + tol),
-            }
-        )
-    return report
 
 
 def _search_epsilon(b_n, delta_tilde, lambda_grid, eps_hi_cap):

@@ -15,39 +15,36 @@ import os
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import GridMismatchError, NonFiniteFieldError, SpectralDomainError
+from .errors import GridMismatchError, NonFiniteFieldError
 
 __all__ = [
     "Grid",
     "GridFunction",
     "GridVectorField",
-    "MultiplierSymbol",
-    "apply_multiplier",
     "lp_norm",
     "pairing",
     "bessel_norm",
-    "multiply_pointwise",
     "laplacian_apply",
     "gradient_apply",
-    "divergence_apply",
     "fft_workers",
     "set_fft_workers",
 ]
 
 
-def _env_fft_workers():
-    """SDL_THREADS when it is a positive integer, else min(4, cores).
+def parse_thread_count(value):
+    """An ``SDL_THREADS`` value as a positive worker count, or None when it is unset or invalid.
 
-    A bad value must not break ``import sdlab``; the CLI reports it.
+    A bad value must not break ``import sdlab`` (the default count is
+    used); the CLI reports it.
     """
     try:
-        n = int(os.environ.get("SDL_THREADS", "0"))
-    except ValueError:
-        n = 0
-    return n if n > 0 else min(4, os.cpu_count() or 1)
+        n = int(value)
+    except (TypeError, ValueError):
+        return None
+    return n if n > 0 else None
 
 
-_FFT_WORKERS = _env_fft_workers()
+_FFT_WORKERS = parse_thread_count(os.environ.get("SDL_THREADS")) or min(4, os.cpu_count() or 1)
 
 
 def set_fft_workers(n):
@@ -100,14 +97,6 @@ class Grid:
         self.k_squared = sum(kc ** 2 for kc in self.k_components)
         x1 = self.h * np.arange(self.n)
         self.x_axis = x1
-
-    @property
-    def n_per_axis(self):
-        return self.n
-
-    @property
-    def box_length(self):
-        return self.length
 
     def cell_volume(self):
         return self.h ** self.d
@@ -167,12 +156,6 @@ class GridFunction:
         v[tuple(index)] = grid.h ** (-grid.d)
         return cls(grid, v)
 
-    def copy(self):
-        return GridFunction(self.grid, self.values.copy())
-
-    def real_part(self):
-        return GridFunction(self.grid, self.values.real.astype(np.complex128))
-
     def __add__(self, other):
         _check_same_grid(self, other)
         return GridFunction(self.grid, self.values + other.values)
@@ -219,9 +202,6 @@ class GridVectorField:
         """Pointwise Euclidean magnitude |b| as a real array."""
         return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=0))
 
-    def copy(self):
-        return GridVectorField(self.grid, self.values.copy())
-
     def __add__(self, other):
         if self.grid != other.grid:
             raise GridMismatchError("grids differ")
@@ -234,38 +214,6 @@ class GridVectorField:
 
     def __repr__(self):
         return f"GridVectorField({self.grid}, sup|b|={self.magnitude().max():.4g})"
-
-
-class MultiplierSymbol:
-    """Closed-form Fourier multiplier (zeta - Laplacian)^(-alpha).
-
-    With ``grad_axis = j`` the symbol carries the extra factor i*k_j,
-    realizing the j-th component of grad (zeta - Laplacian)^(-alpha).
-    Principal branch of the complex power; Re(zeta) > 0 keeps
-    zeta + |k|^2 in the right half-plane so the branch cut is never
-    crossed.
-    """
-
-    def __init__(self, zeta, alpha, grad_axis=None):
-        zeta = complex(zeta)
-        if zeta.real <= 0:
-            raise SpectralDomainError(f"Re(zeta) must be positive, got {zeta}")
-        self.zeta = zeta
-        self.alpha = float(alpha)
-        self.grad_axis = grad_axis
-
-    def values(self, grid):
-        base = np.power(self.zeta + grid.k_squared, -self.alpha)
-        if self.grad_axis is None:
-            return base
-        j = int(self.grad_axis)
-        if not 0 <= j < grid.d:
-            raise ValueError(f"grad_axis {j} out of range for d={grid.d}")
-        return 1j * grid.k_components[j] * base
-
-    def __repr__(self):
-        g = "" if self.grad_axis is None else f", grad_axis={self.grad_axis}"
-        return f"MultiplierSymbol(zeta={self.zeta}, alpha={self.alpha}{g})"
 
 
 def fftn(values):
@@ -281,9 +229,9 @@ def apply_symbol_array(symbol_values, f):
     return GridFunction(f.grid, ifftn(symbol_values * fftn(f.values)))
 
 
-def apply_multiplier(sym, f):
-    """Apply a MultiplierSymbol to f; exact on the discrete frequency set."""
-    return apply_symbol_array(sym.values(f.grid), f)
+def lp_norm_values(values, p, cell_volume):
+    """Discrete L^p norm (h^d sum |v|^p)^(1/p) of a raw node array, finite p >= 1."""
+    return float((cell_volume * np.sum(np.abs(values) ** p)) ** (1.0 / p))
 
 
 def lp_norm(f, p):
@@ -293,8 +241,7 @@ def lp_norm(f, p):
     p = float(p)
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    hd = f.grid.cell_volume()
-    return float((hd * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    return lp_norm_values(f.values, p, f.grid.cell_volume())
 
 
 def pairing(u, v):
@@ -315,14 +262,6 @@ def bessel_norm(f, alpha, p):
     return lp_norm(apply_symbol_array(sym, f), p)
 
 
-def multiply_pointwise(w, f):
-    """Nodewise product; realizes multiplication operators like |b|^(1/p')."""
-    if isinstance(w, GridFunction):
-        _check_same_grid(w, f)
-        w = w.values
-    return GridFunction(f.grid, w * f.values)
-
-
 def laplacian_apply(f):
     """Spectral Laplacian, the differential part of the drift generator."""
     return apply_symbol_array(-f.grid.k_squared.astype(np.complex128), f)
@@ -336,15 +275,6 @@ def gradient_apply(f):
     for j in range(grid.d):
         comps[j] = ifftn(1j * grid.k_components[j] * fhat)
     return GridVectorField(grid, comps)
-
-
-def divergence_apply(v):
-    """Spectral divergence; divergence of gradient recovers the Laplacian."""
-    grid = v.grid
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for j in range(grid.d):
-        out += ifftn(1j * grid.k_components[j] * fftn(v.values[j]))
-    return GridFunction(grid, out)
 
 
 def fourier_eval(f, points):

@@ -1,9 +1,9 @@
 """Serialization of grid functions and deterministic CSV reports.
 
 A grid function is stored as a JSON header {d, n_per_axis, box_length}
-next to either a flat binary of complex128 samples or a CSV of
-(index, re, im) rows.  CSV report bodies are byte-stable for a fixed
-config and seed; timestamps live only in the run manifest.
+next to a flat binary of complex128 samples.  CSV report bodies are
+byte-stable for a fixed config and seed; timestamps live only in the
+run manifest.
 """
 
 from __future__ import annotations
@@ -25,31 +25,20 @@ __all__ = [
 ]
 
 
-def save_grid_function(f, basepath, fmt="bin"):
+def save_grid_function(f, basepath):
     """Write values plus JSON header; returns the data path."""
     basepath = Path(basepath)
     header = {
         "d": f.grid.d,
         "n_per_axis": f.grid.n,
         "box_length": f.grid.length,
-        "format": fmt,
+        "format": "bin",
     }
     basepath.parent.mkdir(parents=True, exist_ok=True)
     with open(basepath.with_suffix(".json"), "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
-    if fmt == "bin":
-        data_path = basepath.with_suffix(".bin")
-        f.values.astype(np.complex128).ravel().tofile(data_path)
-    elif fmt == "csv":
-        data_path = basepath.with_suffix(".csv")
-        flat = f.values.ravel()
-        with open(data_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["index", "re", "im"])
-            for i, v in enumerate(flat):
-                w.writerow([i, repr(float(v.real)), repr(float(v.imag))])
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    data_path = basepath.with_suffix(".bin")
+    f.values.astype(np.complex128).ravel().tofile(data_path)
     return data_path
 
 
@@ -58,18 +47,7 @@ def load_grid_function(basepath):
     with open(basepath.with_suffix(".json")) as fh:
         header = json.load(fh)
     grid = Grid(header["d"], header["n_per_axis"], header["box_length"])
-    fmt = header.get("format", "bin")
-    if fmt == "bin":
-        flat = np.fromfile(basepath.with_suffix(".bin"), dtype=np.complex128)
-    else:
-        re, im = [], []
-        with open(basepath.with_suffix(".csv")) as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                re.append(float(row[1]))
-                im.append(float(row[2]))
-        flat = np.array(re) + 1j * np.array(im)
+    flat = np.fromfile(basepath.with_suffix(".bin"), dtype=np.complex128)
     return GridFunction(grid, flat.reshape(grid.shape))
 
 
@@ -97,7 +75,7 @@ def write_csv(path, header, rows):
     return path
 
 
-def write_manifest(out_dir, config, seed, seconds, extra=None):
+def write_manifest(out_dir, config, seed, seconds):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     from . import __version__

@@ -112,29 +112,24 @@ def rough_input(grid, seed=0):
     return GridFunction(grid, rng.standard_normal(grid.shape).astype(np.complex128))
 
 
-def bessel_smoothing_study(make_grid, make_field, params_factory, p, q, sizes, seed=0):
+def bessel_smoothing_study(fields, params, q, seed=0):
     """Smoothing-order norms of resolvent outputs across grid refinement.
 
-    For each grid size builds the field and a fresh rough input, applies
-    the fractional factorization, and records the order-(1 + 1/q) norm of
-    input and output.  The output sequence should stay bounded (ratio of
-    successive values <= 1.1) while the input sequence diverges.
-
-    ``make_grid(n) -> Grid``, ``make_field(grid) -> GridVectorField``,
-    ``params_factory(grid, field) -> ResolventParams``.
+    ``fields`` holds one drift field per grid size, coarse to fine.  For
+    each, a fresh rough input on the field's grid goes through the
+    fractional factorization at ``params``, and the order-(1 + 1/q)
+    ``params.p`` norms of input and output are recorded.  The output
+    sequence should stay bounded (ratio of successive values <= 1.1)
+    while the input sequence diverges.
 
     Returns rows (n, norm_out, norm_in).
     """
     order = 1.0 + 1.0 / q
     rows = []
-    for n in sizes:
-        grid = make_grid(n)
-        b = make_field(grid)
-        params = params_factory(grid, b)
-        f = rough_input(grid, seed=seed)
-        assembly = ResolventAssembly(params, b, representation="fractional")
-        u = assembly.apply(f)
-        rows.append((n, bessel_norm(u, order, p), bessel_norm(f, order, p)))
+    for b in fields:
+        f = rough_input(b.grid, seed=seed)
+        u = ResolventAssembly(params, b, representation="fractional").apply(f)
+        rows.append((b.grid.n, bessel_norm(u, order, params.p), bessel_norm(f, order, params.p)))
     return rows
 
 

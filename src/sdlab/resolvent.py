@@ -37,7 +37,7 @@ from .errors import (
     NeumannMaxTermsError,
     SpectralDomainError,
 )
-from .grid import GridFunction, fftn, ifftn, lp_norm
+from .grid import GridFunction, fftn, ifftn, lp_norm, lp_norm_values
 
 __all__ = [
     "ResolventParams",
@@ -47,7 +47,6 @@ __all__ = [
     "estimate_op_norm",
     "pseudo_resolvent_residual",
     "strong_convergence_study",
-    "mu_uniformity_study",
     "norm_bound_report",
     "zeta_ray_grid",
 ]
@@ -261,15 +260,6 @@ class ResolventAssembly:
     def apply_input_factor(self, f):
         return GridFunction(self.grid, self._input_values(f.values))
 
-    def apply_output_factor(self, f):
-        return GridFunction(self.grid, self._output_values(f.values))
-
-    def apply_weighted_resolvent(self, f):
-        return GridFunction(self.grid, self._weighted_resolvent_values(f.values))
-
-    def apply_loop(self, f):
-        return GridFunction(self.grid, self._loop_values(f.values))
-
     def apply_free_resolvent(self, f):
         return GridFunction(self.grid, ifftn(self._sym(1.0) * fftn(f.values)))
 
@@ -280,11 +270,7 @@ class ResolventAssembly:
         kmax = self.neumann_kmax if kmax is None else kmax
         hd = self.grid.cell_volume()
         p = self.params.p
-
-        def pnorm(v):
-            return float((hd * np.sum(np.abs(v) ** p)) ** (1.0 / p))
-
-        norm_g = pnorm(g_values)
+        norm_g = lp_norm_values(g_values, p, hd)
         total = g_values.copy()
         term = g_values
         history = []
@@ -293,7 +279,7 @@ class ResolventAssembly:
         grow = 0
         for _ in range(kmax):
             term = -loop_values(term)
-            inc = pnorm(term)
+            inc = lp_norm_values(term, p, hd)
             total = total + term
             history.append(inc)
             if inc <= tol * norm_g:
@@ -439,25 +425,21 @@ def estimate_op_norm(op, p_in, p_out=None, n_starts=64, tol=1e-4, max_iter=100, 
     hd = grid.cell_volume()
     rng = np.random.default_rng(seed)
     p_in_conj = C.holder_conjugate(p_in)
-
-    def norm(v, p):
-        return float((hd * np.sum(np.abs(v) ** p)) ** (1.0 / p))
-
     best = 0.0
     for _ in range(n_starts):
         x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        nx = norm(x, p_in)
+        nx = lp_norm_values(x, p_in, hd)
         x = x / nx
         est_prev = 0.0
         for _ in range(max_iter):
             y = op.forward(x)
-            est = norm(y, p_out)
+            est = lp_norm_values(y, p_out, hd)
             if est <= est_prev * (1.0 + tol):
                 break
             est_prev = est
             z = op.adjoint(_dual_vector(y, p_out))
             x = _dual_vector(z, p_in_conj)
-            nx = norm(x, p_in)
+            nx = lp_norm_values(x, p_in, hd)
             if nx == 0.0:
                 break
             x = x / nx
@@ -497,21 +479,6 @@ def strong_convergence_study(params, b, levels, f, truncate_fn, b_ref=None, repr
         u = ResolventAssembly(params, bn, representation).apply(f)
         errs.append(lp_norm(u - ref, p))
     return np.array(errs)
-
-
-def mu_uniformity_study(params, b, levels, mu_grid, f, truncate_fn):
-    """Curve mu -> max over levels of |mu R(mu, b_level) f - f|_p."""
-    p = params.p
-    out = []
-    for mu in mu_grid:
-        worst = 0.0
-        for lev in levels:
-            bn = truncate_fn(b, lev)
-            pr = params.with_zeta(complex(mu))
-            u = ResolventAssembly(pr, bn).apply(f)
-            worst = max(worst, lp_norm(mu * u - f, p))
-        out.append(worst)
-    return np.array(out)
 
 
 def zeta_ray_grid(lam, d, n_ray=8, n_real=4):

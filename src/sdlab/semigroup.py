@@ -20,7 +20,6 @@ from .resolvent import ResolventAssembly
 __all__ = [
     "SemigroupParams",
     "evolve",
-    "positivity_check",
     "ultracontractivity_study",
     "semigroup_convergence_study",
     "delta_sources",
@@ -72,19 +71,6 @@ def evolve(sp, params, b, f, representation="direct", neumann_tol=None):
         u2 = _evolve_fixed(params, b, f, sp.t, 2 * sp.steps, representation, neumann_tol)
         u = 2.0 * u2 - u
     return u
-
-
-def positivity_check(sp, params, b, f, representation="direct"):
-    """Minimum node value of the evolved field (real drift, f >= 0).
-
-    PASS criterion used by callers: min >= -1e-8 * sup|f|.
-    """
-    if np.max(np.abs(b.values.imag)) > 0:
-        raise ValueError("positivity check requires a real drift field")
-    if np.min(f.values.real) < 0 or np.max(np.abs(f.values.imag)) > 0:
-        raise ValueError("positivity check requires a real nonnegative input")
-    u = evolve(sp, params, b, f, representation)
-    return float(np.min(u.values.real))
 
 
 def delta_sources(grid, count, seed=0):

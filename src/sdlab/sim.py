@@ -16,7 +16,7 @@ runs with a censored fraction >= 0.1% are flagged invalid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class SimParams:
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
         self.x0 = np.asarray(self.x0, dtype=float)
+        d = self.drift.grid.d
+        if self.x0.shape != (d,) or not np.all(np.isfinite(self.x0)):
+            raise ValueError(f"x0 must be a finite point of length {d}, got {self.x0.tolist()}")
 
     @property
     def steps(self):
@@ -77,7 +80,6 @@ class SimResult:
     flagged_invalid: bool
     payoff_mean: float | None = None
     payoff_se: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _chunk_noise(seed, chunk_index, m, steps):
@@ -169,15 +171,17 @@ def mc_vs_semigroup(
         c_disc = float(np.max(np.abs(f.values.real)))
     if safety_margin is None:
         safety_margin = 2.0 * grid.h
+    # built first, so a bad start or step is rejected before the evolve
+    sims = [
+        SimParams(drift=b, t=t, dt=dt, paths=paths, seed=seed + 1000 * i, x0=x0,
+                  safety_margin=safety_margin)
+        for i, x0 in enumerate(starts)
+    ]
     u = evolve(SemigroupParams(t, pde_steps), params, b, f, neumann_tol=neumann_tol)
-    pde_vals = fourier_eval(u, starts).real
+    pde_vals = fourier_eval(u, [sp.x0 for sp in sims]).real
     rows = []
     all_pass = True
-    for i, x0 in enumerate(starts):
-        sp = SimParams(
-            drift=b, t=t, dt=dt, paths=paths, seed=seed + 1000 * i, x0=x0,
-            safety_margin=safety_margin,
-        )
+    for i, sp in enumerate(sims):
         res = simulate_paths(sp, payoff=payoff_fn if payoff_fn is not None else f,
                              drift_sign=drift_sign)
         budget = 3.0 * res.payoff_se + c_disc * (sp.dt_effective + 1.0 / pde_steps)
@@ -185,7 +189,7 @@ def mc_vs_semigroup(
         ok = diff <= budget and not res.flagged_invalid
         all_pass = all_pass and ok
         rows.append(
-            (tuple(x0), res.payoff_mean, res.payoff_se, float(pde_vals[i]), diff, budget, ok,
+            (tuple(sp.x0), res.payoff_mean, res.payoff_se, float(pde_vals[i]), diff, budget, ok,
              res.flagged_invalid)
         )
     return rows, all_pass

@@ -47,6 +47,25 @@ def test_bad_schema_value_exits_2(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, cfg",
+    [
+        ("resolvent", {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 7}}),
+        ("resolvent", {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "representation": "bogus"}),
+        ("resolvent", {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "p": 0.5}),
+        ("semigroup", {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "steps": 0}),
+        ("simulate", {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "dt": -0.001}),
+        ("resolvent", {"field": {"kind": "hardy", "c": 0.2, "truncate": 0}, "grid": {"n": 8}}),
+        ("simulate", {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "starts": [[4, 4]]}),
+    ],
+    ids=["odd-n", "representation", "p", "steps", "dt", "truncate", "start"],
+)
+def test_rejected_config_value_exits_2(tmp_path, capsys, experiment, cfg):
+    path = write_cfg(tmp_path, cfg)
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_guard_violation_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

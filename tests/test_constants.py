@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from sdlab import constants as C
 
@@ -78,50 +77,11 @@ def test_feller_threshold():
             assert C.feller_threshold(d) < 1.0
 
 
-def test_feller_admissible_range():
-    d = 3
-    delta = 0.75 / C.m_d(d)
-    ok, p_range = C.feller_admissible(delta, d)
-    assert ok
-    assert p_range[0] == pytest.approx(2.0)
-    assert p_range[1] == pytest.approx(4.0, rel=1e-12)
-    ok2, rng2 = C.feller_admissible(1.5 / C.m_d(d), d)
-    assert not ok2 and rng2 is None
-
-
 def test_fractional_constant_value():
     # Gamma(1/2) / Gamma(1/4)^2, frozen from gamma-function evaluation
     assert C.c_q_fractional(2.0) == pytest.approx(0.13483815029709484, rel=1e-12)
     with pytest.raises(ValueError):
         C.c_q_fractional(1.0)
-
-
-def _tail_integral_quad(a, b, lam):
-    # integral_0^inf t^(a-1) (t+lam)^(-b) dt, split at 1 with u = 1/t on the tail
-    head, _ = quad(lambda t: t ** (a - 1) * (t + lam) ** (-b), 0, 1)
-    tail, _ = quad(lambda u: u ** (b - a - 1) * (1 + lam * u) ** (-b), 0, 1)
-    return head + tail
-
-
-def test_tail_integral_constants_vs_quadrature():
-    # K-type constants use the closed Beta form of the tail integral;
-    # cross-check against direct numerical quadrature
-    p, q, r, delta, lam = 2.5, 4.0, 1.5, 0.1, 0.7
-
-    val = _tail_integral_quad(1 / (2 * q), 1 / (2 * p), lam)
-    expected = C.c_q_fractional(q) * C.C_r_delta(C.holder_conjugate(p), delta) * val
-    assert C.K_2q(q, p, delta, lam) == pytest.approx(expected, rel=1e-9)
-
-    rp = C.holder_conjugate(r)
-    pp = C.holder_conjugate(p)
-    val2 = _tail_integral_quad(1 / (2 * rp), 1 / (2 * pp), lam)
-    expected2 = 1.7 * C.c_q_fractional(rp) * C.C_r_delta(p, delta) * val2
-    assert C.K_1r(r, p, delta, lam, m_rd=1.7) == pytest.approx(expected2, rel=1e-9)
-
-    with pytest.raises(ValueError):
-        C.K_2q(2.0, 2.5, delta, lam)  # needs q > p
-    with pytest.raises(ValueError):
-        C.K_1r(3.0, 2.5, delta, lam, m_rd=1.0)  # needs r < p
 
 
 def test_resolvent_constant_guard():

@@ -13,7 +13,6 @@ from sdlab.fields import (
     estimate_class_F_half,
     estimate_class_K,
     guarded_pair,
-    inclusion_checks,
     kato_column_norms,
     mollify,
     truncate,
@@ -233,30 +232,39 @@ def test_kato_column_consistency():
     assert cols[2, 5, 1] == pytest.approx(direct, rel=1e-10)
 
 
+def delta_at(estimator, b, lam):
+    return estimator(b, lambda_grid=np.array([lam])).delta
+
+
 def test_inclusion_constant_field_equalities():
     g = Grid(3, 16, 8.0)
     b = const_field(g, [0.4, 0.0, 0.0])
-    report = inclusion_checks(b, lambda_grid=np.array([0.5]))
-    assert report["half_vs_sqrtF"] and report["half_vs_K"]
-    assert report["delta_half"] == pytest.approx(np.sqrt(report["delta_F"]), rel=1e-5)
+    half = delta_at(estimate_class_F_half, b, 0.5)
+    delta_F = delta_at(estimate_class_F, b, 0.5)
+    delta_K = delta_at(estimate_class_K, b, 0.5)
+    assert half <= np.sqrt(delta_F) * 1.05 and half <= delta_K * 1.05
+    assert half == pytest.approx(np.sqrt(delta_F), rel=1e-5)
     # the 1->1 side rides slightly above the continuum equality (kernel ringing)
-    assert report["delta_half"] == pytest.approx(report["delta_K"], rel=0.01)
+    assert half == pytest.approx(delta_K, rel=0.01)
 
 
 def test_inclusion_zero_field():
     g = Grid(3, 8, 8.0)
-    report = inclusion_checks(GridVectorField.zeros(g), lambda_grid=np.array([1.0]))
-    assert report["delta_half"] == pytest.approx(0.0, abs=1e-12)
+    half = delta_at(estimate_class_F_half, GridVectorField.zeros(g), 1.0)
+    assert half == pytest.approx(0.0, abs=1e-12)
 
 
 def test_inclusion_sum_rule_hardy_plus_sphere(grid32):
     b1 = DriftSpec("hardy", c=0.15).on_grid(grid32)
     b2 = DriftSpec("sphere", beta=0.5, amp=0.1).on_grid(grid32)
     total = GridVectorField(grid32, b1.values + b2.values)
-    report = inclusion_checks(total, split=(b1, b2), lambda_grid=np.logspace(-1, 2, 4))
-    assert report["half_vs_sqrtF"]
-    assert report["half_vs_K"]
-    assert report["sum_rule"]
+    half = estimate_class_F_half(total, lambda_grid=np.logspace(-1, 2, 4))
+    lam = half.lam
+    assert half.delta <= np.sqrt(delta_at(estimate_class_F, total, lam)) * 1.05
+    assert half.delta <= delta_at(estimate_class_K, total, lam) * 1.05
+    # b = b1 + b2: sqrt(delta_half(b)) <= delta_F(b1)^(1/4) + sqrt(delta_K(b2))
+    rhs = delta_at(estimate_class_F, b1, lam) ** 0.25 + np.sqrt(delta_at(estimate_class_K, b2, lam))
+    assert np.sqrt(half.delta) <= rhs * 1.05
 
 
 def test_guarded_pair(hardy16):

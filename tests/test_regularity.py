@@ -124,16 +124,10 @@ def test_rough_input_norm_grid_independent():
 def test_smoothing_study_free_resolvent():
     # free resolvent gains two orders: output norms stay bounded under
     # refinement while the rough input norms diverge
-    def make_grid(n):
-        return Grid(3, n, 8.0)
-
-    def make_field(grid):
-        return GridVectorField.zeros(grid)
-
-    def params_factory(grid, b):
-        return ResolventParams(p=2.0, zeta=2.0, delta=0.0, lam=0.5)
-
-    rows = bessel_smoothing_study(make_grid, make_field, params_factory, 2.0, 3.0, (8, 16, 32))
+    fields = [GridVectorField.zeros(Grid(3, n, 8.0)) for n in (8, 16, 32)]
+    params = ResolventParams(p=2.0, zeta=2.0, delta=0.0, lam=0.5)
+    rows = bessel_smoothing_study(fields, params, 3.0)
+    assert [r[0] for r in rows] == [8, 16, 32]
     outs = [r[1] for r in rows]
     ins = [r[2] for r in rows]
     assert outs[1] <= outs[0] * 1.1 and outs[2] <= outs[1] * 1.1
