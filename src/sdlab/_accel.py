@@ -65,19 +65,24 @@ def em_chunk(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored)
     and stays frozen at that position for the remaining steps.
     """
     table = field.reshape(-1, n ** 3)
+    # a zero field moves a path by +-0.0, which leaves it bit for bit where
+    # it was, so its gather is skipped
+    drifting = np.any(table)
     x = np.ascontiguousarray(pos.T)
+    kick = np.empty_like(x)
     frozen = np.flatnonzero(censored)
     held = x[:, frozen]
     for s in range(noise.shape[1]):
         if len(frozen) == len(censored):
             break
         # x + drift_sign * b * dt + sqrt2dt * noise, rounded in that order
-        move = _trilinear(table, x, n, h)
-        move *= drift_sign
-        move *= dt
-        x += move
-        np.multiply(noise[:, s, :].T, sqrt2dt, out=move)
-        x += move
+        if drifting:
+            move = _trilinear(table, x, n, h)
+            move *= drift_sign
+            move *= dt
+            x += move
+        np.multiply(noise[:, s, :].T, sqrt2dt, out=kick)
+        x += kick
         x[:, frozen] = held
         outside = (x < lo) | (x > hi)
         censored |= outside[0] | outside[1] | outside[2]

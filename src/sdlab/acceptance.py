@@ -450,8 +450,9 @@ def feller_cross_validation():
         np.array([8.0, 8.9, 7.2]),
     ]
     common = dict(t=0.3, dt=1e-3, paths=100_000, pde_steps=192, seed=10, payoff_fn=bump)
-    rows, ok_right = mc_vs_semigroup(b, pr, f, starts, **common)
-    _, ok_wrong = mc_vs_semigroup(b, pr, f, starts, drift_sign=+1.0, **common)
+    rows, ok_right, _ = mc_vs_semigroup(b, pr, f, starts, **common)
+    _, ok_wrong, _ = mc_vs_semigroup(b, pr, f, starts, drift_sign=+1.0,
+                                     pde_values=[r[3] for r in rows], **common)
     diffs = [r[4] for r in rows]
     budgets = [r[5] for r in rows]
     return CriterionResult(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import constants as Cmod
 from .acceptance import CRITERIA, run_all
-from .errors import ConfigError, GuardViolationError
+from .errors import ConfigError, GuardViolationError, SpectralDomainError
 from .fields import (
     default_lambda_grid,
     drift_from_config,
@@ -491,7 +491,7 @@ def run_simulate(cfg, out, seed):
     starts = [np.asarray(s, dtype=float) for s in cfg.get(
         "starts", [[c0 + 1.0, c0, c0], [c0, c0 - 1.2, c0], [c0, c0, c0 + 1.4]]
     )]
-    rows, ok = mc_vs_semigroup(
+    rows, ok, results = mc_vs_semigroup(
         b,
         params,
         f,
@@ -511,15 +511,7 @@ def run_simulate(cfg, out, seed):
         rows,
     )
     if cfg.get("dump_terminal", False):
-        from .sim import SimParams, simulate_paths
-
-        sp = SimParams(
-            drift=b, t=float(cfg.get("t", 0.2)), dt=float(cfg.get("dt", 1e-3)),
-            paths=int(cfg.get("paths", 20000)), seed=seed, x0=starts[0],
-            safety_margin=2.0 * grid.h,
-        )
-        res = simulate_paths(sp, drift_sign=float(cfg.get("drift_sign", -1.0)))
-        write_csv(out / "terminal.csv", ["x", "y", "z"], [tuple(p) for p in res.terminal])
+        write_csv(out / "terminal.csv", ["x", "y", "z"], [tuple(p) for p in results[0].terminal])
     return 0 if ok else 1
 
 
@@ -664,7 +656,7 @@ def main(argv=None):
         # sdlab constructors reject out-of-range config values with ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except GuardViolationError as exc:
+    except (GuardViolationError, SpectralDomainError) as exc:
         print(f"outside the admissible hypotheses: {exc}", file=sys.stderr)
         return 3
     write_manifest(out, cfg, args.seed, round(time.perf_counter() - t0, 3))

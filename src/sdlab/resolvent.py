@@ -26,6 +26,7 @@ powers differently and so exercise the principal-branch arithmetic:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,10 +132,15 @@ class LinearOp:
 class ResolventAssembly:
     """Precomputed weight arrays for one (params, field) pair.
 
-    The weights are fixed at construction.  The multiplier symbols
-    (zeta + |k|^2)^(-alpha) are computed on first use of each exponent
-    and kept in ``_sym_cache``, so applying an assembly mutates it; the
-    cached values never change once stored.
+    The series weights ``weight_vec`` = b |b|^(1/p - 1) and ``weight_out``
+    = |b|^(1/p') are built at construction.  ``weight_vec`` is float64
+    when b has no imaginary part and complex128 otherwise: numpy casts a
+    float64 factor to complex before it multiplies a complex array, so
+    both give the same products.  ``weight_in_mag`` = |b|^(1/p), which
+    only ``weighted_resolvent`` reads, and the multiplier symbols
+    (zeta + |k|^2)^(-alpha), one per exponent in ``_sym_cache``, are
+    built on first use, so applying an assembly mutates it; a value
+    never changes once stored.
     """
 
     def __init__(self, params, b, representation="direct", neumann_tol=1e-10, neumann_kmax=200):
@@ -161,12 +167,16 @@ class ResolventAssembly:
         positive = mag > 0
         # |b|^(1/p - 1) b, with the removable singularity at b = 0 filled by 0.
         scale = np.where(positive, np.where(positive, mag, 1.0) ** (1.0 / p - 1.0), 0.0)
-        self.weight_vec = b.values * scale
+        self.weight_vec = (b.values if np.any(b.values.imag) else b.values.real) * scale
         self.weight_out = mag ** (1.0 / params.p_conj)
-        self.weight_in_mag = mag ** (1.0 / p)
         # b = 0: the resolvent is the free one, and apply skips the series
         self.zero_drift = not np.any(self.weight_vec)
         self._sym_cache = {}
+
+    @cached_property
+    def weight_in_mag(self):
+        """|b|^(1/p), the weight of ``weighted_resolvent``."""
+        return self.b.magnitude() ** (1.0 / self.params.p)
 
     def _sym(self, alpha):
         """(zeta + |k|^2)^(-alpha) on the grid frequencies, cached per alpha."""

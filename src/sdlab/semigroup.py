@@ -129,6 +129,8 @@ def ultracontractivity_study(
     """
     if p >= r:
         raise ValueError(f"requires p < r, got p={p}, r={r}")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     grid = b.grid
     t_grid = np.asarray(t_grid, dtype=float)
     box_guard = (grid.length / 4.0) ** 2

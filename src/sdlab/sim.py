@@ -155,6 +155,7 @@ def mc_vs_semigroup(
     safety_margin=None,
     neumann_tol=1e-9,
     payoff_fn=None,
+    pde_values=None,
 ):
     """Compare MC payoff means against the evolved field at several starts.
 
@@ -163,8 +164,12 @@ def mc_vs_semigroup(
     it as ``payoff_fn`` so the MC side avoids the trilinear read-off bias
     of the grid samples (the PDE side always evolves the grid samples
     and is read at the starts by exact trigonometric interpolation).
-    Returns (rows, all_passed) with rows
-    (start, mc_mean, mc_se, pde_value, |diff|, budget, pass, flagged).
+    ``drift_sign`` reaches the paths only, so a run that differs from an
+    earlier one in nothing else may pass that run's ``pde_value`` column
+    as ``pde_values`` and skip the evolve.
+    Returns (rows, all_passed, results) with rows
+    (start, mc_mean, mc_se, pde_value, |diff|, budget, pass, flagged)
+    and ``results`` the ``SimResult`` of each start.
     """
     grid = b.grid
     if c_disc is None:
@@ -177,9 +182,13 @@ def mc_vs_semigroup(
                   safety_margin=safety_margin)
         for i, x0 in enumerate(starts)
     ]
-    u = evolve(SemigroupParams(t, pde_steps), params, b, f, neumann_tol=neumann_tol)
-    pde_vals = fourier_eval(u, [sp.x0 for sp in sims]).real
+    if pde_values is None:
+        u = evolve(SemigroupParams(t, pde_steps), params, b, f, neumann_tol=neumann_tol)
+        pde_vals = fourier_eval(u, [sp.x0 for sp in sims]).real
+    else:
+        pde_vals = np.asarray(pde_values, dtype=float)
     rows = []
+    results = []
     all_pass = True
     for i, sp in enumerate(sims):
         res = simulate_paths(sp, payoff=payoff_fn if payoff_fn is not None else f,
@@ -192,7 +201,8 @@ def mc_vs_semigroup(
             (tuple(sp.x0), res.payoff_mean, res.payoff_se, float(pde_vals[i]), diff, budget, ok,
              res.flagged_invalid)
         )
-    return rows, all_pass
+        results.append(res)
+    return rows, all_pass, results
 
 
 def strong_feller_probe(b, f, base_point, separations, t, dt, paths, seed=0, direction=None):

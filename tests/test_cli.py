@@ -57,8 +57,9 @@ def test_bad_schema_value_exits_2(tmp_path, capsys):
         ("simulate", {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "dt": -0.001}),
         ("resolvent", {"field": {"kind": "hardy", "c": 0.2, "truncate": 0}, "grid": {"n": 8}}),
         ("simulate", {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "starts": [[4, 4]]}),
+        ("ultracontractivity", {"grid": {"n": 8}, "steps": 0}),
     ],
-    ids=["odd-n", "representation", "p", "steps", "dt", "truncate", "start"],
+    ids=["odd-n", "representation", "p", "steps", "dt", "truncate", "start", "ultracontractivity-steps"],
 )
 def test_rejected_config_value_exits_2(tmp_path, capsys, experiment, cfg):
     path = write_cfg(tmp_path, cfg)
@@ -72,6 +73,13 @@ def test_guard_violation_exits_3(tmp_path, capsys):
         {"field": {"kind": "hardy", "c": 0.9}, "grid": {"n": 16, "L": 16},
          "p": 2.0, "lambda_grid": [0.01]},
     )
+    code = main(["resolvent", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "hypotheses" in capsys.readouterr().err
+
+
+def test_zeta_below_half_plane_floor_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "zeta": [0.01, 0]})
     code = main(["resolvent", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 3
     assert "hypotheses" in capsys.readouterr().err

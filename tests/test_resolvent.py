@@ -421,3 +421,40 @@ def test_zero_field_apply_is_free_resolvent(monkeypatch, rep, grid16, zero_field
     out = a.apply(f).values
     assert counts["fft"] == 2
     np.testing.assert_array_equal(out, free)
+
+
+def test_weight_vec_dtype_follows_drift(hardy16):
+    pr = make_params(p=2.0)
+    assert ResolventAssembly(pr, hardy16).weight_vec.dtype == np.float64
+    assert ResolventAssembly(pr, hardy16 * (1.0 + 0.5j)).weight_vec.dtype == np.complex128
+
+
+@pytest.mark.parametrize("zeta", [3.0, complex(3.0, 1.0)], ids=["real", "complex"])
+@pytest.mark.parametrize("rep", ["direct", "fractional", "split", "symmetric"])
+def test_real_weight_matches_complex_weight_bit_for_bit(rep, zeta, grid16, hardy16, rng):
+    # the twin holds the weights as complex128 with |b|^(1/p) built up front
+    pr = make_params(p=2.0, zeta=zeta)
+    a = ResolventAssembly(pr, hardy16, rep)
+    twin = ResolventAssembly(pr, hardy16, rep)
+    twin.weight_vec = twin.weight_vec.astype(np.complex128)
+    twin.weight_in_mag = hardy16.magnitude() ** (1.0 / pr.p)
+    v = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
+    f = GridFunction(grid16, v)
+    np.testing.assert_array_equal(a.apply(f).values, twin.apply(f).values)
+    np.testing.assert_array_equal(a._apply_adjoint_values(v), twin._apply_adjoint_values(v))
+    for view in ("loop_factor", "weighted_resolvent"):
+        op, op_twin = getattr(a, view)(), getattr(twin, view)()
+        np.testing.assert_array_equal(op.forward(v), op_twin.forward(v))
+        np.testing.assert_array_equal(op.adjoint(v), op_twin.adjoint(v))
+
+
+def test_weight_in_mag_built_on_first_use(grid16, hardy16, rng):
+    pr = make_params(p=2.5)
+    a = ResolventAssembly(pr, hardy16)
+    v = rng.standard_normal(grid16.shape) + 0j
+    a.apply(GridFunction(grid16, v))
+    a._apply_adjoint_values(v)
+    a.loop_factor().adjoint(v)
+    assert "weight_in_mag" not in vars(a)
+    a.weighted_resolvent().forward(v)
+    np.testing.assert_array_equal(vars(a)["weight_in_mag"], hardy16.magnitude() ** 0.4)

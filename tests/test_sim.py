@@ -135,25 +135,43 @@ def _masked_em(pos, field, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censore
         censored[np.nonzero(active)[0][out]] = True
 
 
-@pytest.mark.parametrize("drift_sign", [-1.0, 1.0])
-def test_em_chunk_matches_masked_lane(g16, drift_sign):
-    # a start one cell inside the safety box, so that part of the paths is censored
-    field = np.ascontiguousarray(DriftSpec("smooth-random", amp=1.5, kmax=2, seed=3).on_grid(g16).values.real)
+def _em_lanes(g, field, drift_sign):
+    """(pos, censored) of em_chunk, then of the masked lane, on one 2000-path chunk.
+
+    The start is one cell inside the safety box, so that part of the paths is censored.
+    """
     m, steps, dt = 2000, 120, 1e-3
-    lo, hi = 2 * g16.h, g16.length - 2 * g16.h
+    lo, hi = 2 * g.h, g.length - 2 * g.h
     noise = _chunk_noise(5, 0, m, steps)
     runs = []
     for lane in (em_chunk, _masked_em):
-        pos = np.tile([lo + g16.h, 8.0, hi - 0.5 * g16.h], (m, 1))
+        pos = np.tile([lo + g.h, 8.0, hi - 0.5 * g.h], (m, 1))
         censored = np.zeros(m, dtype=np.bool_)
-        lane(pos, field, g16.n, g16.h, dt, np.sqrt(2 * dt), noise, drift_sign, lo, hi, censored)
+        lane(pos, field, g.n, g.h, dt, np.sqrt(2 * dt), noise, drift_sign, lo, hi, censored)
         runs.append((pos, censored))
-    (pos, censored), (want_pos, want_censored) = runs
-    assert 0 < censored.sum() < m
+    return runs
+
+
+@pytest.mark.parametrize("drift_sign", [-1.0, 1.0])
+def test_em_chunk_matches_masked_lane(g16, drift_sign):
+    field = np.ascontiguousarray(DriftSpec("smooth-random", amp=1.5, kmax=2, seed=3).on_grid(g16).values.real)
+    lo, hi = 2 * g16.h, g16.length - 2 * g16.h
+    (pos, censored), (want_pos, want_censored) = _em_lanes(g16, field, drift_sign)
+    assert 0 < censored.sum() < len(censored)
     np.testing.assert_array_equal(censored, want_censored)
     np.testing.assert_allclose(pos, want_pos, rtol=0, atol=1e-12)
     # a censored path is frozen at its first position outside the safety box
     assert np.all(np.any((pos[censored] < lo) | (pos[censored] > hi), axis=1))
+
+
+@pytest.mark.parametrize("drift_sign", [-1.0, 1.0])
+def test_em_chunk_zero_field_equals_masked_lane(g16, drift_sign):
+    # the zero-field lane skips the drift gather; positions stay bit for bit
+    field = np.zeros((3,) + g16.shape)
+    (pos, censored), (want_pos, want_censored) = _em_lanes(g16, field, drift_sign)
+    assert 0 < censored.sum() < len(censored)
+    np.testing.assert_array_equal(censored, want_censored)
+    np.testing.assert_array_equal(pos, want_pos)
 
 
 def _coupled_em(field_arr, g, x0, t, dt_fine, n_paths, seed, levels=3):
@@ -203,16 +221,38 @@ def test_mc_vs_semigroup_free_and_constant(g16):
         g16, lambda x, y, z: np.exp(-((x - 8) ** 2 + (y - 8) ** 2 + (z - 8) ** 2) / 4.5)
     )
     starts = [center(g16), center(g16) + [1.0, 0, 0]]
-    rows, ok = mc_vs_semigroup(
+    rows, ok, _ = mc_vs_semigroup(
         zero_drift(g16), params, f, starts, t=0.2, dt=2e-3, paths=20000, pde_steps=64,
         seed=6, payoff_fn=_bump,
     )
     assert ok
-    rows2, ok2 = mc_vs_semigroup(
+    rows2, ok2, _ = mc_vs_semigroup(
         const_drift(g16, [0.8, 0.0, 0.0]), params, f, starts,
         t=0.2, dt=2e-3, paths=20000, pde_steps=64, seed=7, payoff_fn=_bump,
     )
     assert ok2
+
+
+def test_mc_vs_semigroup_reuses_pde_values_and_returns_terminals(g16, monkeypatch):
+    import sdlab.sim
+
+    params = ResolventParams(p=2.0, zeta=2.0, delta=0.0, lam=0.5)
+    b = const_drift(g16, [0.8, 0.0, 0.0])
+    f = GridFunction.from_callable(
+        g16, lambda x, y, z: np.exp(-((x - 8) ** 2 + (y - 8) ** 2 + (z - 8) ** 2) / 4.5)
+    )
+    starts = [center(g16), center(g16) + [1.0, 0, 0]]
+    common = dict(t=0.05, dt=5e-3, paths=500, pde_steps=8, seed=3, payoff_fn=_bump, drift_sign=+1.0)
+    rows, ok, results = mc_vs_semigroup(b, params, f, starts, **common)
+
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran although pde_values were given")
+
+    monkeypatch.setattr(sdlab.sim, "evolve", no_evolve)
+    reused, ok_reused, _ = mc_vs_semigroup(b, params, f, starts, pde_values=[r[3] for r in rows], **common)
+    assert reused == rows and ok_reused == ok
+    sp = SimParams(drift=b, t=0.05, dt=5e-3, paths=500, seed=3, x0=starts[0], safety_margin=2 * g16.h)
+    np.testing.assert_array_equal(results[0].terminal, simulate_paths(sp, drift_sign=+1.0).terminal)
 
 
 def test_mc_vs_semigroup_sign_flip_fails():
@@ -228,8 +268,9 @@ def test_mc_vs_semigroup_sign_flip_fails():
     )
     starts = [center(g) + [1.2, 0, 0], center(g) - [0, 1.4, 0]]
     common = dict(t=0.3, dt=1e-3, paths=30000, pde_steps=192, seed=8, payoff_fn=_bump)
-    _, ok_right = mc_vs_semigroup(b, params, f, starts, **common)
-    _, ok_wrong = mc_vs_semigroup(b, params, f, starts, drift_sign=+1.0, **common)
+    rows, ok_right, _ = mc_vs_semigroup(b, params, f, starts, **common)
+    _, ok_wrong, _ = mc_vs_semigroup(b, params, f, starts, drift_sign=+1.0,
+                                     pde_values=[r[3] for r in rows], **common)
     assert ok_right
     assert not ok_wrong
 
