@@ -250,10 +250,8 @@ def truncation_convergence():
     )
     levels = [2.0, 4.0, 8.0, 16.0, 32.0]
     b_ref = truncate(b, 64.0)
-    res_curve = strong_convergence_study(pr, b, levels, f, truncate, b_ref=b_ref)
-    sg_curve, sg_sup = semigroup_convergence_study(
-        pr, b, levels, 0.1, 5, f, truncate, b_ref=b_ref, neumann_tol=1e-9
-    )
+    res_curve = strong_convergence_study(pr, b, levels, f, b_ref=b_ref)
+    sg_curve, sg_sup = semigroup_convergence_study(pr, b, levels, 0.1, 5, f, b_ref=b_ref, neumann_tol=1e-9)
 
     def monotone(c):
         return all(c[i + 1] <= c[i] * (1 + 1e-9) + 1e-14 for i in range(len(c) - 1))
@@ -386,7 +384,7 @@ def kernel_estimates():
     f = GridFunction.from_callable(
         g, lambda x, y, z: np.exp(-((x - center) ** 2 + (y - center) ** 2 + (z - center) ** 2) / 0.18)
     )
-    curve = truncation_l1_curve(b, f, 2.0, [0.25, 0.5, 1.0, 2.0], truncate)
+    curve = truncation_l1_curve(b, f, 2.0, [0.25, 0.5, 1.0, 2.0])
     a0_ok = all(curve[i + 1] < curve[i] for i in range(len(curve) - 1)) and curve[-1] < 0.05 * curve[0]
 
     ok = (

@@ -142,9 +142,17 @@ def _field_from(cfg, grid):
     return b
 
 
+INPUT_KEYS = {"bump": {"kind", "sigma2", "center"}, "noise": {"kind", "seed"}}
+
+
 def _input_from(cfg, grid, seed, with_callable=False):
     fc = cfg.get("f", {"kind": "bump"})
     kind = fc.get("kind", "bump")
+    if kind not in INPUT_KEYS:
+        raise ConfigError(f"f.kind: unknown input kind {kind!r}")
+    for key in fc:
+        if key not in INPUT_KEYS[kind]:
+            raise ConfigError(f"f.{key}: unknown key for input kind {kind!r}")
     if kind == "bump":
         sigma2 = float(fc.get("sigma2", (grid.length / 8.0) ** 2))
         c = np.asarray(fc.get("center", [grid.length / 2.0] * grid.d), dtype=float)
@@ -154,11 +162,9 @@ def _input_from(cfg, grid, seed, with_callable=False):
         if with_callable:
             return f, lambda pts: np.exp(-np.sum((pts - c) ** 2, axis=1) / sigma2)
         return f
-    if kind == "noise":
-        rng = np.random.default_rng(int(fc.get("seed", seed)))
-        f = GridFunction(grid, rng.standard_normal(grid.shape).astype(np.complex128))
-        return (f, None) if with_callable else f
-    raise ConfigError(f"f.kind: unknown input kind {kind!r}")
+    rng = np.random.default_rng(int(fc.get("seed", seed)))
+    f = GridFunction(grid, rng.standard_normal(grid.shape).astype(np.complex128))
+    return (f, None) if with_callable else f
 
 
 def _resolvent_setup(cfg, grid, seed, p=None):
@@ -275,10 +281,10 @@ def run_convergence_study(cfg, out, seed):
     b, est, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
     levels = [float(x) for x in cfg.get("levels", [2, 4, 8, 16, 32])]
-    res_curve = strong_convergence_study(params, b, levels, f, truncate)
+    res_curve = strong_convergence_study(params, b, levels, f)
     t = float(cfg.get("t", 0.1))
     steps = int(cfg.get("steps", 5))
-    sg_p, sg_sup = semigroup_convergence_study(params, b, levels, t, steps, f, truncate)
+    sg_p, sg_sup = semigroup_convergence_study(params, b, levels, t, steps, f)
     rows = [
         (lev, r, sp_, ss)
         for lev, r, sp_, ss in zip(levels, res_curve, sg_p, sg_sup)
@@ -406,7 +412,7 @@ def run_verify_kernels(cfg, out, seed):
                 lambda x, y, z: np.exp(-((x - c0) ** 2 + (y - c0) ** 2 + (z - c0) ** 2) / 0.18),
             )
             levels = [0.25, 0.5, 1.0, 2.0]
-            curve = truncation_l1_curve(b, f, 2.0, levels, truncate)
+            curve = truncation_l1_curve(b, f, 2.0, levels)
             rows = list(zip(levels, curve))
             write_csv(out / "kernels_A0.csv", ["level", "l1_remainder"], rows)
             status |= 0 if all(b2 < a2 for a2, b2 in zip(curve, curve[1:])) else 1
@@ -612,8 +618,8 @@ def build_parser():
         sp.add_argument("--out", type=str, default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument("--only", type=str, default=None,
-                        help="acceptance: comma-separated criterion indices")
+        if name == "acceptance":
+            sp.add_argument("--only", type=str, default=None, help="comma-separated criterion indices")
     return parser
 
 

@@ -50,28 +50,40 @@ def default_lambda_grid():
 class DriftSpec:
     """Closed-form drift field, evaluable at any off-singularity point.
 
-    Kinds and parameters:
+    Kinds and parameters (a parameter the kind does not take is a
+    ``ValueError``):
 
     * ``hardy``: c * (x - x0)/|x - x0|^2, singular at the box center.
     * ``sphere``: amp * | |x - x0| - radius |^(-beta) radial profile
       (beta < 1), singular on a sphere.
     * ``constant``: fixed vector.
-    * ``smooth-random``: band-limited random field with a seed.
+    * ``smooth-random``: band-limited random field (amp, kmax, seed).
     * ``sum``: superposition of terms.
 
     Singular kinds shift their singular point off the lattice by half a
-    cell per axis (the ``offset_half_cell`` flag), so node samples are
-    finite; a node value is then the nearest-sample cap of the continuum
-    field, which is exactly the truncation mechanism the theory expects.
+    cell per axis, so node samples are finite; a node value is then the
+    nearest-sample cap of the continuum field, which is exactly the
+    truncation mechanism the theory expects.
     """
 
-    KINDS = ("hardy", "sphere", "constant", "smooth-random", "sum")
+    PARAMS = {
+        "hardy": ("c",),
+        "sphere": ("beta", "radius", "amp"),
+        "constant": ("vector",),
+        "smooth-random": ("amp", "kmax", "seed"),
+        "sum": ("terms",),
+    }
 
-    def __init__(self, kind, offset_half_cell=True, **params):
-        if kind not in self.KINDS:
+    def __init__(self, kind, **params):
+        if kind not in self.PARAMS:
             raise ValueError(f"unknown drift kind {kind!r}")
+        for key in params:
+            if key not in self.PARAMS[kind]:
+                raise ValueError(
+                    f"{key}: unknown parameter for drift kind {kind!r} "
+                    f"(it takes {', '.join(self.PARAMS[kind])})"
+                )
         self.kind = kind
-        self.offset_half_cell = bool(offset_half_cell)
         self.params = dict(params)
         if kind == "sum":
             self.terms = [t if isinstance(t, DriftSpec) else drift_from_config(t) for t in params["terms"]]
@@ -93,10 +105,7 @@ class DriftSpec:
         self._sin_amp = rng.standard_normal((len(modes), 3))
 
     def singular_point(self, grid):
-        c = np.full(grid.d, grid.length / 2.0)
-        if self.offset_half_cell:
-            c += grid.h / 2.0
-        return c
+        return np.full(grid.d, grid.length / 2.0) + grid.h / 2.0
 
     def evaluate(self, points, grid):
         """Closed-form values at arbitrary points, shape (N, d)."""

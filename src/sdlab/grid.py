@@ -95,6 +95,9 @@ class Grid:
             shape[j] = self.n
             self.k_components.append(k1.reshape(shape))
         self.k_squared = sum(kc ** 2 for kc in self.k_components)
+        # the odd symbols 1j*k_j of d/dx_j, the one place they are built; they keep
+        # the unpaired Nyquist entry, so they map real data to complex data
+        self.ik_components = [1j * kc for kc in self.k_components]
         x1 = self.h * np.arange(self.n)
         self.x_axis = x1
 
@@ -273,7 +276,7 @@ def gradient_apply(f):
     fhat = fftn(f.values)
     comps = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
     for j in range(grid.d):
-        comps[j] = ifftn(1j * grid.k_components[j] * fhat)
+        comps[j] = ifftn(grid.ik_components[j] * fhat)
     return GridVectorField(grid, comps)
 
 

@@ -24,6 +24,7 @@ from scipy.special import gamma as _gamma
 
 from . import constants as C
 from .errors import QuadratureError
+from .fields import truncate
 from .grid import GridFunction, fftn, ifftn, lp_norm
 
 __all__ = [
@@ -66,10 +67,11 @@ class KernelProbe:
         return float(np.linalg.norm(np.asarray(self.x, float) - np.asarray(self.y, float)))
 
 
-def _log_integral(d, r, zeta, gamma, extra_inv_t=0, tol=1e-10, max_doublings=14):
+def _log_integral(d, r, zeta, gamma, extra_inv_t=0):
     """integral of e^(-zeta t - r^2/4t) t^(gamma/2 - 1 - extra_inv_t) (4 pi t)^(-d/2) dt.
 
-    Computed in s = log t.  Returns (value, err_estimate).
+    Computed in s = log t, doubling the nodes (at most 14 times) until two
+    successive sums agree to 1e-10 relative.  Returns (value, err_estimate).
     """
     zeta = complex(zeta)
     rz = zeta.real
@@ -90,11 +92,11 @@ def _log_integral(d, r, zeta, gamma, extra_inv_t=0, tol=1e-10, max_doublings=14)
 
     n = 257
     prev = rule(n)
-    for _ in range(max_doublings):
+    for _ in range(14):
         n = 2 * n - 1
         cur = rule(n)
         err = abs(cur - prev)
-        if err <= tol * max(abs(cur), UNDERFLOW_FLOOR):
+        if err <= 1e-10 * max(abs(cur), UNDERFLOW_FLOOR):
             return cur, err
         prev = cur
     if abs(prev) < UNDERFLOW_FLOOR:
@@ -104,26 +106,23 @@ def _log_integral(d, r, zeta, gamma, extra_inv_t=0, tol=1e-10, max_doublings=14)
     )
 
 
-def kernel_value(probe, tol=1e-10, return_error=False):
+def kernel_value(probe):
     """Kernel of (zeta - Lap)^(-gamma/2) at (x, y); complex for complex zeta."""
-    val, err = _log_integral(probe.d, probe.distance, probe.zeta, probe.gamma, tol=tol)
-    val = val / _gamma(probe.gamma / 2.0)
-    if return_error:
-        return val, err / _gamma(probe.gamma / 2.0)
-    return val
+    val, _ = _log_integral(probe.d, probe.distance, probe.zeta, probe.gamma)
+    return val / _gamma(probe.gamma / 2.0)
 
 
-def grad_kernel_value(probe, tol=1e-10):
+def grad_kernel_value(probe):
     """Gradient (in x) of the kernel: the vector -(x-y)/2 times a scalar integral."""
     r = probe.distance
-    scalar, _ = _log_integral(probe.d, r, probe.zeta, probe.gamma, extra_inv_t=1, tol=tol)
+    scalar, _ = _log_integral(probe.d, r, probe.zeta, probe.gamma, extra_inv_t=1)
     scalar = scalar / _gamma(probe.gamma / 2.0)
     rel = np.asarray(probe.x, float) - np.asarray(probe.y, float)
     return -0.5 * rel * scalar
 
 
-def grad_kernel_magnitude(probe, tol=1e-10):
-    vec = grad_kernel_value(probe, tol=tol)
+def grad_kernel_magnitude(probe):
+    vec = grad_kernel_value(probe)
     return float(np.sqrt(np.sum(np.abs(vec) ** 2)))
 
 
@@ -145,7 +144,7 @@ def _passes(lhs, rhs, slack=1e-8):
     return lhs <= rhs * (1.0 + slack), False
 
 
-def check_gradient_domination(probes, tol=1e-10):
+def check_gradient_domination(probes):
     """Gradient kernel of the resolvent against the half-power kernel bound:
 
         |grad (zeta - Lap)^(-1)(x,y)| <= m_d (kappa_d^(-1) Re zeta - Lap)^(-1/2)(x,y).
@@ -156,18 +155,16 @@ def check_gradient_domination(probes, tol=1e-10):
     for pr in probes:
         d = pr.d
         md, kd = C.m_d(d), C.kappa_d(d)
-        lhs = grad_kernel_magnitude(
-            KernelProbe(d, pr.x, pr.y, pr.zeta, 2.0), tol=tol
-        )
+        lhs = grad_kernel_magnitude(KernelProbe(d, pr.x, pr.y, pr.zeta, 2.0))
         rhs_probe = KernelProbe(d, pr.x, pr.y, complex(pr.zeta).real / kd, 1.0)
-        rhs = md * kernel_value(rhs_probe, tol=tol).real
+        rhs = md * kernel_value(rhs_probe).real
         ok, skipped = _passes(lhs, rhs)
         ratio = lhs / rhs if rhs > UNDERFLOW_FLOOR else np.nan
         rows.append((pr, lhs, rhs, ratio, ok, skipped))
     return rows
 
 
-def check_fractional_gradient_domination(probes, r_exponent, tol=1e-10):
+def check_fractional_gradient_domination(probes, r_exponent):
     """Same domination for the fractional power indexed by r in (1, inf]:
 
         |grad (zeta-Lap)^(-1+1/(2r))| <= m_{r,d} (kappa_d^(-1) Re zeta - Lap)^(-1/2+1/(2r)),
@@ -184,12 +181,8 @@ def check_fractional_gradient_domination(probes, r_exponent, tol=1e-10):
     sup_ratio = 0.0
     for pr in probes:
         kd = C.kappa_d(pr.d)
-        lhs = grad_kernel_magnitude(
-            KernelProbe(pr.d, pr.x, pr.y, pr.zeta, gamma_lhs), tol=tol
-        )
-        rhs = kernel_value(
-            KernelProbe(pr.d, pr.x, pr.y, complex(pr.zeta).real / kd, gamma_rhs), tol=tol
-        ).real
+        lhs = grad_kernel_magnitude(KernelProbe(pr.d, pr.x, pr.y, pr.zeta, gamma_lhs))
+        rhs = kernel_value(KernelProbe(pr.d, pr.x, pr.y, complex(pr.zeta).real / kd, gamma_rhs)).real
         ratio = lhs / rhs if rhs > UNDERFLOW_FLOOR else np.nan
         if np.isfinite(ratio):
             sup_ratio = max(sup_ratio, ratio)
@@ -197,7 +190,7 @@ def check_fractional_gradient_domination(probes, r_exponent, tol=1e-10):
     return sup_ratio, rows
 
 
-def check_complex_domination(probes, tol=1e-10):
+def check_complex_domination(probes):
     """Complex-parameter bounds with |zeta| on the right-hand side:
 
         |grad (zeta-Lap)^(-1)(x,y)|
@@ -212,19 +205,15 @@ def check_complex_domination(probes, tol=1e-10):
         d = pr.d
         md, kd = C.m_d(d), C.kappa_d(d)
         az = abs(complex(pr.zeta))
-        lhs = grad_kernel_magnitude(KernelProbe(d, pr.x, pr.y, pr.zeta, 2.0), tol=tol)
-        rhs = (
-            2.0 ** (d / 4.0)
-            * md
-            * kernel_value(KernelProbe(d, pr.x, pr.y, az / (kd * np.sqrt(2.0)), 1.0), tol=tol).real
-        )
+        lhs = grad_kernel_magnitude(KernelProbe(d, pr.x, pr.y, pr.zeta, 2.0))
+        rhs_probe = KernelProbe(d, pr.x, pr.y, az / (kd * np.sqrt(2.0)), 1.0)
+        rhs = 2.0 ** (d / 4.0) * md * kernel_value(rhs_probe).real
         ok, skipped = _passes(lhs, rhs)
         rows_a.append((pr, lhs, rhs, lhs / rhs if rhs > UNDERFLOW_FLOOR else np.nan, ok, skipped))
 
-        lhs_b = abs(kernel_value(KernelProbe(d, pr.x, pr.y, pr.zeta, 1.0), tol=tol))
-        rhs_b = 2.0 ** (d / 4.0 + 0.25) * kernel_value(
-            KernelProbe(d, pr.x, pr.y, az / np.sqrt(2.0), 1.0), tol=tol
-        ).real
+        lhs_b = abs(kernel_value(KernelProbe(d, pr.x, pr.y, pr.zeta, 1.0)))
+        rhs_probe = KernelProbe(d, pr.x, pr.y, az / np.sqrt(2.0), 1.0)
+        rhs_b = 2.0 ** (d / 4.0 + 0.25) * kernel_value(rhs_probe).real
         ok_b, skipped_b = _passes(lhs_b, rhs_b)
         rows_b.append(
             (pr, lhs_b, rhs_b, lhs_b / rhs_b if rhs_b > UNDERFLOW_FLOOR else np.nan, ok_b, skipped_b)
@@ -232,7 +221,7 @@ def check_complex_domination(probes, tol=1e-10):
     return rows_a, rows_b
 
 
-def check_fractional_power_identity(zeta, q, x, y, d=3, tol=1e-8, base_points=2049):
+def check_fractional_power_identity(zeta, q, x, y, d=3):
     """Relative error of the one-dimensional integral representation
 
         (zeta-Lap)^(-1/(2q')) = c_q integral_0^inf t^(-1+1/(2q)) (t+zeta-Lap)^(-1/2) dt
@@ -241,14 +230,15 @@ def check_fractional_power_identity(zeta, q, x, y, d=3, tol=1e-8, base_points=20
     Both levels live on log grids; one shared inner grid serves every
     outer node (the inner integrand decays double-exponentially at both
     ends uniformly over the outer range), so the double integral is a
-    single vectorized tensor sum, refined once for an error check.
+    single vectorized tensor sum on 2049^2 nodes, refined once to 4097^2
+    for an error check that must settle to 1e-7.
     """
     q = float(q)
     if not 1.0 < q < np.inf:
         raise ValueError(f"q must lie in (1, inf), got {q}")
     zeta = complex(zeta)
     qp = C.holder_conjugate(q)
-    lhs = kernel_value(KernelProbe(d, x, y, zeta, 1.0 / qp), tol=tol * 1e-2)
+    lhs = kernel_value(KernelProbe(d, x, y, zeta, 1.0 / qp))
 
     r = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
     # outer t = e^s: integrand ~ e^(s/(2q)) to the left, Yukawa tail to the right
@@ -271,15 +261,15 @@ def check_fractional_power_identity(zeta, q, x, y, d=3, tol=1e-8, base_points=20
         outer_integrand = np.exp(s * 0.5 / q) * inner_vals
         return pref * np.trapezoid(outer_integrand, s)
 
-    prev = double_rule(base_points, base_points)
-    cur = double_rule(2 * base_points - 1, 2 * base_points - 1)
-    if abs(cur - prev) > 10 * tol * abs(cur):
+    prev = double_rule(2049, 2049)
+    cur = double_rule(4097, 4097)
+    if abs(cur - prev) > 1e-7 * abs(cur):
         raise QuadratureError("outer quadrature of the fractional-power identity did not settle")
     rhs = C.c_q_fractional(q) * cur
     return abs(lhs - rhs) / abs(lhs)
 
 
-def truncation_l1_curve(b, f, zeta, levels, truncate_fn):
+def truncation_l1_curve(b, f, zeta, levels):
     """L1 size of the truncation remainder acting through the gradient:
 
         level -> | (b - b_level) . grad (zeta - Lap)^(-1) f |_1,
@@ -289,11 +279,10 @@ def truncation_l1_curve(b, f, zeta, levels, truncate_fn):
     grid = b.grid
     sym = np.power(complex(zeta) + grid.k_squared, -1.0)
     fhat = fftn(f.values)
-    grad = [ifftn(1j * kc * sym * fhat) for kc in grid.k_components]
+    grad = [ifftn(ik * sym * fhat) for ik in grid.ik_components]
     out = []
     for lev in levels:
-        bn = truncate_fn(b, lev)
-        dv = b.values - bn.values
+        dv = b.values - truncate(b, lev).values
         acc = sum(dv[j] * grad[j] for j in range(grid.d))
         out.append(lp_norm(GridFunction(grid, acc), 1))
     return np.array(out)

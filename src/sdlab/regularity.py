@@ -30,18 +30,10 @@ __all__ = [
 HOLDER_INF = float("inf")
 
 
-def holder_probe(
-    u,
-    exclude_center=None,
-    exclude_radius=0.0,
-    n_bins=6,
-    pairs_per_bin=2048,
-    min_sep_cells=4,
-    seed=0,
-):
+def holder_probe(u, pairs_per_bin=2048, seed=0):
     """Estimate a Hölder exponent from max increments over distance bins.
 
-    For dyadic separations s (starting at min_sep_cells * h, below which
+    For up to 6 dyadic separations s (starting at 4h, below which
     spectral interpolation artifacts dominate) the probe samples node
     pairs at distance ~ s, records M(s) = max |u(x) - u(y)|, and fits
     the slope of log M against log s.
@@ -54,33 +46,19 @@ def holder_probe(
     rng = np.random.default_rng(seed)
     h = grid.h
     seps = []
-    s = min_sep_cells * h
+    s = 4 * h
     # L/2 is the largest axis-aligned separation the torus supports
-    while s <= grid.length / 2.0 and len(seps) < n_bins:
+    while s <= grid.length / 2.0 and len(seps) < 6:
         seps.append(s)
         s *= 2.0
     if len(seps) < 4:
         raise ValueError("region too small for at least 4 distance bins")
-    if exclude_center is not None:
-        coords = grid.coordinates()
-        r2 = np.zeros(grid.shape)
-        for j in range(grid.d):
-            dd = np.abs(coords[j] - exclude_center[j])
-            dd = np.minimum(dd, grid.length - dd)
-            r2 += dd * dd
-        allowed = (r2 > exclude_radius ** 2).ravel()
-        allowed_idx = np.nonzero(allowed)[0]
-    else:
-        allowed_idx = None
 
     maxima = []
     n_total = grid.node_count()
     flat = vals.ravel()
     for s in seps:
-        if allowed_idx is None:
-            base = rng.integers(0, n_total, size=pairs_per_bin)
-        else:
-            base = allowed_idx[rng.integers(0, len(allowed_idx), size=pairs_per_bin)]
+        base = rng.integers(0, n_total, size=pairs_per_bin)
         base_nd = np.array(np.unravel_index(base, grid.shape)).T
         direction = rng.standard_normal((pairs_per_bin, grid.d))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
@@ -133,10 +111,10 @@ def bessel_smoothing_study(fields, params, q, seed=0):
     return rows
 
 
-def make_test_functions(grid, count=5, seed=0, sigma=None):
+def make_test_functions(grid, count=5, seed=0):
     """Gaussian-windowed low-degree polynomials supported well inside the box."""
     rng = np.random.default_rng(seed)
-    sigma = grid.length / 8.0 if sigma is None else sigma
+    sigma = grid.length / 8.0
     center = grid.length / 2.0
     coords = grid.coordinates()
     out = []
@@ -151,7 +129,7 @@ def make_test_functions(grid, count=5, seed=0, sigma=None):
     return out
 
 
-def weak_identity_residual(params, b, f, test_functions, representation="direct"):
+def weak_identity_residual(params, b, f, test_functions):
     """Max relative residual of the distributional identity of the generator.
 
     With u the resolvent output, (generator u) = f - zeta u, and the
@@ -160,7 +138,7 @@ def weak_identity_residual(params, b, f, test_functions, representation="direct"
     grouped as |b|^(1/p') * (b^(1/p) . grad u), matching the factor
     split used by the assembly.
     """
-    assembly = ResolventAssembly(params, b, representation)
+    assembly = ResolventAssembly(params, b)
     u = assembly.apply(f)
     grad_u = gradient_apply(u)
     inner = np.sum(assembly.weight_vec * grad_u.values, axis=0)

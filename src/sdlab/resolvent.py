@@ -38,6 +38,7 @@ from .errors import (
     NeumannMaxTermsError,
     SpectralDomainError,
 )
+from .fields import truncate
 from .grid import GridFunction, fftn, ifftn, lp_norm, lp_norm_values
 
 __all__ = [
@@ -53,6 +54,11 @@ __all__ = [
 ]
 
 REPRESENTATIONS = ("direct", "fractional", "split", "symmetric")
+
+# Neumann series stopping rule: the relative increment |term|_p <= NEUMANN_TOL |g|_p
+# ends the sum, and NEUMANN_KMAX terms without that raise NeumannMaxTermsError.
+NEUMANN_TOL = 1e-10
+NEUMANN_KMAX = 200
 
 
 @dataclass
@@ -119,11 +125,10 @@ class ResolventParams:
 class LinearOp:
     """Matrix-free operator on grid value arrays with an adjoint."""
 
-    def __init__(self, grid, forward, adjoint=None, name=""):
+    def __init__(self, grid, forward, adjoint=None):
         self.grid = grid
         self.forward = forward
         self.adjoint = adjoint
-        self.name = name
 
     def __call__(self, values):
         return self.forward(values)
@@ -143,7 +148,7 @@ class ResolventAssembly:
     never changes once stored.
     """
 
-    def __init__(self, params, b, representation="direct", neumann_tol=1e-10, neumann_kmax=200):
+    def __init__(self, params, b, representation="direct"):
         if representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {representation!r}")
         if representation == "symmetric":
@@ -159,8 +164,6 @@ class ResolventAssembly:
         if self.grid.d != params.d:
             raise GridMismatchError(f"grid dimension {self.grid.d} != params.d {params.d}")
         self.representation = representation
-        self.neumann_tol = neumann_tol
-        self.neumann_kmax = neumann_kmax
 
         p = params.p
         mag = b.magnitude()
@@ -193,25 +196,25 @@ class ResolventAssembly:
 
     def _weighted_gradient(self, vhat):
         """weight_vec . grad of the grid function whose transform is vhat"""
-        ks = self.grid.k_components
-        acc = self.weight_vec[0] * ifftn(1j * ks[0] * vhat)
+        iks = self.grid.ik_components
+        acc = self.weight_vec[0] * ifftn(iks[0] * vhat)
         for j in range(1, self.grid.d):
-            acc += self.weight_vec[j] * ifftn(1j * ks[j] * vhat)
+            acc += self.weight_vec[j] * ifftn(iks[j] * vhat)
         return acc
 
-    def _input_adjoint_values(self, v, alpha=1.0):
-        ks = self.grid.k_components
-        acc = -1j * ks[0] * fftn(np.conj(self.weight_vec[0]) * v)
+    def _input_adjoint_values(self, v):
+        iks = self.grid.ik_components
+        acc = np.conj(iks[0]) * fftn(np.conj(self.weight_vec[0]) * v)
         for j in range(1, self.grid.d):
-            acc += -1j * ks[j] * fftn(np.conj(self.weight_vec[j]) * v)
-        return ifftn(np.conj(self._sym(alpha)) * acc)
+            acc += np.conj(iks[j]) * fftn(np.conj(self.weight_vec[j]) * v)
+        return ifftn(np.conj(self._sym(1.0)) * acc)
 
-    def _output_values(self, v, alpha=1.0):
-        """(zeta - Lap)^(-alpha) (weight_out * v)"""
-        return ifftn(self._sym(alpha) * fftn(self.weight_out * v))
+    def _output_values(self, v):
+        """(zeta - Lap)^(-1) (weight_out * v)"""
+        return ifftn(self._sym(1.0) * fftn(self.weight_out * v))
 
-    def _output_adjoint_values(self, v, alpha=1.0):
-        return self.weight_out * ifftn(np.conj(self._sym(alpha)) * fftn(v))
+    def _output_adjoint_values(self, v):
+        return self.weight_out * ifftn(np.conj(self._sym(1.0)) * fftn(v))
 
     def _loop_values(self, v):
         """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v)"""
@@ -240,32 +243,17 @@ class ResolventAssembly:
 
     # -- public operator views ------------------------------------------
 
-    def input_factor(self, alpha=1.0):
-        return LinearOp(
-            self.grid,
-            lambda v: self._input_values(v, alpha),
-            lambda v: self._input_adjoint_values(v, alpha),
-            name="input_factor",
-        )
+    def input_factor(self):
+        return LinearOp(self.grid, self._input_values, self._input_adjoint_values)
 
-    def output_factor(self, alpha=1.0):
-        return LinearOp(
-            self.grid,
-            lambda v: self._output_values(v, alpha),
-            lambda v: self._output_adjoint_values(v, alpha),
-            name="output_factor",
-        )
+    def output_factor(self):
+        return LinearOp(self.grid, self._output_values, self._output_adjoint_values)
 
     def loop_factor(self):
-        return LinearOp(self.grid, self._loop_values, self._loop_adjoint_values, name="loop_factor")
+        return LinearOp(self.grid, self._loop_values, self._loop_adjoint_values)
 
     def weighted_resolvent(self):
-        return LinearOp(
-            self.grid,
-            self._weighted_resolvent_values,
-            self._weighted_resolvent_adjoint_values,
-            name="weighted_resolvent",
-        )
+        return LinearOp(self.grid, self._weighted_resolvent_values, self._weighted_resolvent_adjoint_values)
 
     def apply_input_factor(self, f):
         return GridFunction(self.grid, self._input_values(f.values))
@@ -276,8 +264,8 @@ class ResolventAssembly:
     # -- series inversion -------------------------------------------------
 
     def _neumann(self, g_values, loop_values, tol=None, kmax=None):
-        tol = self.neumann_tol if tol is None else tol
-        kmax = self.neumann_kmax if kmax is None else kmax
+        tol = NEUMANN_TOL if tol is None else tol
+        kmax = NEUMANN_KMAX if kmax is None else kmax
         hd = self.grid.cell_volume()
         p = self.params.p
         norm_g = lp_norm_values(g_values, p, hd)
@@ -308,14 +296,14 @@ class ResolventAssembly:
             f"series did not reach tol={tol} within {kmax} terms", history=history
         )
 
-    def neumann_inverse(self, g, tol=None, kmax=None):
+    def neumann_inverse(self, g):
         """(1 + loop)^(-1) g by partial sums; returns (result, increments)."""
-        total, history = self._neumann(g.values, self._loop_values, tol=tol, kmax=kmax)
+        total, history = self._neumann(g.values, self._loop_values)
         return GridFunction(self.grid, total), history
 
     # -- the resolvent ----------------------------------------------------
 
-    def _apply_adjoint_values(self, v, tol=None, kmax=None):
+    def _apply_adjoint_values(self, v):
         """Adjoint of the direct factorization: free* - input*(1+loop*)^-1 output*.
 
         The adjoint loop factor obeys the same norm guard (the bound is
@@ -323,15 +311,12 @@ class ResolventAssembly:
         inverts it.
         """
         free = ifftn(np.conj(self._sym(1.0)) * fftn(v))
-        w, _ = self._neumann(self.weight_out * free, self._loop_adjoint_values, tol=tol, kmax=kmax)
+        w, _ = self._neumann(self.weight_out * free, self._loop_adjoint_values)
         return free - self._input_adjoint_values(w)
 
     def resolvent_op(self):
         return LinearOp(
-            self.grid,
-            lambda v: self.apply(GridFunction(self.grid, v)).values,
-            self._apply_adjoint_values,
-            name="resolvent",
+            self.grid, lambda v: self.apply(GridFunction(self.grid, v)).values, self._apply_adjoint_values
         )
 
     def apply(self, f, tol=None, kmax=None):
@@ -416,40 +401,39 @@ def _top_singular_value(op, tol, seed):
     return float(vals[0])
 
 
-def estimate_op_norm(op, p_in, p_out=None, n_starts=64, tol=1e-4, max_iter=100, seed=0):
-    """Lower estimate of the L^p_in -> L^p_out operator norm; requires the adjoint.
+def estimate_op_norm(op, p, n_starts=64, tol=1e-4, seed=0):
+    """Lower estimate of the L^p -> L^p operator norm; requires the adjoint.
 
-    At p_in == p_out == 2 the norm is the top singular value, computed by
-    one Lanczos (ARPACK ``svds``) call to relative tolerance ``tol`` from
-    a seeded start; ``n_starts`` and ``max_iter`` are ignored there.  A
-    Ritz value never exceeds the top singular value, so the result is
-    still a lower estimate, and a sharper one than the power iteration
-    gives.  Otherwise: restarted nonlinear power iteration on the norm
-    ratio (Boyd's ascent on the dual vectors), returning the largest
-    ratio found across ``n_starts`` random starts.
+    At p == 2 the norm is the top singular value, computed by one Lanczos
+    (ARPACK ``svds``) call to relative tolerance ``tol`` from a seeded
+    start; ``n_starts`` is ignored there.  A Ritz value never exceeds the
+    top singular value, so the result is still a lower estimate, and a
+    sharper one than the power iteration gives.  Otherwise: restarted
+    nonlinear power iteration on the norm ratio (Boyd's ascent on the
+    dual vectors), at most 100 steps from each of ``n_starts`` random
+    starts, returning the largest ratio found.
     """
-    p_out = p_in if p_out is None else p_out
-    if p_in == 2.0 and p_out == 2.0:
+    if p == 2.0:
         return _top_singular_value(op, tol, seed)
     grid = op.grid
     hd = grid.cell_volume()
     rng = np.random.default_rng(seed)
-    p_in_conj = C.holder_conjugate(p_in)
+    p_conj = C.holder_conjugate(p)
     best = 0.0
     for _ in range(n_starts):
         x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        nx = lp_norm_values(x, p_in, hd)
+        nx = lp_norm_values(x, p, hd)
         x = x / nx
         est_prev = 0.0
-        for _ in range(max_iter):
+        for _ in range(100):
             y = op.forward(x)
-            est = lp_norm_values(y, p_out, hd)
+            est = lp_norm_values(y, p, hd)
             if est <= est_prev * (1.0 + tol):
                 break
             est_prev = est
-            z = op.adjoint(_dual_vector(y, p_out))
-            x = _dual_vector(z, p_in_conj)
-            nx = lp_norm_values(x, p_in, hd)
+            z = op.adjoint(_dual_vector(y, p))
+            x = _dual_vector(z, p_conj)
+            nx = lp_norm_values(x, p, hd)
             if nx == 0.0:
                 break
             x = x / nx
@@ -457,10 +441,10 @@ def estimate_op_norm(op, p_in, p_out=None, n_starts=64, tol=1e-4, max_iter=100, 
     return best
 
 
-def pseudo_resolvent_residual(params, b, zeta, eta, f, representation="direct"):
+def pseudo_resolvent_residual(params, b, zeta, eta, f):
     """Relative residual of R(zeta) - R(eta) = (eta - zeta) R(zeta) R(eta) on f."""
-    a_z = ResolventAssembly(params.with_zeta(zeta), b, representation)
-    a_e = ResolventAssembly(params.with_zeta(eta), b, representation)
+    a_z = ResolventAssembly(params.with_zeta(zeta), b)
+    a_e = ResolventAssembly(params.with_zeta(eta), b)
     p = params.p
     u_e = a_e.apply(f)
     u_z = a_z.apply(f)
@@ -474,19 +458,18 @@ def pseudo_resolvent_residual(params, b, zeta, eta, f, representation="direct"):
     return r / scale
 
 
-def strong_convergence_study(params, b, levels, f, truncate_fn, b_ref=None, representation="direct"):
+def strong_convergence_study(params, b, levels, f, b_ref=None):
     """Error curve level -> |R(zeta, b_level) f - R(zeta, b_ref) f|_p.
 
-    ``truncate_fn(b, level)`` produces the approximating field; ``b_ref``
-    defaults to the field itself (the finest available truncation).
+    ``b_level`` is ``truncate(b, level)``; ``b_ref`` defaults to the
+    field itself (the finest available truncation).
     """
     b_ref = b if b_ref is None else b_ref
-    ref = ResolventAssembly(params, b_ref, representation).apply(f)
+    ref = ResolventAssembly(params, b_ref).apply(f)
     p = params.p
     errs = []
     for lev in levels:
-        bn = truncate_fn(b, lev)
-        u = ResolventAssembly(params, bn, representation).apply(f)
+        u = ResolventAssembly(params, truncate(b, lev)).apply(f)
         errs.append(lp_norm(u - ref, p))
     return np.array(errs)
 
@@ -506,23 +489,27 @@ def zeta_ray_grid(lam, d, n_ray=8, n_real=4):
     return ray + real
 
 
-def norm_bound_report(params, b, zeta_list=None, n_starts=16, tol=1e-3, seed=0):
+def norm_bound_report(params, b, n_starts=16, seed=0):
     """Measured factor norms against their closed-form bounds.
 
     Rows: (quantity, zeta, measured, bound, pass).  The output-factor
     bound appears twice because the stated decay exponent and the one
     the derivation chain ends with disagree; both are reported and the
-    ledger of which holds empirically is left to the data.
+    ledger of which holds empirically is left to the data.  The zeta
+    sample is ``zeta_ray_grid``, and each norm is estimated to relative
+    tolerance 1e-3.  A row passes when measured <= bound up to a relative
+    rounding slack of 1e-8, so an attained bound (the resolvent at b = 0)
+    is not failed on a last-bit tie.
     """
     d, p, delta, lam = params.d, params.p, params.delta, params.lam
-    zetas = zeta_ray_grid(lam, d) if zeta_list is None else zeta_list
+    tol = 1e-3
     c1 = C.C1(p, delta, d)
     c2 = C.C2(p, delta, d)
     c3 = C.C3(p, delta, d)
     cp = C.C_p_resolvent(p, delta, d)
     guard = params.guard_value
     rows = []
-    for z in zetas:
+    for z in zeta_ray_grid(lam, d):
         pr = params.with_zeta(z)
         a = ResolventAssembly(pr, b)
         az = abs(z)
@@ -538,4 +525,4 @@ def norm_bound_report(params, b, zeta_list=None, n_starts=16, tol=1e-3, seed=0):
         measured_res = estimate_op_norm(a.resolvent_op(), p, n_starts=max(2, n_starts // 4),
                                         tol=tol, seed=seed)
         rows.append(("resolvent", z, measured_res, cp / az))
-    return [(q, z, m, bd, m <= bd) for (q, z, m, bd) in rows]
+    return [(q, z, m, bd, m <= bd * (1.0 + 1e-8)) for (q, z, m, bd) in rows]

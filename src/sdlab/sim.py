@@ -150,20 +150,19 @@ def mc_vs_semigroup(
     paths,
     pde_steps,
     seed=0,
-    c_disc=None,
     drift_sign=-1.0,
-    safety_margin=None,
-    neumann_tol=1e-9,
     payoff_fn=None,
     pde_values=None,
 ):
     """Compare MC payoff means against the evolved field at several starts.
 
-    The tolerance budget per start is 3*SE + c_disc*(dt + 1/pde_steps);
-    c_disc defaults to sup|f|.  When the payoff has a closed form, pass
-    it as ``payoff_fn`` so the MC side avoids the trilinear read-off bias
-    of the grid samples (the PDE side always evolves the grid samples
-    and is read at the starts by exact trigonometric interpolation).
+    The tolerance budget per start is 3*SE + c_disc*(dt + 1/pde_steps)
+    with c_disc = sup|f|.  Paths run in the box shrunk by two cells on
+    every side, and the evolve stops its series at relative tolerance
+    1e-9.  When the payoff has a closed form, pass it as ``payoff_fn``
+    so the MC side avoids the trilinear read-off bias of the grid
+    samples (the PDE side always evolves the grid samples and is read
+    at the starts by exact trigonometric interpolation).
     ``drift_sign`` reaches the paths only, so a run that differs from an
     earlier one in nothing else may pass that run's ``pde_value`` column
     as ``pde_values`` and skip the evolve.
@@ -172,18 +171,15 @@ def mc_vs_semigroup(
     and ``results`` the ``SimResult`` of each start.
     """
     grid = b.grid
-    if c_disc is None:
-        c_disc = float(np.max(np.abs(f.values.real)))
-    if safety_margin is None:
-        safety_margin = 2.0 * grid.h
+    c_disc = float(np.max(np.abs(f.values.real)))
     # built first, so a bad start or step is rejected before the evolve
     sims = [
         SimParams(drift=b, t=t, dt=dt, paths=paths, seed=seed + 1000 * i, x0=x0,
-                  safety_margin=safety_margin)
+                  safety_margin=2.0 * grid.h)
         for i, x0 in enumerate(starts)
     ]
     if pde_values is None:
-        u = evolve(SemigroupParams(t, pde_steps), params, b, f, neumann_tol=neumann_tol)
+        u = evolve(SemigroupParams(t, pde_steps), params, b, f, neumann_tol=1e-9)
         pde_vals = fourier_eval(u, [sp.x0 for sp in sims]).real
     else:
         pde_vals = np.asarray(pde_values, dtype=float)

@@ -33,6 +33,35 @@ def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     assert "grd" in capsys.readouterr().err
 
 
+HARDY = {"kind": "hardy", "c": 0.2}
+
+
+@pytest.mark.parametrize(
+    "experiment, cfg, named",
+    [
+        ("estimate-class", {"field": {"kind": "hardy", "C": 0.9}}, "field: C: unknown"),
+        ("estimate-class", {"field": {"kind": "sphere", "beta": 0.5, "c": 0.2}}, "field: c: unknown"),
+        ("estimate-class", {"field": {"kind": "constant", "vec": [0.1, 0, 0]}}, "field: vec: unknown"),
+        ("estimate-class", {"field": {"kind": "smooth-random", "sede": 3}}, "field: sede: unknown"),
+        ("estimate-class", {"field": {"kind": "sum", "terms": [{"kind": "hardy", "amp": 0.2}]}},
+         "field: amp: unknown"),
+        ("resolvent", {"field": HARDY, "f": {"kind": "bump", "sigma": 2.0}}, "f.sigma: unknown"),
+        ("resolvent", {"field": HARDY, "f": {"kind": "noise", "sigma2": 2.0}}, "f.sigma2: unknown"),
+    ],
+    ids=["hardy", "sphere", "constant", "smooth-random", "sum-term", "bump", "noise"],
+)
+def test_unknown_field_or_input_key_exits_2(tmp_path, capsys, experiment, cfg, named):
+    path = write_cfg(tmp_path, {**cfg, "grid": {"n": 8}})
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_only_is_an_acceptance_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--only", "1", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
 def test_missing_required_key_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"grid": {"n": 8}})
     code = main(["resolvent", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import dense_class_delta, kato_column_norm
+from dense_oracles import dense_class_delta, kato_column_norm
 from sdlab.errors import GuardViolationError, PowerIterationError
 from sdlab.fields import (
     DriftSpec,

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sdlab.fields import DriftSpec, truncate
+from sdlab.fields import DriftSpec
 from sdlab.grid import GridFunction
 from sdlab.kernels import (
     KernelProbe,
+    _log_integral,
     check_complex_domination,
     check_fractional_gradient_domination,
     check_fractional_power_identity,
@@ -63,10 +64,13 @@ def test_kernel_decay_and_monotonicity():
 
 
 def test_quadrature_self_consistency():
-    pr = probe(0.7, complex(1.0, 0.8), gamma=1.4)
-    coarse, err = kernel_value(pr, tol=1e-8, return_error=True)
-    fine = kernel_value(pr, tol=1e-12)
-    assert abs(coarse - fine) <= max(err, 1e-12 * abs(fine))
+    # at gamma = 2 the kernel is the closed-form Yukawa one (Gamma(1) = 1), so the
+    # returned error estimate can be checked against the true error
+    r, z = 0.7, complex(1.0, 0.8)
+    val, err = _log_integral(3, r, z, 2.0)
+    want = yukawa_value(r, z)
+    assert 0.0 < err <= 1e-10 * abs(val)
+    assert abs(val - want) <= max(err, 1e-12 * abs(want))
 
 
 def test_complex_kernel_continuation():
@@ -148,9 +152,9 @@ def test_truncation_l1_curve_shapes(grid16, hardy16):
     )
     sup = hardy16.magnitude().max()
     levels = [sup / 8, sup / 4, sup / 2, 2 * sup]
-    curve = truncation_l1_curve(hardy16, f, 2.0, levels, truncate)
+    curve = truncation_l1_curve(hardy16, f, 2.0, levels)
     assert all(a > b for a, b in zip(curve[:-1], curve[1:]))
     assert curve[-1] == pytest.approx(0.0, abs=1e-14)
     b0 = DriftSpec("constant", vector=[0.0, 0.0, 0.0]).on_grid(grid16)
-    zero_curve = truncation_l1_curve(b0, f, 2.0, [1.0, 2.0], truncate)
+    zero_curve = truncation_l1_curve(b0, f, 2.0, [1.0, 2.0])
     np.testing.assert_allclose(zero_curve, 0.0, atol=1e-15)

@@ -76,15 +76,6 @@ def test_holder_free_resolvent_smooth():
     assert slope >= 0.85
 
 
-def test_holder_exclusion_region(grid64):
-    # excluding a ball around the drift pole leaves enough pairs to fit
-    u = GridFunction.from_callable(
-        grid64, lambda x, y, z: np.abs(x - 8.11) ** 0.5
-    )
-    slope, _, _, _ = holder_probe(u, exclude_center=np.full(3, 8.0), exclude_radius=1.0)
-    assert 0.3 <= slope <= 0.8
-
-
 def test_weak_identity_free_field(grid16):
     b0 = GridVectorField.zeros(grid16)
     pr = ResolventParams(p=2.0, zeta=complex(2.0, 0.4), delta=0.0, lam=0.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import (
+from dense_oracles import (
     apply_dense,
     dense_generator,
     dense_input_factor,
@@ -321,13 +321,11 @@ def test_zeta_decay_along_ray(grid16, hardy16, rng):
 
 
 def test_strong_convergence_bounded_field(grid16, rng):
-    from sdlab.fields import truncate
-
     b = DriftSpec("smooth-random", amp=0.3, kmax=1, seed=4).on_grid(grid16)
     sup = b.magnitude().max()
     pr = make_params(delta=0.02, lam=1.0, zeta=complex(2.0, 0.0), p=2.0)
     f = GridFunction(grid16, rng.standard_normal(grid16.shape) + 0j)
-    errs = strong_convergence_study(pr, b, [0.5 * sup, 2.0 * sup], f, truncate)
+    errs = strong_convergence_study(pr, b, [0.5 * sup, 2.0 * sup], f)
     assert errs[0] > 0
     assert errs[1] == pytest.approx(0.0, abs=1e-13)
 
@@ -347,12 +345,15 @@ def test_mu_uniformity_zero_field_decay(grid16, zero_field16):
 
 def test_norm_bound_report_zero_field(grid16, zero_field16):
     pr = make_params(delta=0.0, lam=0.5, p=2.0, zeta=2.0)
-    zeta = complex(2.0, 0.0)
-    rows = norm_bound_report(pr, zero_field16, zeta_list=[zeta], n_starts=2)
-    by_name = {r[0]: r for r in rows}
-    for name in ("input_factor", "output_factor_stated", "weighted_resolvent", "loop_factor"):
-        assert by_name[name][2] == pytest.approx(0.0, abs=1e-14)
-    assert by_name["resolvent"][2] == pytest.approx(0.5, rel=1e-2)
+    rows = norm_bound_report(pr, zero_field16, n_starts=2)
+    assert [r[1] for r in rows if r[0] == "resolvent"] == zeta_ray_grid(0.5, 3)
+    for name, zeta, measured, _, _ in rows:
+        if name == "resolvent":
+            # the free resolvent's 2-norm is 1/min_k |zeta + |k|^2| = 1/|zeta| for Re zeta > 0
+            assert measured == pytest.approx(1.0 / abs(zeta), rel=1e-2)
+        else:
+            assert measured == pytest.approx(0.0, abs=1e-14)
+    # at b = 0 the resolvent bound C_p/|zeta| = 1/|zeta| is attained; the rounding slack must pass it
     assert all(r[4] for r in rows)
 
 
@@ -360,7 +361,7 @@ def test_norm_bound_report_rows(grid16, hardy16):
     est = estimate_class_F_half(hardy16, lambda_grid=np.logspace(-1, 2, 6))
     delta, lam = guarded_pair(est, p=2.0, d=3)
     pr = ResolventParams(p=2.0, zeta=complex(1.5 * lam, 0.0), delta=delta, lam=lam)
-    rows = norm_bound_report(pr, hardy16, zeta_list=[complex(1.5 * lam, 0.0)], n_starts=4)
+    rows = norm_bound_report(pr, hardy16, n_starts=4)
     names = {r[0] for r in rows}
     assert names == {
         "input_factor",
@@ -370,8 +371,9 @@ def test_norm_bound_report_rows(grid16, hardy16):
         "loop_factor",
         "resolvent",
     }
-    loop_row = next(r for r in rows if r[0] == "loop_factor")
-    assert loop_row[4]  # measured below the guard bound
+    loop_rows = [r for r in rows if r[0] == "loop_factor"]
+    assert len(loop_rows) == len(zeta_ray_grid(lam, 3))
+    assert all(r[4] for r in loop_rows)  # measured below the guard bound
 
 
 def _count_transforms(monkeypatch):
