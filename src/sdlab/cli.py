@@ -116,8 +116,16 @@ def validate_config(name, cfg):
     return cfg
 
 
+def _object_from(cfg, key, default):
+    """cfg[key] (``default`` if absent), which must be a JSON object."""
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _grid_from(cfg):
-    g = cfg.get("grid", {})
+    g = _object_from(cfg, "grid", {})
     for key in g:
         if key not in {"n", "L", "d"}:
             raise ConfigError(f"grid.{key}: unknown key")
@@ -125,10 +133,9 @@ def _grid_from(cfg):
 
 
 def _field_from(cfg, grid):
-    fc = cfg.get("field")
-    if fc is None:
+    if cfg.get("field") is None:
         return GridVectorField.zeros(grid)
-    fc = dict(fc)
+    fc = dict(_object_from(cfg, "field", None))
     level = fc.pop("truncate", None)
     eps = fc.pop("mollify", None)
     try:
@@ -146,7 +153,7 @@ INPUT_KEYS = {"bump": {"kind", "sigma2", "center"}, "noise": {"kind", "seed"}}
 
 
 def _input_from(cfg, grid, seed, with_callable=False):
-    fc = cfg.get("f", {"kind": "bump"})
+    fc = _object_from(cfg, "f", {"kind": "bump"})
     kind = fc.get("kind", "bump")
     if kind not in INPUT_KEYS:
         raise ConfigError(f"f.kind: unknown input kind {kind!r}")

@@ -319,22 +319,35 @@ class ResolventAssembly:
             self.grid, lambda v: self.apply(GridFunction(self.grid, v)).values, self._apply_adjoint_values
         )
 
+    def apply_spectral(self, vhat, tol=None, kmax=None):
+        """Transform of R(zeta) v by the direct factorization, from the transform vhat of v.
+
+        S vhat - S fftn(weight_out * w), with S = (zeta + |k|^2)^(-1) and w
+        the series solution of (1 + loop) w = input v; on a zero drift,
+        S vhat.  It costs 4k + 4 transforms for k series terms, so a chain
+        of resolvents (``evolve``) leaves Fourier space only at its ends.
+        """
+        shat = self._sym(1.0) * vhat
+        if self.zero_drift:
+            return shat
+        w, _ = self._neumann(self._weighted_gradient(shat), self._loop_values, tol=tol, kmax=kmax)
+        return shat - self._sym(1.0) * fftn(self.weight_out * w)
+
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
         if self.zero_drift:
             return self.apply_free_resolvent(f)
         v = f.values
         rep = self.representation
+        if rep == "direct":
+            return GridFunction(self.grid, ifftn(self.apply_spectral(fftn(v), tol=tol, kmax=kmax)))
         if rep == "symmetric":
             v1 = ifftn(self._sym(0.25) * fftn(v))
             w, _ = self._neumann(v1, self._symmetric_loop_values, tol=tol, kmax=kmax)
             return GridFunction(self.grid, ifftn(self._sym(0.75) * fftn(w)))
-        # the free term's transform, shared with the input factor of direct and split
+        # the free term's transform, shared with the input factor of split
         shat = self._sym(1.0) * fftn(v)
-        if rep == "direct":
-            w, _ = self._neumann(self._weighted_gradient(shat), self._loop_values, tol=tol, kmax=kmax)
-            corr = self._output_values(w)
-        elif rep == "split":
+        if rep == "split":
             w, _ = self._neumann(self._weighted_gradient(shat), self._loop_values, tol=tol, kmax=kmax)
             half = ifftn(self._sym(0.5) * fftn(self.weight_out * w))
             corr = ifftn(self._sym(0.5) * fftn(half))

@@ -2,7 +2,10 @@
 
 e^(-t * generator) f is approximated by n repeated applications of
 mu * R(mu) with mu = n/t, which reuses the guarded resolvent assembly
-verbatim and therefore inherits all of its validity checks.  Richardson
+verbatim and therefore inherits all of its validity checks.  The
+iterate stays in Fourier space (``ResolventAssembly.apply_spectral``):
+one forward transform of f, n spectral steps, one inverse transform, so
+a b = 0 evolve costs two transforms in all.  Richardson
 extrapolation (2 u_{2n} - u_n) recovers second order when requested.
 """
 
@@ -15,7 +18,7 @@ import numpy as np
 from . import constants as C
 from .errors import SpectralDomainError
 from .fields import truncate
-from .grid import GridFunction, lp_norm
+from .grid import GridFunction, fftn, ifftn, lp_norm
 from .resolvent import ResolventAssembly
 
 __all__ = [
@@ -59,10 +62,10 @@ def _evolve_fixed(params, b, f, t, steps, neumann_tol):
             f"need steps >= {int(np.ceil(t * floor))}"
         )
     assembly = ResolventAssembly(params.with_zeta(complex(mu)), b)
-    u = f
+    uhat = fftn(f.values)
     for _ in range(steps):
-        u = mu * assembly.apply(u, tol=neumann_tol)
-    return u
+        uhat = mu * assembly.apply_spectral(uhat, tol=neumann_tol)
+    return GridFunction(f.grid, ifftn(uhat))
 
 
 def evolve(sp, params, b, f, neumann_tol=None):

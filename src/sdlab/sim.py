@@ -34,6 +34,8 @@ __all__ = [
 
 CENSOR_LIMIT = 1e-3
 CHUNK = 8192
+# noise held at a time: a chunk's noise is drawn and stepped in path blocks of at most this size
+NOISE_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -83,17 +85,37 @@ class SimResult:
 
 
 def _chunk_noise(seed, chunk_index, m, steps):
+    """Yield (offset, noise) over consecutive path blocks of one chunk's noise.
+
+    The chunk's stream comes from (seed, chunk index), and the blocks are
+    drawn from it one after another, so together they are the
+    ``(m, steps, 3)`` array of one draw, bit for bit.  The blocks are the
+    fewest near-equal ones of at most NOISE_BLOCK_BYTES (one path at
+    least), and each is drawn into the same buffer, so a block must be
+    used before the next one is asked for.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    return rng.standard_normal((m, steps, 3))
+    fit = max(1, NOISE_BLOCK_BYTES // (steps * 3 * 8))  # paths per block, at most
+    blocks = -(-m // fit)
+    size = -(-m // blocks)
+    buf = np.empty((size, steps, 3))
+    for offset in range(0, m, size):
+        block = buf[: min(size, m - offset)]
+        rng.standard_normal(out=block)
+        yield offset, block
 
 
 def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     """Run Euler-Maruyama paths; returns terminal points and statistics.
 
     ``payoff`` may be a GridFunction (read at terminal points by
-    trilinear interpolation) or a callable on (N, d) points.  Per-path
-    randomness comes from streams derived from (seed, chunk index), so
-    identical SimParams reproduce identical statistics bit for bit.
+    trilinear interpolation) or a callable on (N, d) points.  Paths run
+    in chunks of CHUNK, each with its own noise stream derived from
+    (seed, chunk index), so identical SimParams reproduce identical
+    statistics bit for bit.  A chunk's noise is drawn and stepped in
+    consecutive path blocks of at most NOISE_BLOCK_BYTES, which leaves
+    every number as one draw per chunk gives it while the noise held at
+    a time no longer grows with the step count.
     """
     grid = sp.drift.grid
     if grid.d != 3:
@@ -109,19 +131,16 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
         raise ValueError("safety margin leaves no interior box")
 
     terminal = np.empty((sp.paths, 3))
-    censored_total = 0
-    start = 0
-    chunk_index = 0
-    while start < sp.paths:
+    terminal[:] = sp.x0
+    censored = np.zeros(sp.paths, dtype=np.bool_)
+    for chunk_index, start in enumerate(range(0, sp.paths, CHUNK)):
         m = min(CHUNK, sp.paths - start)
-        pos = np.tile(sp.x0, (m, 1))
-        censored = np.zeros(m, dtype=np.bool_)
-        noise = _chunk_noise(sp.seed, chunk_index, m, steps)
-        em_chunk(pos, fieldarr, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi, censored)
-        terminal[start : start + m] = pos
-        censored_total += int(censored.sum())
-        start += m
-        chunk_index += 1
+        for offset, noise in _chunk_noise(sp.seed, chunk_index, m, steps):
+            block = slice(start + offset, start + offset + len(noise))
+            em_chunk(terminal[block], fieldarr, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi,
+                     censored[block])
+        del noise  # frees the chunk's buffer before the next chunk draws its own
+    censored_total = int(censored.sum())
 
     frac = censored_total / sp.paths
     result = SimResult(

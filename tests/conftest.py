@@ -49,3 +49,26 @@ def hardy16(grid16):
 @pytest.fixture(scope="session")
 def zero_field16(grid16):
     return GridVectorField.zeros(grid16)
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """Call to start counting the FFTs that sdlab.resolvent and sdlab.semigroup make."""
+    from sdlab import resolvent, semigroup
+
+    counts = {"fft": 0}
+
+    def counted(transform):
+        def wrapped(values):
+            counts["fft"] += 1
+            return transform(values)
+
+        return wrapped
+
+    def start():
+        for module in (resolvent, semigroup):
+            for name in ("fftn", "ifftn"):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        return counts
+
+    return start

@@ -56,6 +56,21 @@ def test_unknown_field_or_input_key_exits_2(tmp_path, capsys, experiment, cfg, n
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        ({"field": HARDY, "grid": 3}, "grid: expected a JSON object, got 3"),
+        ({"field": [1, 2], "grid": {"n": 8}}, "field: expected a JSON object, got [1, 2]"),
+        ({"field": HARDY, "grid": {"n": 8}, "f": 3}, "f: expected a JSON object, got 3"),
+    ],
+    ids=["grid", "field", "f"],
+)
+def test_non_object_grid_field_or_input_exits_2(tmp_path, capsys, cfg, named):
+    path = write_cfg(tmp_path, cfg)
+    assert main(["resolvent", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_only_is_an_acceptance_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["constants", "--only", "1", "--out", str(tmp_path / "o")])

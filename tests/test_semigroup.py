@@ -6,7 +6,7 @@ from dense_oracles import dense_generator
 from sdlab.errors import SpectralDomainError
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair, mollify, truncate
 from sdlab.grid import Grid, GridFunction, GridVectorField, lp_norm, pairing
-from sdlab.resolvent import ResolventParams
+from sdlab.resolvent import ResolventAssembly, ResolventParams
 from sdlab.semigroup import (
     SemigroupParams,
     delta_sources,
@@ -120,6 +120,50 @@ def test_mass_conserved_free_heat(grid16):
     u = evolve(SemigroupParams(0.4, 8), free_params(), b0, f)
     one = GridFunction(grid16, np.ones(grid16.shape))
     assert pairing(u, one).real == pytest.approx(pairing(f, one).real, rel=1e-10)
+
+
+def test_drift_evolve_step_transform_count(count_transforms, monkeypatch, hardy16):
+    # one forward transform, 4k + 4 per step of k series terms, one inverse
+    terms = []
+    neumann = ResolventAssembly._neumann
+
+    def recorded(self, *args, **kwargs):
+        total, history = neumann(self, *args, **kwargs)
+        terms.append(len(history))
+        return total, history
+
+    monkeypatch.setattr(ResolventAssembly, "_neumann", recorded)
+    params = ResolventParams(p=2.0, zeta=40.0, delta=0.05, lam=0.5)
+    f = GridFunction.from_callable(hardy16.grid, lambda x, y, z: np.exp(-((x - 8) ** 2 + (y - 8) ** 2) / 4.0))
+    counts = count_transforms()
+    evolve(SemigroupParams(0.1, 4), params, hardy16, f, neumann_tol=1e-9)
+    assert len(terms) == 4 and min(terms) > 0
+    assert counts["fft"] == 2 + sum(4 * k + 4 for k in terms)
+
+
+def test_zero_field_evolve_is_heat_multiplier(count_transforms, grid16):
+    rng = np.random.default_rng(3)
+    f = GridFunction(grid16, rng.standard_normal(grid16.shape) + 0j)
+    t, steps = 0.4, 24
+    mu = steps / t
+    counts = count_transforms()
+    u = evolve(SemigroupParams(t, steps), free_params(), GridVectorField.zeros(grid16), f)
+    assert counts["fft"] == 2
+    want = np.fft.ifftn((mu / (mu + grid16.k_squared)) ** steps * np.fft.fftn(f.values))
+    assert np.max(np.abs(u.values - want)) <= 1e-14 * np.max(np.abs(f.values))
+
+
+def test_spectral_evolve_matches_repeated_apply(hardy16):
+    params = ResolventParams(p=2.0, zeta=40.0, delta=0.05, lam=0.5)
+    f = GridFunction.from_callable(hardy16.grid, lambda x, y, z: np.exp(-((x - 8) ** 2 + (y - 8) ** 2) / 4.0))
+    t, steps = 0.1, 4
+    mu = steps / t
+    assembly = ResolventAssembly(params.with_zeta(complex(mu)), hardy16)
+    want = f
+    for _ in range(steps):
+        want = mu * assembly.apply(want, tol=1e-9)
+    u = evolve(SemigroupParams(t, steps), params, hardy16, f, neumann_tol=1e-9)
+    assert lp_norm(u - want, 2) <= 1e-13 * lp_norm(want, 2)
 
 
 def test_semigroup_law(grid16, hardy16):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from sdlab import sim
 from sdlab._accel import em_chunk, trilinear_at
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair, mollify, truncate
 from sdlab.grid import Grid, GridFunction, GridVectorField
 from sdlab.resolvent import ResolventParams
-from sdlab.sim import SimParams, _chunk_noise, mc_vs_semigroup, simulate_paths, strong_feller_probe
+from sdlab.sim import CHUNK, SimParams, _chunk_noise, mc_vs_semigroup, simulate_paths, strong_feller_probe
 
 
 def zero_drift(grid):
@@ -142,7 +143,7 @@ def _em_lanes(g, field, drift_sign):
     """
     m, steps, dt = 2000, 120, 1e-3
     lo, hi = 2 * g.h, g.length - 2 * g.h
-    noise = _chunk_noise(5, 0, m, steps)
+    (_, noise), = _chunk_noise(5, 0, m, steps)
     runs = []
     for lane in (em_chunk, _masked_em):
         pos = np.tile([lo + g.h, 8.0, hi - 0.5 * g.h], (m, 1))
@@ -172,6 +173,44 @@ def test_em_chunk_zero_field_equals_masked_lane(g16, drift_sign):
     assert 0 < censored.sum() < len(censored)
     np.testing.assert_array_equal(censored, want_censored)
     np.testing.assert_array_equal(pos, want_pos)
+
+
+def test_noise_blocks_equal_one_draw_per_chunk(g16, monkeypatch):
+    # two chunks, each drawn and stepped in blocks, against one draw and one
+    # em_chunk call per chunk; the start is one cell inside the safety box
+    field = np.ascontiguousarray(DriftSpec("smooth-random", amp=1.5, kmax=2, seed=3).on_grid(g16).values.real)
+    lo, hi = 2 * g16.h, g16.length - 2 * g16.h
+    sp = SimParams(drift=GridVectorField(g16, field), t=0.05, dt=1e-3, paths=CHUNK + 1000, seed=12,
+                   x0=[lo + g16.h, 8.0, 8.0], safety_margin=lo)
+    steps, dt = sp.steps, sp.dt_effective
+    budget = 400 * steps * 24 + 100
+    monkeypatch.setattr(sim, "NOISE_BLOCK_BYTES", budget)
+    blocks = []
+
+    def checked(pos, field, n, h, dt, sqrt2dt, noise, *rest):
+        assert noise.nbytes <= budget and len(pos) == len(noise)
+        blocks.append(len(noise))
+        em_chunk(pos, field, n, h, dt, sqrt2dt, noise, *rest)
+
+    monkeypatch.setattr(sim, "em_chunk", checked)
+    res = simulate_paths(sp, payoff=_bump, drift_sign=+1.0)
+    assert len(blocks) >= 6 and sum(blocks) == sp.paths
+
+    terminal = np.empty((sp.paths, 3))
+    censored = np.zeros(sp.paths, dtype=np.bool_)
+    for chunk_index, start in enumerate(range(0, sp.paths, CHUNK)):
+        m = min(CHUNK, sp.paths - start)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=sp.seed, spawn_key=(chunk_index,)))
+        pos = np.tile(sp.x0, (m, 1))
+        em_chunk(pos, field, g16.n, g16.h, dt, np.sqrt(2 * dt), rng.standard_normal((m, steps, 3)), +1.0,
+                 lo, hi, censored[start : start + m])
+        terminal[start : start + m] = pos
+    vals = _bump(terminal)
+    assert 0 < censored.sum() < sp.paths
+    np.testing.assert_array_equal(res.terminal, terminal)
+    assert res.censored == censored.sum()
+    assert res.payoff_mean == np.mean(vals)
+    assert res.payoff_se == np.std(vals, ddof=1) / np.sqrt(sp.paths)
 
 
 def _coupled_em(field_arr, g, x0, t, dt_fine, n_paths, seed, levels=3):
