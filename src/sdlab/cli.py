@@ -624,7 +624,8 @@ def build_parser():
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--out", type=str, default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="FFT workers of a transform of at least 64^3 nodes")
         if name == "acceptance":
             sp.add_argument("--only", type=str, default=None, help="comma-separated criterion indices")
     return parser
@@ -642,7 +643,11 @@ def main(argv=None):
             return 2
         set_fft_workers(n_threads)
     elif args.threads is not None:
-        set_fft_workers(args.threads)
+        try:
+            set_fft_workers(args.threads)
+        except ValueError as exc:
+            print(f"config error: --threads: {exc}", file=sys.stderr)
+            return 2
     cfg = {}
     if args.config:
         try:

@@ -6,6 +6,13 @@ complex scalar fields (GridFunction) and d-component vector fields
 Fourier multipliers (zeta + |k|^2)^(-alpha) on the discrete frequency
 set, which makes every operator in this package exact on the grid up to
 floating point.
+
+Every transform in sdlab goes through ``fftn``/``ifftn`` here.  A
+transform of fewer than ``THREADED_MIN_NODES`` (64^3) values runs on one
+worker; a larger one runs on ``fft_workers()`` workers (``SDL_THREADS``
+or ``--threads``).  Below 64^3 a second worker costs a thread hand-off
+that the transform does not earn back.  pocketfft computes each 1-D line
+the same way on any thread, so the worker count never changes a result.
 """
 
 from __future__ import annotations
@@ -45,15 +52,25 @@ def parse_thread_count(value):
 
 
 _FFT_WORKERS = parse_thread_count(os.environ.get("SDL_THREADS")) or min(4, os.cpu_count() or 1)
+# the smallest transform that gets fft_workers() workers; smaller ones get one
+THREADED_MIN_NODES = 64 ** 3
 
 
 def set_fft_workers(n):
-    """Set the worker count passed to scipy.fft (results are unaffected)."""
+    """Set the workers of a transform of at least THREADED_MIN_NODES values.
+
+    Smaller transforms always run on one worker, and results do not depend
+    on the count.  Raises ValueError when ``n`` is below 1.
+    """
     global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"expected a positive FFT worker count, got {n}")
+    _FFT_WORKERS = n
 
 
 def fft_workers():
+    """The workers of a transform of at least THREADED_MIN_NODES values."""
     return _FFT_WORKERS
 
 
@@ -219,12 +236,17 @@ class GridVectorField:
         return f"GridVectorField({self.grid}, sup|b|={self.magnitude().max():.4g})"
 
 
+def _workers(values):
+    return _FFT_WORKERS if values.size >= THREADED_MIN_NODES else 1
+
+
 def fftn(values):
-    return _fft.fftn(values, workers=_FFT_WORKERS)
+    """scipy.fft.fftn on one worker below THREADED_MIN_NODES values, else fft_workers()."""
+    return _fft.fftn(values, workers=_workers(values))
 
 
 def ifftn(values):
-    return _fft.ifftn(values, workers=_FFT_WORKERS)
+    return _fft.ifftn(values, workers=_workers(values))
 
 
 def apply_symbol_array(symbol_values, f):
@@ -284,21 +306,23 @@ def fourier_eval(f, points):
     """Evaluate the trigonometric interpolant of f at off-grid points.
 
     Exact for band-limited grid functions; used to read PDE values at
-    Monte Carlo start points without interpolation error.
+    Monte Carlo start points without interpolation error.  The unpaired
+    Nyquist entry of each axis is split evenly between +k_N and -k_N,
+    so that axis factor is cos(k_N x): the interpolant matches f at the
+    nodes and is real for real data.
     """
     grid = f.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fhat = fftn(f.values) / grid.node_count()
-    # Zero out the unpaired Nyquist modes' imaginary contribution by
-    # evaluating with the standard one-sided convention; for the smooth
-    # fields used here the Nyquist content is negligible.
+    nyquist = grid.n // 2
     out = np.zeros(len(pts), dtype=np.complex128)
-    kaxes = [grid.k_axis] * grid.d
     for i, x in enumerate(pts):
         phase = 1.0
         for j in range(grid.d):
+            factor = np.exp(1j * grid.k_axis * x[j])
+            factor[nyquist] = np.cos(grid.k_axis[nyquist] * x[j])
             shape = [1] * grid.d
             shape[j] = grid.n
-            phase = phase * np.exp(1j * kaxes[j] * x[j]).reshape(shape)
+            phase = phase * factor.reshape(shape)
         out[i] = np.sum(fhat * phase)
     return out

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, fft_workers
 
 __all__ = [
     "save_grid_function",
@@ -87,6 +87,7 @@ def write_manifest(out_dir, config, seed, seconds):
         "wall_seconds": seconds,
         "version": __version__,
         "lane": active_lane(),
+        "fft_workers": fft_workers(),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     path = out_dir / "manifest.json"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sdlab.cli import main
+from sdlab.grid import fft_workers
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -23,7 +24,8 @@ def test_constants_subcommand(tmp_path):
     body = (out / "constants.csv").read_text().splitlines()
     assert body[0] == "d,m_d,kappa_d,feller_threshold,delta,I_lo,I_hi"
     assert len(body) == 3
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["fft_workers"] == fft_workers() and "lane" in manifest
 
 
 def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
@@ -327,6 +329,16 @@ def test_bad_sdl_threads_imports_and_exits_2(tmp_path, monkeypatch, capsys):
         assert main(["constants", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "SDL_THREADS" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_bad_threads_flag_exits_2(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.delenv("SDL_THREADS", raising=False)
+    before = fft_workers()
+    assert main(["constants", "--threads", threads, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --threads" in err
+    assert fft_workers() == before
 
 
 @pytest.mark.parametrize("only", ["1,x", "13", "0"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from sdlab.errors import GridMismatchError, NonFiniteFieldError
 from sdlab.grid import (
@@ -8,11 +9,15 @@ from sdlab.grid import (
     GridVectorField,
     apply_symbol_array,
     bessel_norm,
+    fft_workers,
+    fftn,
     fourier_eval,
     gradient_apply,
+    ifftn,
     laplacian_apply,
     lp_norm,
     pairing,
+    set_fft_workers,
 )
 from sdlab.gridio import load_grid_function, save_grid_function
 from sdlab.resolvent import ResolventAssembly, ResolventParams
@@ -196,3 +201,53 @@ def test_fourier_eval_band_limited():
     expected = np.sin(pts[:, 0]) * np.cos(2 * pts[:, 2])
     np.testing.assert_allclose(vals.real, expected, atol=1e-12)
     np.testing.assert_allclose(vals.imag, 0.0, atol=1e-12)
+
+
+def test_fourier_eval_nyquist_content_is_real_and_interpolates(rng):
+    g = Grid(3, 8, 2 * np.pi)
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    idx = np.array([[0, 0, 0], [1, 3, 6], [4, 4, 4], [7, 2, 5]])
+    vals = fourier_eval(f, g.x_axis[idx])
+    np.testing.assert_allclose(vals.real, f.values[tuple(idx.T)].real, atol=1e-12)
+    off = fourier_eval(f, rng.uniform(0.0, g.length, size=(20, 3)))
+    np.testing.assert_allclose(off.imag, 0.0, atol=1e-12)
+    # the mode (N, N, 0) is cos(4x) cos(4y), not a one-sided exponential
+    mode = GridFunction.from_callable(g, lambda x, y, z: np.cos(4 * x) * np.cos(4 * y))
+    pts = rng.uniform(0.0, g.length, size=(3, 3))
+    np.testing.assert_allclose(fourier_eval(mode, pts), np.cos(4 * pts[:, 0]) * np.cos(4 * pts[:, 1]), atol=1e-12)
+
+
+@pytest.fixture
+def restore_fft_workers():
+    saved = fft_workers()
+    yield
+    set_fft_workers(saved)
+
+
+def test_small_transforms_run_on_one_worker(monkeypatch, restore_fft_workers):
+    seen = []
+
+    def recording(transform):
+        def wrapped(values, workers=None):
+            seen.append((values.shape[0], workers))
+            return transform(values, workers=workers)
+
+        return wrapped
+
+    monkeypatch.setattr(scipy.fft, "fftn", recording(scipy.fft.fftn))
+    monkeypatch.setattr(scipy.fft, "ifftn", recording(scipy.fft.ifftn))
+    set_fft_workers(2)
+    for n in (16, 32, 64):
+        ifftn(fftn(np.zeros((n,) * 3, dtype=np.complex128)))
+    assert seen == [(16, 1), (16, 1), (32, 1), (32, 1), (64, 2), (64, 2)]
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_transforms_do_not_depend_on_worker_count(rng, restore_fft_workers, n):
+    x = rng.standard_normal((n,) * 3) + 1j * rng.standard_normal((n,) * 3)
+    set_fft_workers(1)
+    one = fftn(x), ifftn(x)
+    set_fft_workers(2)
+    two = fftn(x), ifftn(x)
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+
