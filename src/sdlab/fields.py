@@ -57,7 +57,7 @@ class DriftSpec:
     * ``sphere``: amp * | |x - x0| - radius |^(-beta) radial profile
       (beta < 1), singular on a sphere.
     * ``constant``: fixed vector.
-    * ``smooth-random``: band-limited random field (amp, kmax, seed).
+    * ``smooth-random``: band-limited random field (amp, kmax, seed), d = 3 only.
     * ``sum``: superposition of terms.
 
     Singular kinds shift their singular point off the lattice by half a
@@ -132,6 +132,8 @@ class DriftSpec:
             amp = self.params.get("amp", 0.2)
             return amp * gap[:, None] ** (-beta) * rel / r_safe[:, None]
         if self.kind == "smooth-random":
+            if d != 3:
+                raise ValueError(f"drift kind 'smooth-random' supports d = 3 only, got d = {d}")
             amp = self.params.get("amp", 0.2)
             two_pi_over_L = 2.0 * np.pi / grid.length
             phases = pts @ (self._modes.T[:d] * two_pi_over_L)

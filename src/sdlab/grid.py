@@ -54,6 +54,8 @@ def parse_thread_count(value):
 _FFT_WORKERS = parse_thread_count(os.environ.get("SDL_THREADS")) or min(4, os.cpu_count() or 1)
 # the smallest transform that gets fft_workers() workers; smaller ones get one
 THREADED_MIN_NODES = 64 ** 3
+# fourier_eval works in blocks of points whose intermediate stays within this size
+FOURIER_EVAL_BLOCK_BYTES = 16 * 2**20
 
 
 def set_fft_workers(n):
@@ -305,24 +307,27 @@ def gradient_apply(f):
 def fourier_eval(f, points):
     """Evaluate the trigonometric interpolant of f at off-grid points.
 
-    Exact for band-limited grid functions; used to read PDE values at
-    Monte Carlo start points without interpolation error.  The unpaired
-    Nyquist entry of each axis is split evenly between +k_N and -k_N,
-    so that axis factor is cos(k_N x): the interpolant matches f at the
-    nodes and is real for real data.
+    Exact for band-limited grid functions; reads PDE values at Monte
+    Carlo starts and grid payoffs at path ends.  The unpaired Nyquist
+    entry of each axis is split evenly between +k_N and -k_N, so that
+    axis factor is cos(k_N x): the interpolant matches f at the nodes and
+    is real for real data.  One (m, n) phase matrix per axis is
+    contracted with the coefficients, last axis first, over point blocks
+    of at most FOURIER_EVAL_BLOCK_BYTES of intermediate.
     """
     grid = f.grid
+    n, d = grid.n, grid.d
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fhat = fftn(f.values) / grid.node_count()
-    nyquist = grid.n // 2
-    out = np.zeros(len(pts), dtype=np.complex128)
-    for i, x in enumerate(pts):
-        phase = 1.0
-        for j in range(grid.d):
-            factor = np.exp(1j * grid.k_axis * x[j])
-            factor[nyquist] = np.cos(grid.k_axis[nyquist] * x[j])
-            shape = [1] * grid.d
-            shape[j] = grid.n
-            phase = phase * factor.reshape(shape)
-        out[i] = np.sum(fhat * phase)
+    coef = (fftn(f.values) / grid.node_count()).reshape(-1, n)
+    nyquist = n // 2
+    block = max(1, FOURIER_EVAL_BLOCK_BYTES // (16 * len(coef)))
+    out = np.empty(len(pts), dtype=np.complex128)
+    for start in range(0, len(pts), block):
+        x = pts[start:start + block]
+        phase = np.exp(1j * x[:, :, None] * grid.k_axis)  # (m, d, n)
+        phase[:, :, nyquist] = np.cos(grid.k_axis[nyquist] * x)
+        acc = phase[:, -1] @ coef.T
+        for j in range(d - 2, -1, -1):
+            acc = np.einsum("irk,ik->ir", acc.reshape(len(x), -1, n), phase[:, j])
+        out[start:start + len(x)] = acc[:, 0]
     return out

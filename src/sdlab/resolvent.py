@@ -12,13 +12,16 @@ inverted through a Neumann series:
     R(zeta) = (zeta - Lap)^(-1) - output (1 + loop)^(-1) input.
 
 Four algebraically equivalent factorizations are provided and must
-agree to series tolerance; they regroup the fractional multiplier
-powers differently and so exercise the principal-branch arithmetic:
+agree to series tolerance.  Three group the powers of S = (zeta + |k|^2)^(-1)
+around the series as a (pre, post) pair of exponent chains, each summing
+to 1: the series solves (1 + loop) w = weight_vec . grad S^pre v, and the
+correction is S^post (weight_out * w).
 
-* ``direct``     -- the defining grouping above;
-* ``fractional`` -- fractional powers peeled off both ends, exposing
-                    the smoothing gain of the output side;
-* ``split``      -- output factor split into two half-power multipliers;
+* ``direct``     -- ((1,), (1,)), the defining grouping above;
+* ``split``      -- ((1,), (1/2, 1/2)), two half-power output multipliers;
+* ``fractional`` -- ((1/(2r'), 1/2 + 1/(2r)), (1/(2q'), 1/2 + 1/(2q))) with
+                    r = (1 + p)/2 < p < q = 2p, exposing the smoothing gain
+                    of the output side;
 * ``symmetric``  -- p = 2 only: quarter/three-quarter symmetric split
                     inverted through its own series.
 """
@@ -63,12 +66,13 @@ NEUMANN_KMAX = 200
 
 @dataclass
 class ResolventParams:
-    """Exponents and spectral parameter for one resolvent assembly.
+    """Exponent and spectral parameter for one resolvent assembly.
 
     Validity is checked at construction: the smallness guard
-    m_d c_p delta < 1 (equivalent to p lying in the admissible interval),
-    the half-plane condition Re zeta >= kappa_d * lam, and the exponent
-    ordering 1 <= r < p < q used by the fractional factorization.
+    m_d c_p delta < 1 (equivalent to p lying in the admissible interval)
+    and the half-plane condition Re zeta >= kappa_d * lam.  The
+    fractional factorization's exponents r = (1 + p)/2 and q = 2p follow
+    from p.
     """
 
     p: float
@@ -76,8 +80,6 @@ class ResolventParams:
     delta: float
     lam: float
     d: int = 3
-    q: float | None = None
-    r: float | None = None
 
     def __post_init__(self):
         self.zeta = complex(self.zeta)
@@ -99,14 +101,6 @@ class ResolventParams:
                 f"Re zeta = {self.zeta.real:.6g} below the half-plane floor "
                 f"kappa_d*lam = {floor:.6g}"
             )
-        if self.q is None:
-            self.q = 2.0 * self.p
-        if self.r is None:
-            self.r = 0.5 * (1.0 + self.p)
-        if not 1.0 <= self.r < self.p < self.q:
-            raise ValueError(
-                f"need 1 <= r < p < q, got r={self.r}, p={self.p}, q={self.q}"
-            )
 
     @property
     def p_conj(self):
@@ -117,9 +111,7 @@ class ResolventParams:
         return C.neumann_guard_value(self.p, self.delta, self.d)
 
     def with_zeta(self, zeta):
-        return ResolventParams(
-            p=self.p, zeta=zeta, delta=self.delta, lam=self.lam, d=self.d, q=self.q, r=self.r
-        )
+        return ResolventParams(p=self.p, zeta=zeta, delta=self.delta, lam=self.lam, d=self.d)
 
 
 class LinearOp:
@@ -166,6 +158,13 @@ class ResolventAssembly:
         self.representation = representation
 
         p = params.p
+        # the (pre, post) exponent chains; symmetric's apply_spectral takes the direct ones
+        r, q = 0.5 * (1.0 + p), 2.0 * p
+        self.chains = {
+            "fractional": ((0.5 / C.holder_conjugate(r), 0.5 + 0.5 / r),
+                           (0.5 / C.holder_conjugate(q), 0.5 + 0.5 / q)),
+            "split": ((1.0,), (0.5, 0.5)),
+        }.get(representation, ((1.0,), (1.0,)))
         mag = b.magnitude()
         positive = mag > 0
         # |b|^(1/p - 1) b, with the removable singularity at b = 0 filled by 0.
@@ -320,49 +319,39 @@ class ResolventAssembly:
         )
 
     def apply_spectral(self, vhat, tol=None, kmax=None):
-        """Transform of R(zeta) v by the direct factorization, from the transform vhat of v.
+        """Transform of R(zeta) v from the transform vhat of v, by the assembly's (pre, post) chains.
 
-        S vhat - S fftn(weight_out * w), with S = (zeta + |k|^2)^(-1) and w
-        the series solution of (1 + loop) w = input v; on a zero drift,
-        S vhat.  It costs 4k + 4 transforms for k series terms, so a chain
-        of resolvents (``evolve``) leaves Fourier space only at its ends.
+        S vhat - S^post fftn(weight_out * w), where w solves (1 + loop) w =
+        weight_vec . grad ifftn(S^pre vhat); on a zero drift, S vhat.  It
+        costs 4k + 4 transforms for k series terms, so a chain of resolvents
+        (``evolve``) leaves Fourier space only at its ends.
         """
         shat = self._sym(1.0) * vhat
         if self.zero_drift:
             return shat
-        w, _ = self._neumann(self._weighted_gradient(shat), self._loop_values, tol=tol, kmax=kmax)
-        return shat - self._sym(1.0) * fftn(self.weight_out * w)
+        pre, post = self.chains
+        g = vhat
+        del vhat  # rebinding g then frees the transform (unless the caller holds it) before the series
+        for alpha in pre:
+            g = self._sym(alpha) * g
+        g = self._weighted_gradient(g)
+        w, _ = self._neumann(g, self._loop_values, tol=tol, kmax=kmax)
+        # one expression: numpy multiplies in place on the transform's temporary,
+        # which rounds unlike S times a named array
+        corr = self._sym(post[0]) * fftn(self.weight_out * w)
+        for alpha in post[1:]:
+            corr *= self._sym(alpha)
+        return shat - corr
 
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
-        if self.zero_drift:
+        if self.zero_drift:  # S * fftn(v) on the temporary, rounded like apply_free_resolvent
             return self.apply_free_resolvent(f)
-        v = f.values
-        rep = self.representation
-        if rep == "direct":
-            return GridFunction(self.grid, ifftn(self.apply_spectral(fftn(v), tol=tol, kmax=kmax)))
-        if rep == "symmetric":
-            v1 = ifftn(self._sym(0.25) * fftn(v))
-            w, _ = self._neumann(v1, self._symmetric_loop_values, tol=tol, kmax=kmax)
-            return GridFunction(self.grid, ifftn(self._sym(0.75) * fftn(w)))
-        # the free term's transform, shared with the input factor of split
-        shat = self._sym(1.0) * fftn(v)
-        if rep == "split":
-            w, _ = self._neumann(self._weighted_gradient(shat), self._loop_values, tol=tol, kmax=kmax)
-            half = ifftn(self._sym(0.5) * fftn(self.weight_out * w))
-            corr = ifftn(self._sym(0.5) * fftn(half))
-        elif rep == "fractional":
-            pr = self.params
-            rp = C.holder_conjugate(pr.r)
-            qp = C.holder_conjugate(pr.q)
-            v1 = ifftn(self._sym(0.5 / rp) * fftn(v))
-            v2 = self._input_values(v1, alpha=0.5 + 0.5 / pr.r)
-            w, _ = self._neumann(v2, self._loop_values, tol=tol, kmax=kmax)
-            v4 = ifftn(self._sym(0.5 / qp) * fftn(self.weight_out * w))
-            corr = ifftn(self._sym(0.5 + 0.5 / pr.q) * fftn(v4))
-        else:  # pragma: no cover
-            raise AssertionError(rep)
-        return GridFunction(self.grid, ifftn(shat) - corr)
+        if self.representation != "symmetric":
+            return GridFunction(self.grid, ifftn(self.apply_spectral(fftn(f.values), tol=tol, kmax=kmax)))
+        v1 = ifftn(self._sym(0.25) * fftn(f.values))
+        w, _ = self._neumann(v1, self._symmetric_loop_values, tol=tol, kmax=kmax)
+        return GridFunction(self.grid, ifftn(self._sym(0.75) * fftn(w)))
 
 
 def apply_generator(b, f):

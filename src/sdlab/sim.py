@@ -9,9 +9,11 @@ du/dt = Lap u - b . grad u, so sample paths follow
 The minus sign is stated here once and carried by ``drift_sign``; a
 sign-flip run is the designated mutation check and must fail the
 cross-validation.  Drift fields are grid fields read off-grid by
-trilinear torus interpolation, matching the field the semigroup side
-uses.  Paths leaving the safety box are censored (frozen and counted);
-runs with a censored fraction >= 0.1% are flagged invalid.
+trilinear torus interpolation (the semigroup side multiplies by node
+values); a grid-function payoff is read by its trigonometric
+interpolant, the function the semigroup side evolves.  Paths leaving
+the safety box are censored (frozen and counted); runs with a censored
+fraction >= 0.1% are flagged invalid.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import em_chunk, trilinear_at
+from ._accel import em_chunk
 from .grid import GridFunction, fourier_eval
 from .semigroup import SemigroupParams, evolve
 
@@ -108,8 +110,8 @@ def _chunk_noise(seed, chunk_index, m, steps):
 def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     """Run Euler-Maruyama paths; returns terminal points and statistics.
 
-    ``payoff`` may be a GridFunction (read at terminal points by
-    trilinear interpolation) or a callable on (N, d) points.  Paths run
+    ``payoff`` may be a GridFunction (read at terminal points by its
+    trigonometric interpolant) or a callable on (N, d) points.  Paths run
     in chunks of CHUNK, each with its own noise stream derived from
     (seed, chunk index), so identical SimParams reproduce identical
     statistics bit for bit.  A chunk's noise is drawn and stepped in
@@ -151,7 +153,7 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     )
     if payoff is not None:
         if isinstance(payoff, GridFunction):
-            vals = trilinear_at(payoff.values.real, terminal, n, h)
+            vals = fourier_eval(payoff, terminal).real
         else:
             vals = np.asarray(payoff(terminal), dtype=float)
         result.payoff_mean = float(np.mean(vals))
@@ -178,10 +180,10 @@ def mc_vs_semigroup(
     The tolerance budget per start is 3*SE + c_disc*(dt + 1/pde_steps)
     with c_disc = sup|f|.  Paths run in the box shrunk by two cells on
     every side, and the evolve stops its series at relative tolerance
-    1e-9.  When the payoff has a closed form, pass it as ``payoff_fn``
-    so the MC side avoids the trilinear read-off bias of the grid
-    samples (the PDE side always evolves the grid samples and is read
-    at the starts by exact trigonometric interpolation).
+    1e-9.  Both sides read f's trigonometric interpolant: the PDE side
+    evolves the grid samples and reads the result at the starts, and the
+    MC side reads f at the path ends, unless a closed form of the payoff
+    is passed as ``payoff_fn``.
     ``drift_sign`` reaches the paths only, so a run that differs from an
     earlier one in nothing else may pass that run's ``pde_value`` column
     as ``pde_values`` and skip the evolve.

@@ -73,6 +73,13 @@ def test_non_object_grid_field_or_input_exits_2(tmp_path, capsys, cfg, named):
     assert named in capsys.readouterr().err
 
 
+def test_smooth_random_field_off_d3_exits_2_and_names_kind(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"field": {"kind": "smooth-random"}, "grid": {"n": 8, "d": 4}})
+    assert main(["estimate-class", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: field: drift kind 'smooth-random' supports d = 3 only, got d = 4" in err
+
+
 def test_only_is_an_acceptance_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["constants", "--only", "1", "--out", str(tmp_path / "o")])
@@ -282,6 +289,19 @@ def test_simulate_terminal_dump(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "terminal.csv").read_text().splitlines()
     assert len(rows) == 501
+
+
+def test_simulate_grid_payoff_matches_pde_side(tmp_path):
+    # rough noise input: the Monte Carlo side must read the interpolant the PDE side evolves
+    cfg = write_cfg(
+        tmp_path,
+        {"field": {"kind": "hardy", "c": 0.2, "truncate": 5}, "grid": {"n": 16, "L": 16},
+         "f": {"kind": "noise", "seed": 3}, "paths": 20000},
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    rows = (out / "simulate.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(r.split(",")[6] == "True" for r in rows)
 
 
 def test_report_empty_dir_fails(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.fft
 
+from sdlab import grid as grid_module
 from sdlab.errors import GridMismatchError, NonFiniteFieldError
 from sdlab.grid import (
     Grid,
@@ -215,6 +218,24 @@ def test_fourier_eval_nyquist_content_is_real_and_interpolates(rng):
     mode = GridFunction.from_callable(g, lambda x, y, z: np.cos(4 * x) * np.cos(4 * y))
     pts = rng.uniform(0.0, g.length, size=(3, 3))
     np.testing.assert_allclose(fourier_eval(mode, pts), np.cos(4 * pts[:, 0]) * np.cos(4 * pts[:, 1]), atol=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 8), (4, 4)])
+def test_fourier_eval_blocks_match_pointwise_sum(monkeypatch, rng, d, n):
+    # a five-point block budget, so 23 points take four full blocks and a partial one
+    g = Grid(d, n, 3.0)
+    monkeypatch.setattr(grid_module, "FOURIER_EVAL_BLOCK_BYTES", 5 * 16 * n ** (d - 1))
+    f = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    pts = rng.uniform(-g.length, 2 * g.length, size=(23, d))
+    fhat = scipy.fft.fftn(f.values) / g.node_count()
+    nyq = n // 2
+    want = []
+    for x in pts:
+        factors = [np.exp(1j * g.k_axis * xj) for xj in x]
+        for factor, xj in zip(factors, x):
+            factor[nyq] = np.cos(g.k_axis[nyq] * xj)
+        want.append(np.sum(fhat * functools.reduce(np.multiply.outer, factors)))
+    np.testing.assert_allclose(fourier_eval(f, pts), want, rtol=0, atol=1e-13)
 
 
 @pytest.fixture

@@ -10,9 +10,11 @@ from dense_oracles import (
     dense_weighted_resolvent,
     dft_matrix,
 )
+from sdlab import resolvent
 from sdlab.errors import (
     GuardViolationError,
     NeumannDivergenceError,
+    NeumannMaxTermsError,
     SpectralDomainError,
 )
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair
@@ -39,11 +41,8 @@ def test_params_validation():
         ResolventParams(p=2.0, zeta=10.0, delta=0.9, lam=1.0)  # m_d * 0.9 > 1
     with pytest.raises(SpectralDomainError):
         ResolventParams(p=2.0, zeta=1.0, delta=0.05, lam=2.0)  # Re zeta < kappa_d lam
-    with pytest.raises(ValueError):
-        ResolventParams(p=2.0, zeta=10.0, delta=0.05, lam=1.0, r=2.5, q=3.0)
     pr = make_params()
     assert pr.guard_value < 1.0
-    assert 1.0 <= pr.r < pr.p < pr.q
 
 
 def test_dft_oracle_matches_fft(grid8, random_f8):
@@ -206,17 +205,16 @@ def test_resolvent_vs_dense_generator_solve(grid8, bounded_field8, random_f8):
 
 
 def test_representation_agreement(grid16, hardy16, rng):
+    # the fractional chains' exponents depend on p, so p = 2.5 is compared too
     est = estimate_class_F_half(hardy16, lambda_grid=np.logspace(-1, 2, 6))
-    delta, lam = guarded_pair(est, p=2.0, d=3)
-    pr = ResolventParams(p=2.0, zeta=complex(2.0 * lam, lam), delta=delta, lam=lam)
     f = GridFunction(grid16, rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape))
-    outs = {
-        rep: ResolventAssembly(pr, hardy16, rep).apply(f)
-        for rep in ("direct", "fractional", "split", "symmetric")
-    }
-    scale = lp_norm(outs["direct"], 2)
-    for rep in ("fractional", "split", "symmetric"):
-        assert lp_norm(outs[rep] - outs["direct"], 2) / scale < 1e-8
+    for p, reps in ((2.0, ("fractional", "split", "symmetric")), (2.5, ("fractional", "split"))):
+        delta, lam = guarded_pair(est, p=p, d=3)
+        pr = ResolventParams(p=p, zeta=complex(2.0 * lam, lam), delta=delta, lam=lam)
+        want = ResolventAssembly(pr, hardy16).apply(f)
+        scale = lp_norm(want, p)
+        for rep in reps:
+            assert lp_norm(ResolventAssembly(pr, hardy16, rep).apply(f) - want, p) / scale < 1e-8
 
 
 def test_symmetric_representation_requires_p2(hardy16):
@@ -376,10 +374,11 @@ def test_norm_bound_report_rows(grid16, hardy16):
     assert all(r[4] for r in loop_rows)  # measured below the guard bound
 
 
-def test_direct_apply_transform_count(count_transforms, hardy16, rng):
+@pytest.mark.parametrize("rep", ["direct", "fractional", "split"])
+def test_apply_transform_count(count_transforms, rep, hardy16, rng):
     # one forward transform, the spectral solve (4k + 4 for k terms), one inverse: 4k + 6
     pr = make_params(delta=0.05, lam=0.5, p=2.0, zeta=complex(40.0, 0.0))
-    a = ResolventAssembly(pr, hardy16)
+    a = ResolventAssembly(pr, hardy16, rep)
     terms = []
     neumann = a._neumann
 
@@ -394,6 +393,15 @@ def test_direct_apply_transform_count(count_transforms, hardy16, rng):
     a.apply(f)
     assert terms[0] > 0
     assert counts["fft"] == 4 * terms[0] + 6
+
+
+def test_neumann_max_terms_raises_with_history(monkeypatch, hardy16, rng):
+    monkeypatch.setattr(resolvent, "NEUMANN_KMAX", 2)
+    a = ResolventAssembly(make_params(delta=0.05, lam=0.5, p=2.0, zeta=complex(2.0, 0.0)), hardy16)
+    g = GridFunction(hardy16.grid, rng.standard_normal(hardy16.grid.shape) + 0j)
+    with pytest.raises(NeumannMaxTermsError) as exc:
+        a.neumann_inverse(g)
+    assert len(exc.value.history) == 2
 
 
 @pytest.mark.parametrize("rep", ["direct", "fractional", "split", "symmetric"])
