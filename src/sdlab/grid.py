@@ -242,13 +242,17 @@ def _workers(values):
     return _FFT_WORKERS if values.size >= THREADED_MIN_NODES else 1
 
 
-def fftn(values):
-    """scipy.fft.fftn on one worker below THREADED_MIN_NODES values, else fft_workers()."""
-    return _fft.fftn(values, workers=_workers(values))
+def fftn(values, overwrite_x=False):
+    """scipy.fft.fftn on one worker below THREADED_MIN_NODES values, else fft_workers().
+
+    With ``overwrite_x`` a complex input may be overwritten by the output,
+    which is then returned as a view of it; pass only a temporary.
+    """
+    return _fft.fftn(values, overwrite_x=overwrite_x, workers=_workers(values))
 
 
-def ifftn(values):
-    return _fft.ifftn(values, workers=_workers(values))
+def ifftn(values, overwrite_x=False):
+    return _fft.ifftn(values, overwrite_x=overwrite_x, workers=_workers(values))
 
 
 def apply_symbol_array(symbol_values, f):

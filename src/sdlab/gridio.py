@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import resource
 import time
 from pathlib import Path
 
@@ -88,6 +89,8 @@ def write_manifest(out_dir, config, seed, seconds):
         "version": __version__,
         "lane": active_lane(),
         "fft_workers": fft_workers(),
+        # the process's peak resident memory so far, in MB as sdbench reports it
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     path = out_dir / "manifest.json"

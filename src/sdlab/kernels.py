@@ -32,7 +32,6 @@ __all__ = [
     "kernel_value",
     "grad_kernel_value",
     "yukawa_value",
-    "yukawa_gradient_magnitude",
     "check_gradient_domination",
     "check_fractional_gradient_domination",
     "check_complex_domination",
@@ -130,12 +129,6 @@ def yukawa_value(r, zeta):
     """Closed-form d=3 kernel e^(-sqrt(zeta) r) / (4 pi r) of (zeta - Lap)^(-1)."""
     s = np.sqrt(complex(zeta))
     return np.exp(-s * r) / (4.0 * np.pi * r)
-
-
-def yukawa_gradient_magnitude(r, zeta):
-    """|d/dr| of the d=3 closed form: e^(-sqrt(zeta) r) (sqrt(zeta) r + 1)/(4 pi r^2)."""
-    s = np.sqrt(complex(zeta))
-    return abs(np.exp(-s * r) * (s * r + 1.0)) / (4.0 * np.pi * r * r)
 
 
 def _passes(lhs, rhs, slack=1e-8):

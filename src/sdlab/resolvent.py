@@ -24,10 +24,18 @@ correction is S^post (weight_out * w).
                     of the output side;
 * ``symmetric``  -- p = 2 only: quarter/three-quarter symmetric split
                     inverted through its own series.
+
+Every array an assembly reads depends on (field, p) -- the weights -- or on
+(grid, zeta, alpha) -- the symbols S^alpha -- and never on the
+factorization, so assemblies share them through one weakly held index: an
+entry lives exactly as long as some assembly holds its array.  Shared
+arrays are read-only.  A sampled field is treated as immutable: no code
+writes into ``b.values`` once an assembly has read it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,6 +70,21 @@ REPRESENTATIONS = ("direct", "fractional", "split", "symmetric")
 # ends the sum, and NEUMANN_KMAX terms without that raise NeumannMaxTermsError.
 NEUMANN_TOL = 1e-10
 NEUMANN_KMAX = 200
+
+# The arrays assemblies share: weights under (field, p, name), symbols under
+# (grid, zeta, alpha).  A field key holds the field, so its identity is not
+# reused while the entry lives.
+_SHARED = weakref.WeakValueDictionary()
+
+
+def _shared(key, build):
+    """The read-only array under ``key`` in the shared index, built by ``build()`` if absent."""
+    value = _SHARED.get(key)
+    if value is None:
+        value = build()
+        value.flags.writeable = False
+        _SHARED[key] = value
+    return value
 
 
 @dataclass
@@ -126,18 +149,32 @@ class LinearOp:
         return self.forward(values)
 
 
+def _weight_vec(b, p):
+    """b |b|^(1/p - 1), with the removable singularity at b = 0 filled by 0; float64 for a real b."""
+    mag = b.magnitude()
+    positive = mag > 0
+    scale = np.where(positive, np.where(positive, mag, 1.0) ** (1.0 / p - 1.0), 0.0)
+    return (b.values if np.any(b.values.imag) else b.values.real) * scale
+
+
 class ResolventAssembly:
-    """Precomputed weight arrays for one (params, field) pair.
+    """The weight and symbol arrays of one (params, field) pair.
 
     The series weights ``weight_vec`` = b |b|^(1/p - 1) and ``weight_out``
-    = |b|^(1/p') are built at construction.  ``weight_vec`` is float64
+    = |b|^(1/p') are looked up at construction.  ``weight_vec`` is float64
     when b has no imaginary part and complex128 otherwise: numpy casts a
     float64 factor to complex before it multiplies a complex array, so
     both give the same products.  ``weight_in_mag`` = |b|^(1/p), which
     only ``weighted_resolvent`` reads, and the multiplier symbols
     (zeta + |k|^2)^(-alpha), one per exponent in ``_sym_cache``, are
-    built on first use, so applying an assembly mutates it; a value
+    looked up on first use, so applying an assembly mutates it; a value
     never changes once stored.
+
+    Each array comes from the module's shared index, so assemblies of one
+    (field, p) hold one set of weights, and assemblies of one (grid, zeta)
+    one symbol per exponent, whatever their factorizations.  The
+    attributes and ``_sym_cache`` are the strong references that keep the
+    entries alive.  The field ``b`` is treated as immutable.
     """
 
     def __init__(self, params, b, representation="direct"):
@@ -165,12 +202,8 @@ class ResolventAssembly:
                            (0.5 / C.holder_conjugate(q), 0.5 + 0.5 / q)),
             "split": ((1.0,), (0.5, 0.5)),
         }.get(representation, ((1.0,), (1.0,)))
-        mag = b.magnitude()
-        positive = mag > 0
-        # |b|^(1/p - 1) b, with the removable singularity at b = 0 filled by 0.
-        scale = np.where(positive, np.where(positive, mag, 1.0) ** (1.0 / p - 1.0), 0.0)
-        self.weight_vec = (b.values if np.any(b.values.imag) else b.values.real) * scale
-        self.weight_out = mag ** (1.0 / params.p_conj)
+        self.weight_vec = _shared((b, p, "vec"), lambda: _weight_vec(b, p))
+        self.weight_out = _shared((b, p, "out"), lambda: b.magnitude() ** (1.0 / params.p_conj))
         # b = 0: the resolvent is the free one, and apply skips the series
         self.zero_drift = not np.any(self.weight_vec)
         self._sym_cache = {}
@@ -178,16 +211,26 @@ class ResolventAssembly:
     @cached_property
     def weight_in_mag(self):
         """|b|^(1/p), the weight of ``weighted_resolvent``."""
-        return self.b.magnitude() ** (1.0 / self.params.p)
+        b, p = self.b, self.params.p
+        return _shared((b, p, "in"), lambda: b.magnitude() ** (1.0 / p))
 
     def _sym(self, alpha):
         """(zeta + |k|^2)^(-alpha) on the grid frequencies, cached per alpha."""
         key = float(alpha)
         if key not in self._sym_cache:
-            self._sym_cache[key] = np.power(self.params.zeta + self.grid.k_squared, -key)
+            grid, zeta = self.grid, self.params.zeta
+            self._sym_cache[key] = _shared((grid, zeta, key), lambda: np.power(zeta + grid.k_squared, -key))
         return self._sym_cache[key]
 
     # -- factor applications on raw value arrays ------------------------
+    #
+    # A temporary made inside one expression goes to its transform with
+    # overwrite_x=True where the output is returned, added, or multiplied in
+    # place by a weight or an odd symbol 1j*k_j; the caller's arrays never do.
+    # A forward transform whose output meets a complex symbol S keeps its own
+    # output: numpy turns S * fftn(...) on a temporary of 256 KiB or more into
+    # the in-place product fftn(...) * S, which rounds unlike S * fftn(...),
+    # and it cannot do so on the view an overwriting transform returns.
 
     def _input_values(self, v, alpha=1.0):
         """weight_vec . grad (zeta - Lap)^(-alpha) v"""
@@ -196,21 +239,27 @@ class ResolventAssembly:
     def _weighted_gradient(self, vhat):
         """weight_vec . grad of the grid function whose transform is vhat"""
         iks = self.grid.ik_components
-        acc = self.weight_vec[0] * ifftn(iks[0] * vhat)
+        acc = ifftn(iks[0] * vhat, overwrite_x=True)
+        acc *= self.weight_vec[0]
         for j in range(1, self.grid.d):
-            acc += self.weight_vec[j] * ifftn(iks[j] * vhat)
+            term = ifftn(iks[j] * vhat, overwrite_x=True)
+            term *= self.weight_vec[j]
+            acc += term
         return acc
 
     def _input_adjoint_values(self, v):
         iks = self.grid.ik_components
-        acc = np.conj(iks[0]) * fftn(np.conj(self.weight_vec[0]) * v)
+        acc = fftn(np.conj(self.weight_vec[0]) * v, overwrite_x=True)
+        acc *= np.conj(iks[0])
         for j in range(1, self.grid.d):
-            acc += np.conj(iks[j]) * fftn(np.conj(self.weight_vec[j]) * v)
-        return ifftn(np.conj(self._sym(1.0)) * acc)
+            term = fftn(np.conj(self.weight_vec[j]) * v, overwrite_x=True)
+            term *= np.conj(iks[j])
+            acc += term
+        return ifftn(np.conj(self._sym(1.0)) * acc, overwrite_x=True)
 
     def _output_values(self, v):
         """(zeta - Lap)^(-1) (weight_out * v)"""
-        return ifftn(self._sym(1.0) * fftn(self.weight_out * v))
+        return ifftn(self._sym(1.0) * fftn(self.weight_out * v), overwrite_x=True)
 
     def _output_adjoint_values(self, v):
         return self.weight_out * ifftn(np.conj(self._sym(1.0)) * fftn(v))
@@ -220,14 +269,16 @@ class ResolventAssembly:
         return self._input_values(self.weight_out * v)
 
     def _loop_adjoint_values(self, v):
-        return self.weight_out * self._input_adjoint_values(v)
+        out = self._input_adjoint_values(v)
+        out *= self.weight_out
+        return out
 
     def _weighted_resolvent_values(self, v):
         """|b|^(1/p) (zeta - Lap)^(-1) v"""
         return self.weight_in_mag * ifftn(self._sym(1.0) * fftn(v))
 
     def _weighted_resolvent_adjoint_values(self, v):
-        return ifftn(np.conj(self._sym(1.0)) * fftn(self.weight_in_mag * v))
+        return ifftn(np.conj(self._sym(1.0)) * fftn(self.weight_in_mag * v), overwrite_x=True)
 
     def _symmetric_loop_values(self, v):
         """(zeta-Lap)^(-1/4) |b|^(1/2) (weight_vec . grad (zeta-Lap)^(-3/4) v)
@@ -238,7 +289,8 @@ class ResolventAssembly:
         exact identity for complex zeta).
         """
         inner = self._input_values(v, alpha=0.75)
-        return ifftn(self._sym(0.25) * fftn(self.weight_out * inner))
+        inner *= self.weight_out
+        return ifftn(self._sym(0.25) * fftn(inner), overwrite_x=True)
 
     # -- public operator views ------------------------------------------
 
@@ -258,26 +310,34 @@ class ResolventAssembly:
         return GridFunction(self.grid, self._input_values(f.values))
 
     def apply_free_resolvent(self, f):
-        return GridFunction(self.grid, ifftn(self._sym(1.0) * fftn(f.values)))
+        return GridFunction(self.grid, ifftn(self._sym(1.0) * fftn(f.values), overwrite_x=True))
 
     # -- series inversion -------------------------------------------------
 
-    def _neumann(self, g_values, loop_values, tol=None, kmax=None):
+    def _neumann(self, total, loop_values, tol=None, kmax=None):
+        """Sum over k of (-loop)^k g, accumulated in place into ``total`` = g.
+
+        Callers pass a temporary.  The k-th term is loop^k g, subtracted for
+        odd k: negation is exact and commutes with rounding, so these are
+        the sums of the negated terms.  Returns (sum, increments |term|_p).
+        """
         tol = NEUMANN_TOL if tol is None else tol
         kmax = NEUMANN_KMAX if kmax is None else kmax
         hd = self.grid.cell_volume()
         p = self.params.p
-        norm_g = lp_norm_values(g_values, p, hd)
-        total = g_values.copy()
-        term = g_values
+        norm_g = lp_norm_values(total, p, hd)
         history = []
         if norm_g == 0.0:
             return total, history
+        term = total
         grow = 0
-        for _ in range(kmax):
-            term = -loop_values(term)
+        for k in range(kmax):
+            term = loop_values(term)
             inc = lp_norm_values(term, p, hd)
-            total = total + term
+            if k % 2:
+                total += term
+            else:
+                total -= term
             history.append(inc)
             if inc <= tol * norm_g:
                 return total, history
@@ -297,7 +357,7 @@ class ResolventAssembly:
 
     def neumann_inverse(self, g):
         """(1 + loop)^(-1) g by partial sums; returns (result, increments)."""
-        total, history = self._neumann(g.values, self._loop_values)
+        total, history = self._neumann(g.values.copy(), self._loop_values)
         return GridFunction(self.grid, total), history
 
     # -- the resolvent ----------------------------------------------------
@@ -309,9 +369,10 @@ class ResolventAssembly:
         symmetric under exponent conjugation), so the same series engine
         inverts it.
         """
-        free = ifftn(np.conj(self._sym(1.0)) * fftn(v))
+        free = ifftn(np.conj(self._sym(1.0)) * fftn(v), overwrite_x=True)
         w, _ = self._neumann(self.weight_out * free, self._loop_adjoint_values)
-        return free - self._input_adjoint_values(w)
+        free -= self._input_adjoint_values(w)
+        return free
 
     def resolvent_op(self):
         return LinearOp(
@@ -324,34 +385,36 @@ class ResolventAssembly:
         S vhat - S^post fftn(weight_out * w), where w solves (1 + loop) w =
         weight_vec . grad ifftn(S^pre vhat); on a zero drift, S vhat.  It
         costs 4k + 4 transforms for k series terms, so a chain of resolvents
-        (``evolve``) leaves Fourier space only at its ends.
+        (``evolve``) leaves Fourier space only at its ends.  vhat is not
+        written to.
         """
         shat = self._sym(1.0) * vhat
         if self.zero_drift:
             return shat
         pre, post = self.chains
-        g = vhat
-        del vhat  # rebinding g then frees the transform (unless the caller holds it) before the series
-        for alpha in pre:
-            g = self._sym(alpha) * g
-        g = self._weighted_gradient(g)
-        w, _ = self._neumann(g, self._loop_values, tol=tol, kmax=kmax)
-        # one expression: numpy multiplies in place on the transform's temporary,
-        # which rounds unlike S times a named array
-        corr = self._sym(post[0]) * fftn(self.weight_out * w)
+        g = self._sym(pre[0]) * vhat
+        del vhat  # frees the transform (unless the caller holds it) before the series
+        for alpha in pre[1:]:
+            np.multiply(self._sym(alpha), g, out=g)
+        g = self._weighted_gradient(g)  # rebinding frees the spectral g before the series
+        w, _ = self._neumann(g, self._loop_values, tol=tol, kmax=kmax)  # summed in place: w is g
+        w *= self.weight_out
+        corr = self._sym(post[0]) * fftn(w)
         for alpha in post[1:]:
             corr *= self._sym(alpha)
-        return shat - corr
+        shat -= corr
+        return shat
 
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
         if self.zero_drift:  # S * fftn(v) on the temporary, rounded like apply_free_resolvent
             return self.apply_free_resolvent(f)
         if self.representation != "symmetric":
-            return GridFunction(self.grid, ifftn(self.apply_spectral(fftn(f.values), tol=tol, kmax=kmax)))
-        v1 = ifftn(self._sym(0.25) * fftn(f.values))
+            uhat = self.apply_spectral(fftn(f.values), tol=tol, kmax=kmax)
+            return GridFunction(self.grid, ifftn(uhat, overwrite_x=True))
+        v1 = ifftn(self._sym(0.25) * fftn(f.values), overwrite_x=True)
         w, _ = self._neumann(v1, self._symmetric_loop_values, tol=tol, kmax=kmax)
-        return GridFunction(self.grid, ifftn(self._sym(0.75) * fftn(w)))
+        return GridFunction(self.grid, ifftn(self._sym(0.75) * fftn(w), overwrite_x=True))
 
 
 def apply_generator(b, f):

@@ -59,9 +59,9 @@ def count_transforms(monkeypatch):
     counts = {"fft": 0}
 
     def counted(transform):
-        def wrapped(values):
+        def wrapped(values, **kwargs):
             counts["fft"] += 1
-            return transform(values)
+            return transform(values, **kwargs)
 
         return wrapped
 

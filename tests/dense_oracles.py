@@ -1,4 +1,4 @@
-"""Dense-matrix oracles built from explicit DFT matrices.
+"""Dense-matrix oracles built from explicit DFT matrices, and closed forms.
 
 These deliberately avoid the package's FFT pipeline: multipliers become
 diagonal matrices conjugated by an explicitly constructed DFT matrix,
@@ -85,3 +85,9 @@ def dense_class_delta(grid, mag, lam, alpha, power):
     mult = dense_multiplier(grid, np.power(lam + grid.k_squared, -alpha).astype(np.complex128))
     M = mult @ dense_weight(mag ** power) @ mult
     return float(np.linalg.eigvalsh(0.5 * (M + np.conj(M).T))[-1])
+
+
+def yukawa_gradient_magnitude(r, zeta):
+    """|d/dr| of the d=3 closed form: e^(-sqrt(zeta) r) (sqrt(zeta) r + 1)/(4 pi r^2)."""
+    s = np.sqrt(complex(zeta))
+    return abs(np.exp(-s * r) * (s * r + 1.0)) / (4.0 * np.pi * r * r)

@@ -26,6 +26,7 @@ def test_constants_subcommand(tmp_path):
     assert len(body) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["fft_workers"] == fft_workers() and "lane" in manifest
+    assert manifest["peak_rss_mb"] > 0
 
 
 def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):

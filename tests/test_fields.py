@@ -157,9 +157,9 @@ def test_estimator_matvec_costs_one_fft_pair(monkeypatch, fn):
     real_eigsh = scipy.sparse.linalg.eigsh
 
     def counted_fft(transform):
-        def wrapped(values):
+        def wrapped(values, **kwargs):
             counts["fft"] += 1
-            return transform(values)
+            return transform(values, **kwargs)
 
         return wrapped
 

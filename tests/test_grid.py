@@ -249,9 +249,9 @@ def test_small_transforms_run_on_one_worker(monkeypatch, restore_fft_workers):
     seen = []
 
     def recording(transform):
-        def wrapped(values, workers=None):
+        def wrapped(values, workers=None, **kwargs):
             seen.append((values.shape[0], workers))
-            return transform(values, workers=workers)
+            return transform(values, workers=workers, **kwargs)
 
         return wrapped
 

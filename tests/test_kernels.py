@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_oracles import yukawa_gradient_magnitude
 from sdlab.fields import DriftSpec
 from sdlab.grid import GridFunction
 from sdlab.kernels import (
@@ -13,7 +14,6 @@ from sdlab.kernels import (
     grad_kernel_value,
     kernel_value,
     truncation_l1_curve,
-    yukawa_gradient_magnitude,
     yukawa_value,
 )
 from sdlab.kernels import grad_kernel_magnitude

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -451,3 +454,79 @@ def test_weight_in_mag_built_on_first_use(grid16, hardy16, rng):
     assert "weight_in_mag" not in vars(a)
     a.weighted_resolvent().forward(v)
     np.testing.assert_array_equal(vars(a)["weight_in_mag"], hardy16.magnitude() ** 0.4)
+
+
+# the factorization/exponent pairs that the resolve benchmark keeps alive at once
+COMBOS = (
+    ("direct", 2.0), ("fractional", 2.0), ("split", 2.0), ("symmetric", 2.0),
+    ("direct", 2.5), ("fractional", 2.5), ("split", 2.5),
+)
+
+
+def test_assemblies_share_weights_and_symbols(hardy16):
+    pr = make_params(p=2.0)
+    a = ResolventAssembly(pr, hardy16)
+    twin = ResolventAssembly(pr, hardy16, "split")
+    assert twin.weight_vec is a.weight_vec and twin.weight_out is a.weight_out
+    assert twin._sym(1.0) is a._sym(1.0)
+    other_p = ResolventAssembly(make_params(p=2.5), hardy16)
+    other_field = ResolventAssembly(pr, hardy16 * 1.0)
+    other_zeta = ResolventAssembly(pr.with_zeta(4.0), hardy16)
+    for other in (other_p, other_field):
+        assert other.weight_vec is not a.weight_vec and other.weight_out is not a.weight_out
+    assert other_zeta._sym(1.0) is not a._sym(1.0)
+    # weights do not depend on zeta, nor symbols on p or the field
+    assert other_zeta.weight_vec is a.weight_vec
+    assert other_p._sym(1.0) is a._sym(1.0) and other_field._sym(1.0) is a._sym(1.0)
+    with pytest.raises(ValueError):  # a shared array is read-only
+        a.weight_vec[0, 0, 0, 0] = 1.0
+
+
+def test_shared_entries_live_only_as_long_as_their_assemblies(grid16, hardy16, rng):
+    gc.collect()
+    before = set(resolvent._SHARED.keys())
+    b = hardy16 * 0.5
+    asm = [ResolventAssembly(make_params(p=p, zeta=7.0), b, rep) for rep, p in COMBOS]
+    f = GridFunction(grid16, rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape))
+    for a in asm:
+        a.apply(f)
+        a.weighted_resolvent().forward(f.values)
+    made = set(resolvent._SHARED.keys()) - before
+    # weight_vec, weight_out and weight_in_mag at two p; symbols of 12 distinct exponents
+    assert len(made) == 18
+    del asm, a
+    gc.collect()
+    assert not made & set(resolvent._SHARED.keys())
+
+
+def test_neumann_sums_in_place_to_the_explicit_series(grid16, hardy16, rng):
+    a = ResolventAssembly(make_params(p=2.5), hardy16)
+    g = GridFunction(grid16, rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape))
+    kept = g.values.copy()
+    out, history = a.neumann_inverse(g)
+    np.testing.assert_array_equal(g.values, kept)
+    total, term = kept.copy(), kept
+    for _ in history:
+        term = -a._loop_values(term)
+        total = total + term
+    np.testing.assert_array_equal(out.values, total)
+
+
+def test_resolve_combos_hold_one_copy_per_array():
+    # the seven combos over one 32^3 field and zeta, each applied once, hold
+    # 2 weight sets and 12 symbols: 8.0 MiB; one copy per assembly held 16.0 MiB
+    grid = Grid(3, 32, 16.0)
+    b = DriftSpec("hardy", c=0.2).on_grid(grid)
+    rng = np.random.default_rng(0)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    zeta = zeta_ray_grid(0.1, 3, n_ray=2, n_real=0)[1]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        asm = [ResolventAssembly(make_params(p=p, zeta=zeta, lam=0.1), b, rep) for rep, p in COMBOS]
+        for a in asm:
+            a.apply(f)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 10 * 2**20
