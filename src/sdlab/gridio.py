@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, GridFunction, fft_workers
+from .grid import fft_workers
 
 __all__ = [
     "save_grid_function",
-    "load_grid_function",
     "write_csv",
     "write_manifest",
 ]
@@ -41,15 +40,6 @@ def save_grid_function(f, basepath):
     data_path = basepath.with_suffix(".bin")
     f.values.astype(np.complex128).ravel().tofile(data_path)
     return data_path
-
-
-def load_grid_function(basepath):
-    basepath = Path(basepath)
-    with open(basepath.with_suffix(".json")) as fh:
-        header = json.load(fh)
-    grid = Grid(header["d"], header["n_per_axis"], header["box_length"])
-    flat = np.fromfile(basepath.with_suffix(".bin"), dtype=np.complex128)
-    return GridFunction(grid, flat.reshape(grid.shape))
 
 
 def _fmt(v):

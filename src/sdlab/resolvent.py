@@ -25,12 +25,24 @@ correction is S^post (weight_out * w).
 * ``symmetric``  -- p = 2 only: quarter/three-quarter symmetric split
                     inverted through its own series.
 
-Every array an assembly reads depends on (field, p) -- the weights -- or on
-(grid, zeta, alpha) -- the symbols S^alpha -- and never on the
-factorization, so assemblies share them through one weakly held index: an
-entry lives exactly as long as some assembly holds its array.  Shared
-arrays are read-only.  A sampled field is treated as immutable: no code
-writes into ``b.values`` once an assembly has read it.
+A symbol S^alpha takes one value per distinct |k|^2 of the grid (827 at
+32^3, 4,051 at 64^3), so it is built as a level table over those values
+and gathered onto the grid with ``np.take``; a gathered symbol equals
+``np.power(zeta + k_squared, -alpha)`` bit for bit.  Only the exponents
+a series applies at every term (1, and 1/4, 3/4 for ``symmetric``) are
+kept as gathered n^d arrays; a chain exponent is gathered where it is
+used and dropped.
+
+Every array an assembly reads depends on (field, p) -- the weights -- on
+the grid -- the level index -- or on (grid, zeta, alpha) -- the tables
+and kept symbols -- and never on the factorization, so assemblies share
+them through one weakly held index: an entry lives exactly as long as
+some assembly holds its array.  Shared arrays are read-only.  A sampled
+field is treated as immutable: no code writes into ``b.values`` once an
+assembly has read it.
+
+A product of a symbol with a fresh transform is written transform first
+(``t = fftn(...); t *= S``), so it rounds the same way at every grid size.
 """
 
 from __future__ import annotations
@@ -71,9 +83,10 @@ REPRESENTATIONS = ("direct", "fractional", "split", "symmetric")
 NEUMANN_TOL = 1e-10
 NEUMANN_KMAX = 200
 
-# The arrays assemblies share: weights under (field, p, name), symbols under
-# (grid, zeta, alpha).  A field key holds the field, so its identity is not
-# reused while the entry lives.
+# The arrays assemblies share: weights under (field, p, name), the level index
+# under (grid, "levels") and (grid, "index"), level tables under (grid, zeta,
+# alpha) and kept symbols under (grid, zeta, alpha, "array").  A field key
+# holds the field, so its identity is not reused while the entry lives.
 _SHARED = weakref.WeakValueDictionary()
 
 
@@ -85,6 +98,22 @@ def _shared(key, build):
         value.flags.writeable = False
         _SHARED[key] = value
     return value
+
+
+def _level_index(grid):
+    """(levels, index): the distinct |k|^2 of ``grid``, ascending, and each node's position among them.
+
+    The levels are the exact float values, so two nodes share a level
+    only when their |k|^2 are equal as floats.
+    """
+    levels, index = _SHARED.get((grid, "levels")), _SHARED.get((grid, "index"))
+    if levels is None or index is None:
+        levels, index = np.unique(grid.k_squared, return_inverse=True)
+        index = index.reshape(grid.shape)
+        for name, value in (("levels", levels), ("index", index)):
+            value.flags.writeable = False
+            _SHARED[grid, name] = value
+    return levels, index
 
 
 @dataclass
@@ -165,16 +194,18 @@ class ResolventAssembly:
     when b has no imaginary part and complex128 otherwise: numpy casts a
     float64 factor to complex before it multiplies a complex array, so
     both give the same products.  ``weight_in_mag`` = |b|^(1/p), which
-    only ``weighted_resolvent`` reads, and the multiplier symbols
-    (zeta + |k|^2)^(-alpha), one per exponent in ``_sym_cache``, are
-    looked up on first use, so applying an assembly mutates it; a value
-    never changes once stored.
+    only ``weighted_resolvent`` reads, the grid's level index, the level
+    tables of the symbols (zeta + |k|^2)^(-alpha) (``_tables``) and the
+    gathered symbols of the series exponents (``_kept``) are looked up on
+    first use, so applying an assembly mutates it; a value never changes
+    once stored.
 
     Each array comes from the module's shared index, so assemblies of one
     (field, p) hold one set of weights, and assemblies of one (grid, zeta)
-    one symbol per exponent, whatever their factorizations.  The
-    attributes and ``_sym_cache`` are the strong references that keep the
-    entries alive.  The field ``b`` is treated as immutable.
+    one table and at most one gathered symbol per exponent, whatever their
+    factorizations.  The attributes, ``_tables`` and ``_kept`` are the
+    strong references that keep the entries alive.  The field ``b`` is
+    treated as immutable.
     """
 
     def __init__(self, params, b, representation="direct"):
@@ -206,7 +237,10 @@ class ResolventAssembly:
         self.weight_out = _shared((b, p, "out"), lambda: b.magnitude() ** (1.0 / params.p_conj))
         # b = 0: the resolvent is the free one, and apply skips the series
         self.zero_drift = not np.any(self.weight_vec)
-        self._sym_cache = {}
+        # the exponents a series applies at every term keep their gathered symbol
+        self._series_exponents = (1.0, 0.25, 0.75) if representation == "symmetric" else (1.0,)
+        self._tables = {}
+        self._kept = {}
 
     @cached_property
     def weight_in_mag(self):
@@ -214,83 +248,142 @@ class ResolventAssembly:
         b, p = self.b, self.params.p
         return _shared((b, p, "in"), lambda: b.magnitude() ** (1.0 / p))
 
-    def _sym(self, alpha):
-        """(zeta + |k|^2)^(-alpha) on the grid frequencies, cached per alpha."""
+    @cached_property
+    def _levels(self):
+        """The grid's (levels, index), looked up on first use."""
+        return _level_index(self.grid)
+
+    def _table(self, alpha):
+        """(zeta + level)^(-alpha) over the grid's |k|^2 levels, cached per alpha."""
         key = float(alpha)
-        if key not in self._sym_cache:
-            grid, zeta = self.grid, self.params.zeta
-            self._sym_cache[key] = _shared((grid, zeta, key), lambda: np.power(zeta + grid.k_squared, -key))
-        return self._sym_cache[key]
+        if key not in self._tables:
+            grid, zeta, levels = self.grid, self.params.zeta, self._levels[0]
+            self._tables[key] = _shared((grid, zeta, key), lambda: np.power(zeta + levels, -key))
+        return self._tables[key]
+
+    def _sym(self, alpha):
+        """(zeta + |k|^2)^(-alpha) on the grid frequencies, gathered from its level table.
+
+        A series exponent's symbol is gathered once and kept read-only; any
+        other is gathered into a fresh array on every call.
+        """
+        key = float(alpha)
+
+        def gather():
+            return np.take(self._table(key), self._levels[1])
+
+        if key not in self._series_exponents:
+            return gather()
+        if key not in self._kept:
+            self._kept[key] = _shared((self.grid, self.params.zeta, key, "array"), gather)
+        return self._kept[key]
 
     # -- factor applications on raw value arrays ------------------------
     #
-    # A temporary made inside one expression goes to its transform with
-    # overwrite_x=True where the output is returned, added, or multiplied in
-    # place by a weight or an odd symbol 1j*k_j; the caller's arrays never do.
-    # A forward transform whose output meets a complex symbol S keeps its own
-    # output: numpy turns S * fftn(...) on a temporary of 256 KiB or more into
-    # the in-place product fftn(...) * S, which rounds unlike S * fftn(...),
-    # and it cannot do so on the view an overwriting transform returns.
+    # A loop (``_loop``, ``_loop_adjoint``, ``_symmetric_loop``) reads v,
+    # writes its value into ``out``, which may be v, with a and b as
+    # workspace, and returns it.  A temporary goes to its transform with
+    # overwrite_x=True; the caller's arrays never do.  A symbol multiplies a
+    # fresh transform in place, so the transform is the left operand; an
+    # adjoint's conj(S) is the left operand, as numpy always ordered it.
 
-    def _input_values(self, v, alpha=1.0):
-        """weight_vec . grad (zeta - Lap)^(-alpha) v"""
-        return self._weighted_gradient(self._sym(alpha) * fftn(v))
+    def _scratch(self, count):
+        """``count`` uninitialized complex arrays of the grid's shape."""
+        return [np.empty(self.grid.shape, dtype=np.complex128) for _ in range(count)]
 
-    def _weighted_gradient(self, vhat):
-        """weight_vec . grad of the grid function whose transform is vhat"""
+    def _free(self, v, alpha=1.0):
+        """(zeta - Lap)^(-alpha) v"""
+        vhat = fftn(v)
+        vhat *= self._sym(alpha)
+        return ifftn(vhat, overwrite_x=True)
+
+    def _free_adjoint(self, v):
+        """(conj(zeta) - Lap)^(-1) v"""
+        vhat = fftn(v)
+        np.multiply(np.conj(self._sym(1.0)), vhat, out=vhat)
+        return ifftn(vhat, overwrite_x=True)
+
+    def _weighted_gradient(self, vhat, out, work):
+        """weight_vec . grad of the grid function whose transform is vhat, into out"""
         iks = self.grid.ik_components
-        acc = ifftn(iks[0] * vhat, overwrite_x=True)
-        acc *= self.weight_vec[0]
+        term = ifftn(np.multiply(iks[0], vhat, out=work), overwrite_x=True)
+        np.multiply(term, self.weight_vec[0], out=out)
         for j in range(1, self.grid.d):
-            term = ifftn(iks[j] * vhat, overwrite_x=True)
+            term = ifftn(np.multiply(iks[j], vhat, out=work), overwrite_x=True)
             term *= self.weight_vec[j]
-            acc += term
-        return acc
+            out += term
+        return out
 
-    def _input_adjoint_values(self, v):
-        iks = self.grid.ik_components
-        acc = fftn(np.conj(self.weight_vec[0]) * v, overwrite_x=True)
+    def _input_values(self, v):
+        """weight_vec . grad (zeta - Lap)^(-1) v"""
+        vhat = fftn(v)
+        vhat *= self._sym(1.0)
+        return self._weighted_gradient(vhat, *self._scratch(2))
+
+    def _input_adjoint(self, v, out, work):
+        """Adjoint of the input factor applied to v, into out (not v)"""
+        iks, weight = self.grid.ik_components, self.weight_vec
+        acc = fftn(np.multiply(np.conj(weight[0]), v, out=out), overwrite_x=True)
         acc *= np.conj(iks[0])
         for j in range(1, self.grid.d):
-            term = fftn(np.conj(self.weight_vec[j]) * v, overwrite_x=True)
+            term = fftn(np.multiply(np.conj(weight[j]), v, out=work), overwrite_x=True)
             term *= np.conj(iks[j])
             acc += term
-        return ifftn(np.conj(self._sym(1.0)) * acc, overwrite_x=True)
+        np.multiply(np.conj(self._sym(1.0)), acc, out=acc)
+        return ifftn(acc, overwrite_x=True)
+
+    def _input_adjoint_values(self, v):
+        return self._input_adjoint(v, *self._scratch(2))
 
     def _output_values(self, v):
         """(zeta - Lap)^(-1) (weight_out * v)"""
-        return ifftn(self._sym(1.0) * fftn(self.weight_out * v), overwrite_x=True)
+        return self._free(self.weight_out * v)
 
     def _output_adjoint_values(self, v):
-        return self.weight_out * ifftn(np.conj(self._sym(1.0)) * fftn(v))
-
-    def _loop_values(self, v):
-        """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v)"""
-        return self._input_values(self.weight_out * v)
-
-    def _loop_adjoint_values(self, v):
-        out = self._input_adjoint_values(v)
+        out = self._free_adjoint(v)
         out *= self.weight_out
         return out
 
+    def _loop(self, v, out, a, b):
+        """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v), into out"""
+        ahat = fftn(np.multiply(self.weight_out, v, out=a), overwrite_x=True)
+        ahat *= self._sym(1.0)
+        return self._weighted_gradient(ahat, out, b)
+
+    def _loop_values(self, v):
+        return self._loop(v, *self._scratch(3))
+
+    def _loop_adjoint(self, v, out, a, b):
+        return np.multiply(self._input_adjoint(v, a, b), self.weight_out, out=out)
+
+    def _loop_adjoint_values(self, v):
+        return self._loop_adjoint(v, *self._scratch(3))
+
     def _weighted_resolvent_values(self, v):
         """|b|^(1/p) (zeta - Lap)^(-1) v"""
-        return self.weight_in_mag * ifftn(self._sym(1.0) * fftn(v))
+        out = self._free(v)
+        out *= self.weight_in_mag
+        return out
 
     def _weighted_resolvent_adjoint_values(self, v):
-        return ifftn(np.conj(self._sym(1.0)) * fftn(self.weight_in_mag * v), overwrite_x=True)
+        return self._free_adjoint(self.weight_in_mag * v)
 
-    def _symmetric_loop_values(self, v):
-        """(zeta-Lap)^(-1/4) |b|^(1/2) (weight_vec . grad (zeta-Lap)^(-3/4) v)
+    def _symmetric_loop(self, v, out, a, b):
+        """(zeta-Lap)^(-1/4) |b|^(1/2) (weight_vec . grad (zeta-Lap)^(-3/4) v), into out
 
         For p = 2 the transpose of the quarter-power weighted factor is
         realized with the same zeta (it coincides with the Hilbert
         adjoint for real zeta, and is what makes the factorization an
         exact identity for complex zeta).
         """
-        inner = self._input_values(v, alpha=0.75)
+        np.copyto(a, v)
+        ahat = fftn(a, overwrite_x=True)
+        ahat *= self._sym(0.75)
+        inner = self._weighted_gradient(ahat, out, b)
         inner *= self.weight_out
-        return ifftn(self._sym(0.25) * fftn(inner), overwrite_x=True)
+        ihat = fftn(inner, overwrite_x=True)
+        ihat *= self._sym(0.25)
+        return ifftn(ihat, overwrite_x=True)
 
     # -- public operator views ------------------------------------------
 
@@ -310,16 +403,20 @@ class ResolventAssembly:
         return GridFunction(self.grid, self._input_values(f.values))
 
     def apply_free_resolvent(self, f):
-        return GridFunction(self.grid, ifftn(self._sym(1.0) * fftn(f.values), overwrite_x=True))
+        return GridFunction(self.grid, self._free(f.values))
 
     # -- series inversion -------------------------------------------------
 
-    def _neumann(self, total, loop_values, tol=None, kmax=None):
+    def _neumann(self, total, loop, tol=None, kmax=None):
         """Sum over k of (-loop)^k g, accumulated in place into ``total`` = g.
 
-        Callers pass a temporary.  The k-th term is loop^k g, subtracted for
-        odd k: negation is exact and commutes with rounding, so these are
-        the sums of the negated terms.  Returns (sum, increments |term|_p).
+        Callers pass a temporary.  ``loop(v, out, a, b)`` writes the loop
+        applied to v into out, and each term overwrites the one before it,
+        so the series holds ``total`` and three arrays of workspace (the
+        term, a and b) whatever its length.  The k-th term is loop^k g,
+        subtracted for odd k: negation is exact and commutes with
+        rounding, so these are the sums of the negated terms.  Returns
+        (sum, increments |term|_p).
         """
         tol = NEUMANN_TOL if tol is None else tol
         kmax = NEUMANN_KMAX if kmax is None else kmax
@@ -329,10 +426,10 @@ class ResolventAssembly:
         history = []
         if norm_g == 0.0:
             return total, history
-        term = total
+        term, work = total, self._scratch(3)
         grow = 0
         for k in range(kmax):
-            term = loop_values(term)
+            term = loop(term, *work)
             inc = lp_norm_values(term, p, hd)
             if k % 2:
                 total += term
@@ -357,7 +454,7 @@ class ResolventAssembly:
 
     def neumann_inverse(self, g):
         """(1 + loop)^(-1) g by partial sums; returns (result, increments)."""
-        total, history = self._neumann(g.values.copy(), self._loop_values)
+        total, history = self._neumann(g.values.copy(), self._loop)
         return GridFunction(self.grid, total), history
 
     # -- the resolvent ----------------------------------------------------
@@ -369,8 +466,8 @@ class ResolventAssembly:
         symmetric under exponent conjugation), so the same series engine
         inverts it.
         """
-        free = ifftn(np.conj(self._sym(1.0)) * fftn(v), overwrite_x=True)
-        w, _ = self._neumann(self.weight_out * free, self._loop_adjoint_values)
+        free = self._free_adjoint(v)
+        w, _ = self._neumann(self.weight_out * free, self._loop_adjoint)
         free -= self._input_adjoint_values(w)
         return free
 
@@ -396,25 +493,24 @@ class ResolventAssembly:
         del vhat  # frees the transform (unless the caller holds it) before the series
         for alpha in pre[1:]:
             np.multiply(self._sym(alpha), g, out=g)
-        g = self._weighted_gradient(g)  # rebinding frees the spectral g before the series
-        w, _ = self._neumann(g, self._loop_values, tol=tol, kmax=kmax)  # summed in place: w is g
+        g = self._weighted_gradient(g, *self._scratch(2))  # rebinding frees the spectral g before the series
+        w, _ = self._neumann(g, self._loop, tol=tol, kmax=kmax)  # summed in place: w is g
         w *= self.weight_out
-        corr = self._sym(post[0]) * fftn(w)
-        for alpha in post[1:]:
+        corr = fftn(w, overwrite_x=True)
+        for alpha in post:
             corr *= self._sym(alpha)
         shat -= corr
         return shat
 
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
-        if self.zero_drift:  # S * fftn(v) on the temporary, rounded like apply_free_resolvent
+        if self.zero_drift:
             return self.apply_free_resolvent(f)
         if self.representation != "symmetric":
             uhat = self.apply_spectral(fftn(f.values), tol=tol, kmax=kmax)
             return GridFunction(self.grid, ifftn(uhat, overwrite_x=True))
-        v1 = ifftn(self._sym(0.25) * fftn(f.values), overwrite_x=True)
-        w, _ = self._neumann(v1, self._symmetric_loop_values, tol=tol, kmax=kmax)
-        return GridFunction(self.grid, ifftn(self._sym(0.75) * fftn(w), overwrite_x=True))
+        w, _ = self._neumann(self._free(f.values, 0.25), self._symmetric_loop, tol=tol, kmax=kmax)
+        return GridFunction(self.grid, self._free(w, 0.75))
 
 
 def apply_generator(b, f):

@@ -1,12 +1,18 @@
-"""Dense-matrix oracles built from explicit DFT matrices, and closed forms.
+"""Dense-matrix oracles built from explicit DFT matrices, closed forms, and a reader.
 
 These deliberately avoid the package's FFT pipeline: multipliers become
 diagonal matrices conjugated by an explicitly constructed DFT matrix,
 weights become diagonal matrices, and compositions are plain matrix
 products.  Small grids only (8^3 is the working size).
+``load_grid_function`` reads back what ``gridio.save_grid_function`` wrote.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
+
+from sdlab.grid import Grid, GridFunction
 
 
 def dft_matrix(grid):
@@ -91,3 +97,13 @@ def yukawa_gradient_magnitude(r, zeta):
     """|d/dr| of the d=3 closed form: e^(-sqrt(zeta) r) (sqrt(zeta) r + 1)/(4 pi r^2)."""
     s = np.sqrt(complex(zeta))
     return abs(np.exp(-s * r) * (s * r + 1.0)) / (4.0 * np.pi * r * r)
+
+
+def load_grid_function(basepath):
+    """The grid function that ``gridio.save_grid_function`` wrote under ``basepath``."""
+    basepath = Path(basepath)
+    with open(basepath.with_suffix(".json")) as fh:
+        header = json.load(fh)
+    grid = Grid(header["d"], header["n_per_axis"], header["box_length"])
+    flat = np.fromfile(basepath.with_suffix(".bin"), dtype=np.complex128)
+    return GridFunction(grid, flat.reshape(grid.shape))

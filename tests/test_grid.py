@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.fft
+from dense_oracles import load_grid_function
 
 from sdlab import grid as grid_module
 from sdlab.errors import GridMismatchError, NonFiniteFieldError
@@ -22,7 +23,7 @@ from sdlab.grid import (
     pairing,
     set_fft_workers,
 )
-from sdlab.gridio import load_grid_function, save_grid_function
+from sdlab.gridio import save_grid_function
 from sdlab.resolvent import ResolventAssembly, ResolventParams
 
 

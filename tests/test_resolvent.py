@@ -492,8 +492,9 @@ def test_shared_entries_live_only_as_long_as_their_assemblies(grid16, hardy16, r
         a.apply(f)
         a.weighted_resolvent().forward(f.values)
     made = set(resolvent._SHARED.keys()) - before
-    # weight_vec, weight_out and weight_in_mag at two p; symbols of 12 distinct exponents
-    assert len(made) == 18
+    # weight_vec, weight_out and weight_in_mag at two p; the grid's levels and
+    # index; level tables of 12 distinct exponents; kept symbols of 1, 1/4, 3/4
+    assert len(made) == 23
     del asm, a
     gc.collect()
     assert not made & set(resolvent._SHARED.keys())
@@ -514,7 +515,9 @@ def test_neumann_sums_in_place_to_the_explicit_series(grid16, hardy16, rng):
 
 def test_resolve_combos_hold_one_copy_per_array():
     # the seven combos over one 32^3 field and zeta, each applied once, hold
-    # 2 weight sets and 12 symbols: 8.0 MiB; one copy per assembly held 16.0 MiB
+    # 2 weight sets, the level index, 12 level tables and 3 kept symbols:
+    # 3.94 MiB; with 12 symbol arrays they held 8.0 MiB, and with one copy per
+    # assembly 16.0 MiB
     grid = Grid(3, 32, 16.0)
     b = DriftSpec("hardy", c=0.2).on_grid(grid)
     rng = np.random.default_rng(0)
@@ -529,4 +532,62 @@ def test_resolve_combos_hold_one_copy_per_array():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 10 * 2**20
+    assert held <= 4 * 2**20
+
+
+def test_direct_solve_holds_six_arrays_above_its_assembly():
+    # the transform of f, S vhat, the series sum, its term, two workspace
+    # arrays; the output reuses freed ones.  The series kept eight before it
+    # ran in place.
+    grid = Grid(3, 32, 16.0)
+    b = DriftSpec("hardy", c=0.2).on_grid(grid)
+    rng = np.random.default_rng(1)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    a = ResolventAssembly(make_params(p=2.0, zeta=complex(2.0, 1.0), lam=0.1), b)
+    a.apply(f)  # looks up every array the assembly holds
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = a.apply(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.values.nbytes == 2**19
+    assert peak - base <= 6 * 2**19 + 2**16
+
+
+@pytest.mark.parametrize("zeta", [7.0, complex(3.0, 1.0)], ids=["real", "complex"])
+@pytest.mark.parametrize("d,n", [(3, 8), (3, 16), (3, 32), (4, 12)])
+def test_gathered_symbols_equal_the_power_bit_for_bit(d, n, zeta):
+    grid = Grid(d, n, 16.0)
+    b = GridVectorField.zeros(grid)
+    for rep, p in COMBOS:
+        a = ResolventAssembly(make_params(p=p, zeta=zeta, d=d), b, rep)
+        pre, post = a.chains
+        for alpha in {1.0, *pre, *post} | ({0.25, 0.75} if rep == "symmetric" else set()):
+            sym = a._sym(alpha)
+            assert sym.tobytes() == np.power(complex(zeta) + grid.k_squared, -alpha).tobytes()
+            # a series exponent's symbol is kept; a chain exponent's is gathered per use
+            assert (a._sym(alpha) is sym) == (alpha in a._series_exponents)
+
+
+@pytest.mark.parametrize("p,reps", [(2.0, ("direct", "fractional", "split", "symmetric")),
+                                    (2.5, ("direct", "fractional", "split"))])
+def test_drift_with_zeros_on_nodes_matches_dense_solve(grid8, random_f8, p, reps):
+    # |b| = 0 on the four node lines x, y in {0, pi}, and b_z = 0 everywhere:
+    # the weights' removable singularity is filled by 0, never NaN
+    profile = 0.3 * np.sin(grid8.x_axis)
+    profile[::4] = 0.0
+    vals = np.zeros((3,) + grid8.shape, dtype=np.complex128)
+    vals[0] = profile[:, None, None]
+    vals[1] = profile[None, :, None]
+    b = GridVectorField(grid8, vals)
+    assert np.count_nonzero(b.magnitude() == 0.0) == 32
+    zeta = complex(2.5, 1.0)
+    M = zeta * np.eye(grid8.node_count()) + dense_generator(grid8, b)
+    want = np.linalg.solve(M, random_f8.values.ravel()).reshape(grid8.shape)
+    for rep in reps:
+        u = ResolventAssembly(make_params(p=p, zeta=zeta), b, rep).apply(random_f8).values
+        assert np.all(np.isfinite(u))
+        assert np.max(np.abs(u - want)) / np.max(np.abs(want)) < 1e-8
