@@ -7,12 +7,15 @@ Fourier multipliers (zeta + |k|^2)^(-alpha) on the discrete frequency
 set, which makes every operator in this package exact on the grid up to
 floating point.
 
-Every transform in sdlab goes through ``fftn``/``ifftn`` here.  A
-transform of fewer than ``THREADED_MIN_NODES`` (64^3) values runs on one
-worker; a larger one runs on ``fft_workers()`` workers (``SDL_THREADS``
-or ``--threads``).  Below 64^3 a second worker costs a thread hand-off
-that the transform does not earn back.  pocketfft computes each 1-D line
-the same way on any thread, so the worker count never changes a result.
+Every transform in sdlab goes through ``fftn``/``ifftn`` here.  One call
+may transform a ``(d,) + shape`` stack of arrays over ``axes`` = (1, ...,
+d) at once, as the spectral gradient does.  A call on fewer than
+``THREADED_MIN_NODES`` (64^3) values in all runs on one worker, so a
+(3, 32^3) stack does; a larger one runs on ``fft_workers()`` workers
+(``SDL_THREADS`` or ``--threads``).  Below 64^3 a second worker costs a
+thread hand-off that the call does not earn back.  pocketfft computes
+each 1-D line the same way on any thread and in any batch, so neither
+the worker count nor the stacking changes a result.
 """
 
 from __future__ import annotations
@@ -117,6 +120,8 @@ class Grid:
         # the odd symbols 1j*k_j of d/dx_j, the one place they are built; they keep
         # the unpaired Nyquist entry, so they map real data to complex data
         self.ik_components = [1j * kc for kc in self.k_components]
+        # the axes of one grid array in a (d,) + shape stack of them
+        self.stack_axes = tuple(range(1, self.d + 1))
         x1 = self.h * np.arange(self.n)
         self.x_axis = x1
 
@@ -242,17 +247,33 @@ def _workers(values):
     return _FFT_WORKERS if values.size >= THREADED_MIN_NODES else 1
 
 
-def fftn(values, overwrite_x=False):
-    """scipy.fft.fftn on one worker below THREADED_MIN_NODES values, else fft_workers().
+def _numpy_dtype(out):
+    """A transform written over its input, viewed under numpy's own instance of its dtype.
 
-    With ``overwrite_x`` a complex input may be overwritten by the output,
-    which is then returned as a view of it; pass only a temporary.
+    pocketfft returns arrays under a dtype instance of its own, and numpy
+    copies an operand whose dtype instance is not the output's before it
+    multiplies into the same memory: without the view, a product written
+    in place on a transform that overwrote its input would allocate a
+    copy.  An output that owns its data is returned as it is, since a view
+    would keep numpy from reusing it as a temporary (``S * fftn(v)`` is
+    computed in place as ``fftn(v) * S`` from 256 KiB on).
     """
-    return _fft.fftn(values, overwrite_x=overwrite_x, workers=_workers(values))
+    return out if out.flags.owndata else out.view(out.dtype.type)
 
 
-def ifftn(values, overwrite_x=False):
-    return _fft.ifftn(values, overwrite_x=overwrite_x, workers=_workers(values))
+def fftn(values, axes=None, overwrite_x=False):
+    """scipy.fft.fftn over ``axes`` (all by default), on one worker below THREADED_MIN_NODES values, else fft_workers().
+
+    The worker rule counts the values of the whole call, stacked arrays
+    included.  With ``overwrite_x`` a complex input may be overwritten by
+    the output, which is then returned as a view of it; pass only a
+    temporary.
+    """
+    return _numpy_dtype(_fft.fftn(values, axes=axes, overwrite_x=overwrite_x, workers=_workers(values)))
+
+
+def ifftn(values, axes=None, overwrite_x=False):
+    return _numpy_dtype(_fft.ifftn(values, axes=axes, overwrite_x=overwrite_x, workers=_workers(values)))
 
 
 def apply_symbol_array(symbol_values, f):
@@ -299,13 +320,13 @@ def laplacian_apply(f):
 
 
 def gradient_apply(f):
-    """Spectral gradient as a GridVectorField."""
+    """Spectral gradient as a GridVectorField, its d components in one inverse transform."""
     grid = f.grid
     fhat = fftn(f.values)
     comps = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
     for j in range(grid.d):
-        comps[j] = ifftn(grid.ik_components[j] * fhat)
-    return GridVectorField(grid, comps)
+        np.multiply(grid.ik_components[j], fhat, out=comps[j])
+    return GridVectorField(grid, ifftn(comps, axes=grid.stack_axes, overwrite_x=True))
 
 
 def fourier_eval(f, points):

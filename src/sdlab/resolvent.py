@@ -23,7 +23,17 @@ correction is S^post (weight_out * w).
                     r = (1 + p)/2 < p < q = 2p, exposing the smoothing gain
                     of the output side;
 * ``symmetric``  -- p = 2 only: quarter/three-quarter symmetric split
-                    inverted through its own series.
+                    inverted through its own series, summed on transforms
+                    (S^(3/4) -> gradient -> weight_out -> fftn -> S^(1/4)
+                    per term, increments by Parseval).
+
+Each series term makes one inverse transform for the d gradient
+components, batched over a ``(d,) + shape`` stack, and one forward
+transform.  A solve of k terms costs, in d = 3:
+
+* ``direct``, ``split``, ``fractional`` -- 4k + 6 transforms in 2k + 4
+  scipy calls (an ``evolve`` step, 4k + 4 in 2k + 2);
+* ``symmetric`` -- 4k + 2 transforms in 2k + 2 calls.
 
 A symbol S^alpha takes one value per distinct |k|^2 of the grid (827 at
 32^3, 4,051 at 64^3), so it is built as a level table over those values
@@ -226,7 +236,7 @@ class ResolventAssembly:
         self.representation = representation
 
         p = params.p
-        # the (pre, post) exponent chains; symmetric's apply_spectral takes the direct ones
+        # the (pre, post) exponent chains; symmetric, which sums its own series, holds the direct ones
         r, q = 0.5 * (1.0 + p), 2.0 * p
         self.chains = {
             "fractional": ((0.5 / C.holder_conjugate(r), 0.5 + 0.5 / r),
@@ -280,21 +290,23 @@ class ResolventAssembly:
 
     # -- factor applications on raw value arrays ------------------------
     #
-    # A loop (``_loop``, ``_loop_adjoint``, ``_symmetric_loop``) reads v,
-    # writes its value into ``out``, which may be v, with a and b as
-    # workspace, and returns it.  A temporary goes to its transform with
-    # overwrite_x=True; the caller's arrays never do.  A symbol multiplies a
-    # fresh transform in place, so the transform is the left operand; an
-    # adjoint's conj(S) is the left operand, as numpy always ordered it.
+    # A loop (``_loop``, ``_loop_adjoint``, ``_symmetric_loop``) takes one
+    # ``(d,) + shape`` complex stack as its whole workspace and returns its
+    # value in the stack's first slot; v may be the value it returned
+    # before.  The d gradient components go through one transform of the
+    # stack.  A temporary goes to its transform with overwrite_x=True; the
+    # caller's arrays never do.  A symbol multiplies a fresh transform in
+    # place, so the transform is the left operand; an adjoint's conj(S) is
+    # the left operand, as numpy always ordered it.
 
-    def _scratch(self, count):
-        """``count`` uninitialized complex arrays of the grid's shape."""
-        return [np.empty(self.grid.shape, dtype=np.complex128) for _ in range(count)]
+    def _stack(self):
+        """An uninitialized complex ``(d,) + shape`` stack, the workspace of one series."""
+        return np.empty((self.grid.d,) + self.grid.shape, dtype=np.complex128)
 
-    def _free(self, v, alpha=1.0):
-        """(zeta - Lap)^(-alpha) v"""
+    def _free(self, v):
+        """(zeta - Lap)^(-1) v"""
         vhat = fftn(v)
-        vhat *= self._sym(alpha)
+        vhat *= self._sym(1.0)
         return ifftn(vhat, overwrite_x=True)
 
     def _free_adjoint(self, v):
@@ -303,37 +315,44 @@ class ResolventAssembly:
         np.multiply(np.conj(self._sym(1.0)), vhat, out=vhat)
         return ifftn(vhat, overwrite_x=True)
 
-    def _weighted_gradient(self, vhat, out, work):
-        """weight_vec . grad of the grid function whose transform is vhat, into out"""
+    def _weighted_gradient(self, vhat, stack, out):
+        """weight_vec . grad of the grid function whose transform is vhat, into out
+
+        vhat and out may be stack[0]: the components ik_j vhat fill the
+        stack from the last one down, and go through one inverse transform.
+        """
         iks = self.grid.ik_components
-        term = ifftn(np.multiply(iks[0], vhat, out=work), overwrite_x=True)
-        np.multiply(term, self.weight_vec[0], out=out)
+        for j in reversed(range(self.grid.d)):
+            np.multiply(iks[j], vhat, out=stack[j])
+        grads = ifftn(stack, axes=self.grid.stack_axes, overwrite_x=True)
+        np.multiply(grads[0], self.weight_vec[0], out=out)
         for j in range(1, self.grid.d):
-            term = ifftn(np.multiply(iks[j], vhat, out=work), overwrite_x=True)
-            term *= self.weight_vec[j]
-            out += term
+            grads[j] *= self.weight_vec[j]
+            out += grads[j]
         return out
 
     def _input_values(self, v):
         """weight_vec . grad (zeta - Lap)^(-1) v"""
         vhat = fftn(v)
         vhat *= self._sym(1.0)
-        return self._weighted_gradient(vhat, *self._scratch(2))
+        return self._weighted_gradient(vhat, self._stack(), vhat)
 
-    def _input_adjoint(self, v, out, work):
-        """Adjoint of the input factor applied to v, into out (not v)"""
+    def _input_adjoint(self, v, stack):
+        """Adjoint of the input factor applied to v, which may be stack[0], in the stack's first slot"""
         iks, weight = self.grid.ik_components, self.weight_vec
-        acc = fftn(np.multiply(np.conj(weight[0]), v, out=out), overwrite_x=True)
+        for j in reversed(range(self.grid.d)):
+            np.multiply(np.conj(weight[j]), v, out=stack[j])
+        hats = fftn(stack, axes=self.grid.stack_axes, overwrite_x=True)
+        acc = hats[0]
         acc *= np.conj(iks[0])
         for j in range(1, self.grid.d):
-            term = fftn(np.multiply(np.conj(weight[j]), v, out=work), overwrite_x=True)
-            term *= np.conj(iks[j])
-            acc += term
+            hats[j] *= np.conj(iks[j])
+            acc += hats[j]
         np.multiply(np.conj(self._sym(1.0)), acc, out=acc)
         return ifftn(acc, overwrite_x=True)
 
     def _input_adjoint_values(self, v):
-        return self._input_adjoint(v, *self._scratch(2))
+        return self._input_adjoint(v, self._stack())
 
     def _output_values(self, v):
         """(zeta - Lap)^(-1) (weight_out * v)"""
@@ -344,20 +363,20 @@ class ResolventAssembly:
         out *= self.weight_out
         return out
 
-    def _loop(self, v, out, a, b):
-        """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v), into out"""
-        ahat = fftn(np.multiply(self.weight_out, v, out=a), overwrite_x=True)
+    def _loop(self, v, stack):
+        """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v), in the stack's first slot"""
+        ahat = fftn(np.multiply(self.weight_out, v, out=stack[0]), overwrite_x=True)
         ahat *= self._sym(1.0)
-        return self._weighted_gradient(ahat, out, b)
+        return self._weighted_gradient(ahat, stack, stack[0])
 
     def _loop_values(self, v):
-        return self._loop(v, *self._scratch(3))
+        return self._loop(v, self._stack())
 
-    def _loop_adjoint(self, v, out, a, b):
-        return np.multiply(self._input_adjoint(v, a, b), self.weight_out, out=out)
+    def _loop_adjoint(self, v, stack):
+        return np.multiply(self._input_adjoint(v, stack), self.weight_out, out=stack[0])
 
     def _loop_adjoint_values(self, v):
-        return self._loop_adjoint(v, *self._scratch(3))
+        return self._loop_adjoint(v, self._stack())
 
     def _weighted_resolvent_values(self, v):
         """|b|^(1/p) (zeta - Lap)^(-1) v"""
@@ -368,22 +387,21 @@ class ResolventAssembly:
     def _weighted_resolvent_adjoint_values(self, v):
         return self._free_adjoint(self.weight_in_mag * v)
 
-    def _symmetric_loop(self, v, out, a, b):
-        """(zeta-Lap)^(-1/4) |b|^(1/2) (weight_vec . grad (zeta-Lap)^(-3/4) v), into out
+    def _symmetric_loop(self, vhat, stack):
+        """S^(1/4) fftn(|b|^(1/2) (weight_vec . grad ifftn(S^(3/4) vhat))), in the stack's first slot
 
-        For p = 2 the transpose of the quarter-power weighted factor is
+        The p = 2 loop of the symmetric factorization, on transforms.  For
+        p = 2 the transpose of the quarter-power weighted factor is
         realized with the same zeta (it coincides with the Hilbert
         adjoint for real zeta, and is what makes the factorization an
         exact identity for complex zeta).
         """
-        np.copyto(a, v)
-        ahat = fftn(a, overwrite_x=True)
-        ahat *= self._sym(0.75)
-        inner = self._weighted_gradient(ahat, out, b)
+        ahat = np.multiply(vhat, self._sym(0.75), out=stack[0])
+        inner = self._weighted_gradient(ahat, stack, stack[0])
         inner *= self.weight_out
         ihat = fftn(inner, overwrite_x=True)
         ihat *= self._sym(0.25)
-        return ifftn(ihat, overwrite_x=True)
+        return ihat
 
     # -- public operator views ------------------------------------------
 
@@ -407,29 +425,30 @@ class ResolventAssembly:
 
     # -- series inversion -------------------------------------------------
 
-    def _neumann(self, total, loop, tol=None, kmax=None):
+    def _neumann(self, total, loop, stack, tol=None, kmax=None, cell_volume=None):
         """Sum over k of (-loop)^k g, accumulated in place into ``total`` = g.
 
-        Callers pass a temporary.  ``loop(v, out, a, b)`` writes the loop
-        applied to v into out, and each term overwrites the one before it,
-        so the series holds ``total`` and three arrays of workspace (the
-        term, a and b) whatever its length.  The k-th term is loop^k g,
-        subtracted for odd k: negation is exact and commutes with
-        rounding, so these are the sums of the negated terms.  Returns
-        (sum, increments |term|_p).
+        Callers pass a temporary.  ``loop(v, stack)`` writes the loop
+        applied to v into stack[0] and returns it, so each term overwrites
+        the one before it, and the series holds ``total`` and the stack
+        whatever its length.  The k-th term is loop^k g, subtracted for odd
+        k: negation is exact and commutes with rounding, so these are the
+        sums of the negated terms.  Increments are p-norms with
+        ``cell_volume`` (h^d by default; h^d/N for a series on transforms,
+        by Parseval at p = 2).  Returns (sum, increments |term|_p).
         """
         tol = NEUMANN_TOL if tol is None else tol
         kmax = NEUMANN_KMAX if kmax is None else kmax
-        hd = self.grid.cell_volume()
+        hd = self.grid.cell_volume() if cell_volume is None else cell_volume
         p = self.params.p
         norm_g = lp_norm_values(total, p, hd)
         history = []
         if norm_g == 0.0:
             return total, history
-        term, work = total, self._scratch(3)
+        term = total
         grow = 0
         for k in range(kmax):
-            term = loop(term, *work)
+            term = loop(term, stack)
             inc = lp_norm_values(term, p, hd)
             if k % 2:
                 total += term
@@ -454,7 +473,7 @@ class ResolventAssembly:
 
     def neumann_inverse(self, g):
         """(1 + loop)^(-1) g by partial sums; returns (result, increments)."""
-        total, history = self._neumann(g.values.copy(), self._loop)
+        total, history = self._neumann(g.values.copy(), self._loop, self._stack())
         return GridFunction(self.grid, total), history
 
     # -- the resolvent ----------------------------------------------------
@@ -467,8 +486,9 @@ class ResolventAssembly:
         inverts it.
         """
         free = self._free_adjoint(v)
-        w, _ = self._neumann(self.weight_out * free, self._loop_adjoint)
-        free -= self._input_adjoint_values(w)
+        stack = self._stack()
+        w, _ = self._neumann(self.weight_out * free, self._loop_adjoint, stack)
+        free -= self._input_adjoint(w, stack)
         return free
 
     def resolvent_op(self):
@@ -477,40 +497,52 @@ class ResolventAssembly:
         )
 
     def apply_spectral(self, vhat, tol=None, kmax=None):
-        """Transform of R(zeta) v from the transform vhat of v, by the assembly's (pre, post) chains.
+        """Transform of R(zeta) v from the transform vhat of v, written into vhat and returned.
 
-        S vhat - S^post fftn(weight_out * w), where w solves (1 + loop) w =
-        weight_vec . grad ifftn(S^pre vhat); on a zero drift, S vhat.  It
-        costs 4k + 4 transforms for k series terms, so a chain of resolvents
-        (``evolve``) leaves Fourier space only at its ends.  vhat is not
-        written to.
+        By the assembly's (pre, post) chains: S vhat - S^post fftn(weight_out
+        * w), where w solves (1 + loop) w = weight_vec . grad ifftn(S^pre
+        vhat); on a zero drift, S vhat.  ``symmetric`` sums its series on
+        transforms: S^(3/4) w with w = (1 + loop)^(-1) S^(1/4) vhat.  A
+        step costs 4k + 4 transforms for k series terms in 2k + 2 calls
+        (``symmetric`` 4k in 2k), so a chain of resolvents (``evolve``)
+        leaves Fourier space only at its ends.  vhat is overwritten: pass a
+        transform the caller no longer needs.
         """
-        shat = self._sym(1.0) * vhat
         if self.zero_drift:
-            return shat
-        pre, post = self.chains
-        g = self._sym(pre[0]) * vhat
-        del vhat  # frees the transform (unless the caller holds it) before the series
+            return np.multiply(self._sym(1.0), vhat, out=vhat)
+        # the kept symbols are looked up before the stack is allocated: one
+        # gathered on first use is held for good, and placed after the stack
+        # it would pin the heap above the stack's freed block
+        if self.representation == "symmetric":
+            quarter, three_quarters = self._sym(0.25), self._sym(0.75)
+            vhat *= quarter
+            volume = self.grid.cell_volume() / self.grid.node_count()
+            w, _ = self._neumann(vhat, self._symmetric_loop, self._stack(), tol=tol, kmax=kmax,
+                                 cell_volume=volume)
+            w *= three_quarters
+            return w
+        sym, (pre, post) = self._sym(1.0), self.chains
+        stack = self._stack()
+        g = np.multiply(self._sym(pre[0]), vhat, out=stack[0])
+        np.multiply(sym, vhat, out=vhat)
         for alpha in pre[1:]:
             np.multiply(self._sym(alpha), g, out=g)
-        g = self._weighted_gradient(g, *self._scratch(2))  # rebinding frees the spectral g before the series
-        w, _ = self._neumann(g, self._loop, tol=tol, kmax=kmax)  # summed in place: w is g
+        g = self._weighted_gradient(g, stack, np.empty_like(vhat))
+        w, _ = self._neumann(g, self._loop, stack, tol=tol, kmax=kmax)  # summed in place: w is g
+        del stack  # frees the workspace before the post chain gathers its symbols
         w *= self.weight_out
         corr = fftn(w, overwrite_x=True)
         for alpha in post:
             corr *= self._sym(alpha)
-        shat -= corr
-        return shat
+        vhat -= corr
+        return vhat
 
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
         if self.zero_drift:
             return self.apply_free_resolvent(f)
-        if self.representation != "symmetric":
-            uhat = self.apply_spectral(fftn(f.values), tol=tol, kmax=kmax)
-            return GridFunction(self.grid, ifftn(uhat, overwrite_x=True))
-        w, _ = self._neumann(self._free(f.values, 0.25), self._symmetric_loop, tol=tol, kmax=kmax)
-        return GridFunction(self.grid, self._free(w, 0.75))
+        uhat = self.apply_spectral(fftn(f.values), tol=tol, kmax=kmax)
+        return GridFunction(self.grid, ifftn(uhat, overwrite_x=True))
 
 
 def apply_generator(b, f):

@@ -64,8 +64,9 @@ def _evolve_fixed(params, b, f, t, steps, neumann_tol):
     assembly = ResolventAssembly(params.with_zeta(complex(mu)), b)
     uhat = fftn(f.values)
     for _ in range(steps):
-        uhat = mu * assembly.apply_spectral(uhat, tol=neumann_tol)
-    return GridFunction(f.grid, ifftn(uhat))
+        uhat = assembly.apply_spectral(uhat, tol=neumann_tol)  # in uhat's own buffer
+        np.multiply(mu, uhat, out=uhat)
+    return GridFunction(f.grid, ifftn(uhat, overwrite_x=True))
 
 
 def evolve(sp, params, b, f, neumann_tol=None):

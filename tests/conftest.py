@@ -53,15 +53,21 @@ def zero_field16(grid16):
 
 @pytest.fixture
 def count_transforms(monkeypatch):
-    """Call to start counting the FFTs that sdlab.resolvent and sdlab.semigroup make."""
+    """Call to start counting the FFTs that sdlab.resolvent and sdlab.semigroup make.
+
+    ``calls`` counts scipy calls and ``transforms`` d-dimensional
+    transforms: a call over the last d axes of a ``(d,) + shape`` stack
+    makes d of them.
+    """
     from sdlab import resolvent, semigroup
 
-    counts = {"fft": 0}
+    counts = {"calls": 0, "transforms": 0}
 
     def counted(transform):
-        def wrapped(values, **kwargs):
-            counts["fft"] += 1
-            return transform(values, **kwargs)
+        def wrapped(values, axes=None, **kwargs):
+            counts["calls"] += 1
+            counts["transforms"] += 1 if axes is None else values.size // np.prod([values.shape[a] for a in axes])
+            return transform(values, axes=axes, **kwargs)
 
         return wrapped
 

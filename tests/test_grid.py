@@ -273,3 +273,42 @@ def test_transforms_do_not_depend_on_worker_count(rng, restore_fft_workers, n):
     two = fftn(x), ifftn(x)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
+
+
+@pytest.mark.parametrize("d,n", [(3, 8), (3, 16), (3, 32), (3, 64), (4, 8)])
+def test_stacked_transform_equals_separate_transforms(rng, restore_fft_workers, d, n):
+    # one call over the last d axes of a (d,) + shape stack against d calls;
+    # the (3, 64^3) call runs on two workers
+    set_fft_workers(2)
+    shape = (d,) + (n,) * d
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(1, d + 1))
+    for transform in (fftn, ifftn):
+        batched = transform(stack.copy(), axes=axes, overwrite_x=True)
+        for j in range(d):
+            assert batched[j].tobytes() == transform(stack[j]).tobytes()
+
+
+def test_stacked_transform_workers_count_the_whole_call(monkeypatch, restore_fft_workers):
+    seen = []
+
+    def wrapped(values, workers=None, **kwargs):
+        seen.append(workers)
+        return np.asarray(values, dtype=np.complex128)
+
+    monkeypatch.setattr(scipy.fft, "ifftn", wrapped)
+    set_fft_workers(2)
+    for n in (32, 64):
+        ifftn(np.zeros((3,) + (n,) * 3, dtype=np.complex128), axes=(1, 2, 3))
+    # 3 * 32^3 values stay below THREADED_MIN_NODES = 64^3
+    assert seen == [1, 2]
+
+
+@pytest.mark.parametrize("d,n", [(3, 16), (4, 8)])
+def test_gradient_apply_matches_componentwise_transforms(rng, d, n):
+    grid = Grid(d, n, 16.0)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    fhat = fftn(f.values)
+    grad = gradient_apply(f).values
+    for j in range(d):
+        assert grad[j].tobytes() == ifftn(grid.ik_components[j] * fhat).tobytes()

@@ -13,6 +13,7 @@ from dense_oracles import (
     dense_weighted_resolvent,
     dft_matrix,
 )
+from sdlab import constants as C
 from sdlab import resolvent
 from sdlab.errors import (
     GuardViolationError,
@@ -21,7 +22,7 @@ from sdlab.errors import (
     SpectralDomainError,
 )
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair
-from sdlab.grid import Grid, GridFunction, GridVectorField, lp_norm
+from sdlab.grid import Grid, GridFunction, GridVectorField, fftn, ifftn, lp_norm
 from sdlab.resolvent import (
     LinearOp,
     ResolventAssembly,
@@ -377,9 +378,12 @@ def test_norm_bound_report_rows(grid16, hardy16):
     assert all(r[4] for r in loop_rows)  # measured below the guard bound
 
 
-@pytest.mark.parametrize("rep", ["direct", "fractional", "split"])
+@pytest.mark.parametrize("rep", ["direct", "fractional", "split", "symmetric"])
 def test_apply_transform_count(count_transforms, rep, hardy16, rng):
-    # one forward transform, the spectral solve (4k + 4 for k terms), one inverse: 4k + 6
+    # one forward transform, the spectral solve, one inverse.  The series
+    # factorizations make 4k + 4 transforms for k terms in 2k + 2 calls (one
+    # call per gradient), 4k + 6 in 2k + 4 in all; symmetric sums on
+    # transforms, 4k + 2 in 2k + 2
     pr = make_params(delta=0.05, lam=0.5, p=2.0, zeta=complex(40.0, 0.0))
     a = ResolventAssembly(pr, hardy16, rep)
     terms = []
@@ -394,8 +398,12 @@ def test_apply_transform_count(count_transforms, rep, hardy16, rng):
     f = GridFunction(hardy16.grid, rng.standard_normal(hardy16.grid.shape) + 0j)
     counts = count_transforms()
     a.apply(f)
-    assert terms[0] > 0
-    assert counts["fft"] == 4 * terms[0] + 6
+    k = terms[0]
+    assert k > 0
+    if rep == "symmetric":
+        assert (counts["transforms"], counts["calls"]) == (4 * k + 2, 2 * k + 2)
+    else:
+        assert (counts["transforms"], counts["calls"]) == (4 * k + 6, 2 * k + 4)
 
 
 def test_neumann_max_terms_raises_with_history(monkeypatch, hardy16, rng):
@@ -415,7 +423,7 @@ def test_zero_field_apply_is_free_resolvent(count_transforms, rep, grid16, zero_
     free = a.apply_free_resolvent(f).values
     counts = count_transforms()
     out = a.apply(f).values
-    assert counts["fft"] == 2
+    assert counts == {"calls": 2, "transforms": 2}
     np.testing.assert_array_equal(out, free)
 
 
@@ -557,6 +565,31 @@ def test_direct_solve_holds_six_arrays_above_its_assembly():
     assert peak - base <= 6 * 2**19 + 2**16
 
 
+@pytest.mark.parametrize("rep", ["direct", "fractional", "split", "symmetric"])
+def test_spectral_step_writes_into_its_argument(rep):
+    # apply_spectral returns the caller's transform, overwritten: a step
+    # allocates the stack, the series sum and the norm's temporaries, five
+    # arrays; it took six while it wrote S vhat into an array of its own
+    grid = Grid(3, 32, 16.0)
+    b = DriftSpec("hardy", c=0.2).on_grid(grid)
+    rng = np.random.default_rng(2)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    a = ResolventAssembly(make_params(p=2.0, zeta=complex(2.0, 1.0), lam=0.1), b, rep)
+    want = a.apply(f).values  # looks up every array the assembly holds
+    vhat = fftn(f.values)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = a.apply_spectral(vhat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is vhat
+    assert peak - base <= 5 * 2**19 + 2**16
+    np.testing.assert_array_equal(ifftn(out), want)
+
+
 @pytest.mark.parametrize("zeta", [7.0, complex(3.0, 1.0)], ids=["real", "complex"])
 @pytest.mark.parametrize("d,n", [(3, 8), (3, 16), (3, 32), (4, 12)])
 def test_gathered_symbols_equal_the_power_bit_for_bit(d, n, zeta):
@@ -572,8 +605,22 @@ def test_gathered_symbols_equal_the_power_bit_for_bit(d, n, zeta):
             assert (a._sym(alpha) is sym) == (alpha in a._series_exponents)
 
 
-@pytest.mark.parametrize("p,reps", [(2.0, ("direct", "fractional", "split", "symmetric")),
-                                    (2.5, ("direct", "fractional", "split"))])
+def assert_matches_dense_solve(b, f, p, reps):
+    zeta = complex(2.5, 1.0)
+    M = zeta * np.eye(b.grid.node_count()) + dense_generator(b.grid, b)
+    want = np.linalg.solve(M, f.values.ravel()).reshape(b.grid.shape)
+    for rep in reps:
+        u = ResolventAssembly(make_params(p=p, zeta=zeta), b, rep).apply(f).values
+        assert np.all(np.isfinite(u))
+        assert np.max(np.abs(u - want)) / np.max(np.abs(want)) < 1e-8
+
+
+DRIFT_ZEROS_CASES = pytest.mark.parametrize(
+    "p,reps", [(2.0, ("direct", "fractional", "split", "symmetric")), (2.5, ("direct", "fractional", "split"))]
+)
+
+
+@DRIFT_ZEROS_CASES
 def test_drift_with_zeros_on_nodes_matches_dense_solve(grid8, random_f8, p, reps):
     # |b| = 0 on the four node lines x, y in {0, pi}, and b_z = 0 everywhere:
     # the weights' removable singularity is filled by 0, never NaN
@@ -584,10 +631,36 @@ def test_drift_with_zeros_on_nodes_matches_dense_solve(grid8, random_f8, p, reps
     vals[1] = profile[None, :, None]
     b = GridVectorField(grid8, vals)
     assert np.count_nonzero(b.magnitude() == 0.0) == 32
-    zeta = complex(2.5, 1.0)
-    M = zeta * np.eye(grid8.node_count()) + dense_generator(grid8, b)
-    want = np.linalg.solve(M, random_f8.values.ravel()).reshape(grid8.shape)
-    for rep in reps:
-        u = ResolventAssembly(make_params(p=p, zeta=zeta), b, rep).apply(random_f8).values
-        assert np.all(np.isfinite(u))
-        assert np.max(np.abs(u - want)) / np.max(np.abs(want)) < 1e-8
+    assert_matches_dense_solve(b, random_f8, p, reps)
+
+
+@DRIFT_ZEROS_CASES
+def test_drift_with_an_isolated_zero_matches_dense_solve(grid8, random_f8, p, reps):
+    # b_j = 0.3 sin(x_j - c) + 0.15 (1 - cos(x_j - c)) vanishes only where
+    # every x_j = c: |b| = 0 at a single node, on no node line
+    c = grid8.x_axis[3]
+    vals = np.array([0.3 * np.sin(x - c) + 0.15 * (1.0 - np.cos(x - c)) for x in grid8.coordinates()])
+    b = GridVectorField(grid8, vals)
+    assert np.argwhere(b.magnitude() == 0.0).tolist() == [[3, 3, 3]]
+    assert_matches_dense_solve(b, random_f8, p, reps)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0])
+def test_guard_at_exactly_one_raises_and_one_ulp_below_does_not(p):
+    delta = 1.0 / (C.m_d(3) * C.c_p(p))
+    assert C.neumann_guard_value(p, delta, 3) == 1.0
+    with pytest.raises(GuardViolationError):
+        ResolventParams(p=p, zeta=10.0, delta=delta, lam=1.0)
+    below = ResolventParams(p=p, zeta=10.0, delta=np.nextafter(delta, 0.0), lam=1.0)
+    assert below.guard_value < 1.0
+
+
+@pytest.mark.parametrize("im", [0.0, 1.0], ids=["real", "complex"])
+def test_zeta_on_the_half_plane_floor_is_accepted(grid8, bounded_field8, random_f8, im):
+    lam = 0.5
+    floor = C.kappa_d(3) * lam
+    params = ResolventParams(p=2.0, zeta=complex(floor, im * floor), delta=0.05, lam=lam)
+    u = ResolventAssembly(params, bounded_field8).apply(random_f8).values
+    assert np.all(np.isfinite(u))
+    with pytest.raises(SpectralDomainError):
+        ResolventParams(p=2.0, zeta=complex(floor * (1.0 - 2e-12), im * floor), delta=0.05, lam=lam)

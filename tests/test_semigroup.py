@@ -123,7 +123,8 @@ def test_mass_conserved_free_heat(grid16):
 
 
 def test_drift_evolve_step_transform_count(count_transforms, monkeypatch, hardy16):
-    # one forward transform, 4k + 4 per step of k series terms, one inverse
+    # one forward transform, 4k + 4 per step of k series terms in 2k + 2
+    # calls (one call per gradient), one inverse
     terms = []
     neumann = ResolventAssembly._neumann
 
@@ -138,7 +139,8 @@ def test_drift_evolve_step_transform_count(count_transforms, monkeypatch, hardy1
     counts = count_transforms()
     evolve(SemigroupParams(0.1, 4), params, hardy16, f, neumann_tol=1e-9)
     assert len(terms) == 4 and min(terms) > 0
-    assert counts["fft"] == 2 + sum(4 * k + 4 for k in terms)
+    assert counts["transforms"] == 2 + sum(4 * k + 4 for k in terms)
+    assert counts["calls"] == 2 + sum(2 * k + 2 for k in terms)
 
 
 def test_zero_field_evolve_is_heat_multiplier(count_transforms, grid16):
@@ -148,7 +150,7 @@ def test_zero_field_evolve_is_heat_multiplier(count_transforms, grid16):
     mu = steps / t
     counts = count_transforms()
     u = evolve(SemigroupParams(t, steps), free_params(), GridVectorField.zeros(grid16), f)
-    assert counts["fft"] == 2
+    assert counts == {"calls": 2, "transforms": 2}
     want = np.fft.ifftn((mu / (mu + grid16.k_squared)) ** steps * np.fft.fftn(f.values))
     assert np.max(np.abs(u.values - want)) <= 1e-14 * np.max(np.abs(f.values))
 
