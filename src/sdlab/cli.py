@@ -625,7 +625,7 @@ def build_parser():
         sp.add_argument("--out", type=str, default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=None,
-                        help="FFT workers of a transform of at least 64^3 nodes")
+                        help="workers of a transform, or of a series' elementwise pass, of at least 64^3 values")
         if name == "acceptance":
             sp.add_argument("--only", type=str, default=None, help="comma-separated criterion indices")
     return parser

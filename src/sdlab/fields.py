@@ -222,9 +222,10 @@ def mollifier_symbol(grid, eps):
 def mollify(b, eps):
     """Smooth b by convolution with the scaled bump (spectral product)."""
     sym = mollifier_symbol(b.grid, eps)
-    out = np.empty_like(b.values)
-    for j in range(b.grid.d):
-        out[j] = ifftn(sym * fftn(b.values[j]))
+    axes = b.grid.stack_axes
+    hats = fftn(b.values, axes=axes)
+    hats *= sym
+    out = ifftn(hats, axes=axes, overwrite_x=True)
     if np.max(np.abs(b.values.imag)) == 0.0:
         out = out.real.astype(np.complex128)
     return GridVectorField(b.grid, out)
@@ -250,7 +251,9 @@ def _top_eigenvalue(sym_sq, weight, seed):
     root = np.sqrt(weight)
 
     def matvec(x):
-        return (root * ifftn(sym_sq * fftn(root * x.reshape(shape))).real).ravel()
+        xhat = fftn(root * x.reshape(shape))
+        xhat *= sym_sq
+        return (root * ifftn(xhat, overwrite_x=True).real).ravel()
 
     lo = LinearOperator((n_total, n_total), matvec=matvec, dtype=np.float64)
     v0 = np.ones(n_total) + 0.01 * np.random.default_rng(seed).standard_normal(n_total)
@@ -303,9 +306,12 @@ def kato_column_norms(b, lam):
     grid = b.grid
     delta0 = GridFunction.delta(grid, (0,) * grid.d)
     sym = _fractional_symbol(grid, lam, 0.5).astype(np.complex128)
-    k0 = np.abs(ifftn(sym * fftn(delta0.values)))
-    mag = b.magnitude()
-    corr = ifftn(fftn(mag.astype(np.complex128)) * np.conj(fftn(k0.astype(np.complex128)))).real
+    khat = fftn(delta0.values)
+    khat *= sym
+    k0 = np.abs(ifftn(khat, overwrite_x=True))
+    corr_hat = fftn(b.magnitude().astype(np.complex128))
+    corr_hat *= np.conj(fftn(k0.astype(np.complex128)))
+    corr = ifftn(corr_hat, overwrite_x=True).real
     return grid.cell_volume() * corr
 
 

@@ -16,11 +16,20 @@ d) at once, as the spectral gradient does.  A call on fewer than
 thread hand-off that the call does not earn back.  pocketfft computes
 each 1-D line the same way on any thread and in any batch, so neither
 the worker count nor the stacking changes a result.
+
+The elementwise passes between the transforms of a Neumann series follow
+the same rule through ``split_pass``: from 64^3 grid values on, a pass
+runs on min(``fft_workers()``, n) slabs of the first grid axis, one on
+the calling thread and the rest on a thread pool built on first use;
+below it, the pass is one numpy call on the whole arrays.  Each output
+value is computed by the same operations either way.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.fft as _fft
@@ -38,6 +47,7 @@ __all__ = [
     "gradient_apply",
     "fft_workers",
     "set_fft_workers",
+    "split_pass",
 ]
 
 
@@ -62,10 +72,11 @@ FOURIER_EVAL_BLOCK_BYTES = 16 * 2**20
 
 
 def set_fft_workers(n):
-    """Set the workers of a transform of at least THREADED_MIN_NODES values.
+    """Set the workers of a transform, or an elementwise ``split_pass``, of at least THREADED_MIN_NODES values.
 
-    Smaller transforms always run on one worker, and results do not depend
-    on the count.  Raises ValueError when ``n`` is below 1.
+    Smaller calls always run on one worker, a pass never on more workers
+    than its first grid axis has planes, and results do not depend on the
+    count.  Raises ValueError when ``n`` is below 1.
     """
     global _FFT_WORKERS
     n = int(n)
@@ -75,8 +86,66 @@ def set_fft_workers(n):
 
 
 def fft_workers():
-    """The workers of a transform of at least THREADED_MIN_NODES values."""
+    """The workers of a transform, or a ``split_pass``, of at least THREADED_MIN_NODES values."""
     return _FFT_WORKERS
+
+
+# (fft_workers(), pool of fft_workers() - 1 threads) of split_pass, built on first use
+_SLAB_POOL = None
+_SLAB_POOL_LOCK = threading.Lock()
+
+
+def _slab_pool():
+    global _SLAB_POOL
+    with _SLAB_POOL_LOCK:
+        if _SLAB_POOL is None or _SLAB_POOL[0] != _FFT_WORKERS:
+            if _SLAB_POOL is not None:
+                _SLAB_POOL[1].shutdown(wait=False)
+            _SLAB_POOL = (_FFT_WORKERS, ThreadPoolExecutor(_FFT_WORKERS - 1, thread_name_prefix="sdlab-slab"))
+        return _SLAB_POOL[1]
+
+
+def split_pass(kernel, *args):
+    """Run the elementwise ``kernel(*args)``, on slabs of the first grid axis from THREADED_MIN_NODES values.
+
+    The first argument is a grid array: its size picks the path, its first
+    axis is the one cut, and its ndim is the grid's.  Below
+    THREADED_MIN_NODES values, or with one worker, the kernel runs once on
+    the arguments as they are.  Otherwise it runs on min(fft_workers(), n)
+    slabs of about n/count planes each, the first on the calling thread and
+    the rest on the pool, and returns when all are done.  An array argument
+    is cut along its first grid axis (axis ``ndim - grid ndim``, so a
+    ``(d,) + shape`` stack is cut along axis 1) when that axis has the n
+    planes; any other argument (an axis of length 1 that broadcasts, a
+    scalar, a ufunc, None) is passed whole.  The kernel must write each
+    output value from the inputs at the same position only: then every
+    value is computed by the same operations on any split.
+    """
+    first = args[0]
+    n, grid_ndim = first.shape[0], first.ndim
+    count = min(_FFT_WORKERS, n) if first.size >= THREADED_MIN_NODES else 1
+    if count == 1:
+        kernel(*args)
+        return
+
+    def run(lo, hi):
+        cut = []
+        for a in args:
+            axis = a.ndim - grid_ndim if isinstance(a, np.ndarray) else -1
+            if axis >= 0 and a.shape[axis] == n:
+                a = a[(slice(None),) * axis + (slice(lo, hi),)]
+            cut.append(a)
+        kernel(*cut)
+
+    bounds = [n * i // count for i in range(count + 1)]
+    pool = _slab_pool()
+    futures = [pool.submit(run, bounds[i], bounds[i + 1]) for i in range(1, count)]
+    try:
+        run(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 class Grid:
@@ -277,13 +346,20 @@ def ifftn(values, axes=None, overwrite_x=False):
 
 
 def apply_symbol_array(symbol_values, f):
-    """Apply a precomputed symbol array to a GridFunction (hot path)."""
-    return GridFunction(f.grid, ifftn(symbol_values * fftn(f.values)))
+    """Apply a precomputed symbol array to a GridFunction, transform first: ifftn(fftn(f) * S)."""
+    fhat = fftn(f.values)
+    fhat *= symbol_values
+    return GridFunction(f.grid, ifftn(fhat, overwrite_x=True))
 
 
 def lp_norm_values(values, p, cell_volume):
     """Discrete L^p norm (h^d sum |v|^p)^(1/p) of a raw node array, finite p >= 1."""
-    return float((cell_volume * np.sum(np.abs(values) ** p)) ** (1.0 / p))
+    return lp_norm_of_powers(np.abs(values) ** p, p, cell_volume)
+
+
+def lp_norm_of_powers(powers, p, cell_volume):
+    """(h^d sum powers)^(1/p): ``lp_norm_values`` from the array |v|^p, summed in the same order."""
+    return float((cell_volume * np.sum(powers)) ** (1.0 / p))
 
 
 def lp_norm(f, p):

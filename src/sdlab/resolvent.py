@@ -37,7 +37,8 @@ transform.  A solve of k terms costs, in d = 3:
 
 A symbol S^alpha takes one value per distinct |k|^2 of the grid (827 at
 32^3, 4,051 at 64^3), so it is built as a level table over those values
-and gathered onto the grid with ``np.take``; a gathered symbol equals
+and gathered onto the grid by indexing it with the level index (``np.take``
+would copy the read-only index first); a gathered symbol equals
 ``np.power(zeta + k_squared, -alpha)`` bit for bit.  Only the exponents
 a series applies at every term (1, and 1/4, 3/4 for ``symmetric``) are
 kept as gathered n^d arrays; a chain exponent is gathered where it is
@@ -53,6 +54,14 @@ assembly has read it.
 
 A product of a symbol with a fresh transform is written transform first
 (``t = fftn(...); t *= S``), so it rounds the same way at every grid size.
+
+The elementwise passes of a series (the weight and symbol products, the
+gradient's ik_j products, the weighted sum, the p-norm powers and the
+update of the sum) go through ``grid.split_pass``: from 64^3 values on,
+each runs on slabs of the first grid axis across ``fft_workers()``
+threads, and below that it is one numpy call on the whole arrays.  A
+pass computes each value by the same operations on any split, so the
+worker count never changes a result.
 """
 
 from __future__ import annotations
@@ -72,7 +81,7 @@ from .errors import (
     SpectralDomainError,
 )
 from .fields import truncate
-from .grid import GridFunction, fftn, ifftn, lp_norm, lp_norm_values
+from .grid import GridFunction, fftn, ifftn, lp_norm, lp_norm_of_powers, lp_norm_values, split_pass
 
 __all__ = [
     "ResolventParams",
@@ -188,6 +197,64 @@ class LinearOp:
         return self.forward(values)
 
 
+# -- the elementwise kernels of a series, run through split_pass ------------
+#
+# Each takes a grid array first and writes each output value from the
+# inputs at the same position only, so a slab computes exactly what the
+# whole-array call computes there.
+
+
+def _gradient_slots(vhat, stack, sym, *iks):
+    """ik_j vhat into stack[j], the last first, so vhat may be stack[0];
+    with a symbol, vhat * sym goes into stack[0] first and is the one
+    differentiated"""
+    if sym is not None:
+        vhat = np.multiply(vhat, sym, out=stack[0])
+    for j in reversed(range(len(iks))):
+        np.multiply(iks[j], vhat, out=stack[j])
+
+
+def _weighted_sum(out, grads, weight):
+    """out = sum_j grads[j] * weight[j]; grads is overwritten"""
+    np.multiply(grads[0], weight[0], out=out)
+    for j in range(1, len(grads)):
+        grads[j] *= weight[j]
+        out += grads[j]
+
+
+def _conj_weighted_slots(v, stack, weight):
+    """conj(weight[j]) * v into stack[j], the last first, so v may be stack[0]"""
+    for j in reversed(range(len(stack))):
+        np.multiply(np.conj(weight[j]), v, out=stack[j])
+
+
+def _conj_divergence(acc, hats, sym, *iks):
+    """conj(sym) * sum_j conj(ik_j) hats[j] into acc = hats[0]"""
+    acc *= np.conj(iks[0])
+    for j in range(1, len(iks)):
+        hats[j] *= np.conj(iks[j])
+        acc += hats[j]
+    np.multiply(np.conj(sym), acc, out=acc)
+
+
+def _powers_and_update(term, powers, p, total=None, subtract=False):
+    """|term|^p into powers (the p-norm's summands, as ``lp_norm_values`` forms
+    them), then, given a total, total -= term or total += term"""
+    np.abs(term, out=powers)
+    powers **= p
+    if total is None:
+        return
+    if subtract:
+        total -= term
+    else:
+        total += term
+
+
+def _real_view(slot):
+    """A float64 array of the slot's shape in the first half of the complex slot's memory."""
+    return slot.reshape(-1).view(np.float64)[:slot.size].reshape(slot.shape)
+
+
 def _weight_vec(b, p):
     """b |b|^(1/p - 1), with the removable singularity at b = 0 filled by 0; float64 for a real b."""
     mag = b.magnitude()
@@ -280,7 +347,7 @@ class ResolventAssembly:
         key = float(alpha)
 
         def gather():
-            return np.take(self._table(key), self._levels[1])
+            return self._table(key)[self._levels[1]]
 
         if key not in self._series_exponents:
             return gather()
@@ -297,7 +364,8 @@ class ResolventAssembly:
     # stack.  A temporary goes to its transform with overwrite_x=True; the
     # caller's arrays never do.  A symbol multiplies a fresh transform in
     # place, so the transform is the left operand; an adjoint's conj(S) is
-    # the left operand, as numpy always ordered it.
+    # the left operand, as numpy always ordered it.  The elementwise passes
+    # between two transforms are one ``split_pass`` call.
 
     def _stack(self):
         """An uninitialized complex ``(d,) + shape`` stack, the workspace of one series."""
@@ -315,41 +383,28 @@ class ResolventAssembly:
         np.multiply(np.conj(self._sym(1.0)), vhat, out=vhat)
         return ifftn(vhat, overwrite_x=True)
 
-    def _weighted_gradient(self, vhat, stack, out):
-        """weight_vec . grad of the grid function whose transform is vhat, into out
+    def _weighted_gradient(self, vhat, stack, out, sym=None):
+        """weight_vec . grad of the grid function whose transform is vhat (times sym if given), into out
 
         vhat and out may be stack[0]: the components ik_j vhat fill the
         stack from the last one down, and go through one inverse transform.
         """
-        iks = self.grid.ik_components
-        for j in reversed(range(self.grid.d)):
-            np.multiply(iks[j], vhat, out=stack[j])
+        split_pass(_gradient_slots, vhat, stack, sym, *self.grid.ik_components)
         grads = ifftn(stack, axes=self.grid.stack_axes, overwrite_x=True)
-        np.multiply(grads[0], self.weight_vec[0], out=out)
-        for j in range(1, self.grid.d):
-            grads[j] *= self.weight_vec[j]
-            out += grads[j]
+        split_pass(_weighted_sum, out, grads, self.weight_vec)
         return out
 
     def _input_values(self, v):
         """weight_vec . grad (zeta - Lap)^(-1) v"""
         vhat = fftn(v)
-        vhat *= self._sym(1.0)
-        return self._weighted_gradient(vhat, self._stack(), vhat)
+        return self._weighted_gradient(vhat, self._stack(), vhat, self._sym(1.0))
 
     def _input_adjoint(self, v, stack):
         """Adjoint of the input factor applied to v, which may be stack[0], in the stack's first slot"""
-        iks, weight = self.grid.ik_components, self.weight_vec
-        for j in reversed(range(self.grid.d)):
-            np.multiply(np.conj(weight[j]), v, out=stack[j])
+        split_pass(_conj_weighted_slots, v, stack, self.weight_vec)
         hats = fftn(stack, axes=self.grid.stack_axes, overwrite_x=True)
-        acc = hats[0]
-        acc *= np.conj(iks[0])
-        for j in range(1, self.grid.d):
-            hats[j] *= np.conj(iks[j])
-            acc += hats[j]
-        np.multiply(np.conj(self._sym(1.0)), acc, out=acc)
-        return ifftn(acc, overwrite_x=True)
+        split_pass(_conj_divergence, hats[0], hats, self._sym(1.0), *self.grid.ik_components)
+        return ifftn(hats[0], overwrite_x=True)
 
     def _input_adjoint_values(self, v):
         return self._input_adjoint(v, self._stack())
@@ -365,15 +420,16 @@ class ResolventAssembly:
 
     def _loop(self, v, stack):
         """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v), in the stack's first slot"""
-        ahat = fftn(np.multiply(self.weight_out, v, out=stack[0]), overwrite_x=True)
-        ahat *= self._sym(1.0)
-        return self._weighted_gradient(ahat, stack, stack[0])
+        split_pass(np.multiply, self.weight_out, v, stack[0])
+        ahat = fftn(stack[0], overwrite_x=True)
+        return self._weighted_gradient(ahat, stack, stack[0], self._sym(1.0))
 
     def _loop_values(self, v):
         return self._loop(v, self._stack())
 
     def _loop_adjoint(self, v, stack):
-        return np.multiply(self._input_adjoint(v, stack), self.weight_out, out=stack[0])
+        split_pass(np.multiply, self._input_adjoint(v, stack), self.weight_out, stack[0])
+        return stack[0]
 
     def _loop_adjoint_values(self, v):
         return self._loop_adjoint(v, self._stack())
@@ -396,11 +452,10 @@ class ResolventAssembly:
         adjoint for real zeta, and is what makes the factorization an
         exact identity for complex zeta).
         """
-        ahat = np.multiply(vhat, self._sym(0.75), out=stack[0])
-        inner = self._weighted_gradient(ahat, stack, stack[0])
-        inner *= self.weight_out
+        inner = self._weighted_gradient(vhat, stack, stack[0], self._sym(0.75))
+        split_pass(np.multiply, inner, self.weight_out, inner)
         ihat = fftn(inner, overwrite_x=True)
-        ihat *= self._sym(0.25)
+        split_pass(np.multiply, ihat, self._sym(0.25), ihat)
         return ihat
 
     # -- public operator views ------------------------------------------
@@ -428,20 +483,25 @@ class ResolventAssembly:
     def _neumann(self, total, loop, stack, tol=None, kmax=None, cell_volume=None):
         """Sum over k of (-loop)^k g, accumulated in place into ``total`` = g.
 
-        Callers pass a temporary.  ``loop(v, stack)`` writes the loop
-        applied to v into stack[0] and returns it, so each term overwrites
-        the one before it, and the series holds ``total`` and the stack
-        whatever its length.  The k-th term is loop^k g, subtracted for odd
-        k: negation is exact and commutes with rounding, so these are the
-        sums of the negated terms.  Increments are p-norms with
-        ``cell_volume`` (h^d by default; h^d/N for a series on transforms,
-        by Parseval at p = 2).  Returns (sum, increments |term|_p).
+        Callers pass a temporary, not a slot of the stack.  ``loop(v,
+        stack)`` writes the loop applied to v into stack[0] and returns it,
+        so each term overwrites the one before it, and the series holds
+        ``total`` and the stack whatever its length.  The k-th term is
+        loop^k g, subtracted for odd k: negation is exact and commutes with
+        rounding, so these are the sums of the negated terms.  Increments
+        are p-norms with ``cell_volume`` (h^d by default; h^d/N for a
+        series on transforms, by Parseval at p = 2).  Each one writes |v|^p
+        into the stack's last slot, free between terms, in the pass that
+        updates the sum, and sums it as ``lp_norm_values`` does.  Returns
+        (sum, increments |term|_p).
         """
         tol = NEUMANN_TOL if tol is None else tol
         kmax = NEUMANN_KMAX if kmax is None else kmax
         hd = self.grid.cell_volume() if cell_volume is None else cell_volume
         p = self.params.p
-        norm_g = lp_norm_values(total, p, hd)
+        powers = _real_view(stack[-1])
+        split_pass(_powers_and_update, total, powers, p)
+        norm_g = lp_norm_of_powers(powers, p, hd)
         history = []
         if norm_g == 0.0:
             return total, history
@@ -449,11 +509,8 @@ class ResolventAssembly:
         grow = 0
         for k in range(kmax):
             term = loop(term, stack)
-            inc = lp_norm_values(term, p, hd)
-            if k % 2:
-                total += term
-            else:
-                total -= term
+            split_pass(_powers_and_update, term, powers, p, total, k % 2 == 0)
+            inc = lp_norm_of_powers(powers, p, hd)
             history.append(inc)
             if inc <= tol * norm_g:
                 return total, history
@@ -509,32 +566,34 @@ class ResolventAssembly:
         transform the caller no longer needs.
         """
         if self.zero_drift:
-            return np.multiply(self._sym(1.0), vhat, out=vhat)
+            split_pass(np.multiply, self._sym(1.0), vhat, vhat)
+            return vhat
         # the kept symbols are looked up before the stack is allocated: one
         # gathered on first use is held for good, and placed after the stack
         # it would pin the heap above the stack's freed block
         if self.representation == "symmetric":
             quarter, three_quarters = self._sym(0.25), self._sym(0.75)
-            vhat *= quarter
+            split_pass(np.multiply, vhat, quarter, vhat)
             volume = self.grid.cell_volume() / self.grid.node_count()
             w, _ = self._neumann(vhat, self._symmetric_loop, self._stack(), tol=tol, kmax=kmax,
                                  cell_volume=volume)
-            w *= three_quarters
+            split_pass(np.multiply, w, three_quarters, w)
             return w
         sym, (pre, post) = self._sym(1.0), self.chains
         stack = self._stack()
-        g = np.multiply(self._sym(pre[0]), vhat, out=stack[0])
-        np.multiply(sym, vhat, out=vhat)
+        g = stack[0]
+        split_pass(np.multiply, self._sym(pre[0]), vhat, g)
+        split_pass(np.multiply, sym, vhat, vhat)
         for alpha in pre[1:]:
-            np.multiply(self._sym(alpha), g, out=g)
+            split_pass(np.multiply, self._sym(alpha), g, g)
         g = self._weighted_gradient(g, stack, np.empty_like(vhat))
         w, _ = self._neumann(g, self._loop, stack, tol=tol, kmax=kmax)  # summed in place: w is g
         del stack  # frees the workspace before the post chain gathers its symbols
-        w *= self.weight_out
+        split_pass(np.multiply, w, self.weight_out, w)
         corr = fftn(w, overwrite_x=True)
         for alpha in post:
-            corr *= self._sym(alpha)
-        vhat -= corr
+            split_pass(np.multiply, corr, self._sym(alpha), corr)
+        split_pass(np.subtract, vhat, corr, vhat)
         return vhat
 
     def apply(self, f, tol=None, kmax=None):

@@ -3,11 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sdlab.fields import DriftSpec
-from sdlab.grid import Grid, GridFunction, GridVectorField
+from sdlab.grid import Grid, GridFunction, GridVectorField, fft_workers, set_fft_workers
+
+# property tests draw the same examples on every run, keep no example
+# database, and stay a few seconds long
+settings.register_profile("sdlab", derandomize=True, database=None, deadline=None, max_examples=25)
+settings.load_profile("sdlab")
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +55,13 @@ def hardy16(grid16):
 @pytest.fixture(scope="session")
 def zero_field16(grid16):
     return GridVectorField.zeros(grid16)
+
+
+@pytest.fixture
+def restore_fft_workers():
+    saved = fft_workers()
+    yield
+    set_fft_workers(saved)
 
 
 @pytest.fixture

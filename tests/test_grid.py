@@ -1,4 +1,6 @@
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from sdlab.grid import (
     GridVectorField,
     apply_symbol_array,
     bessel_norm,
-    fft_workers,
     fftn,
     fourier_eval,
     gradient_apply,
@@ -22,6 +23,7 @@ from sdlab.grid import (
     lp_norm,
     pairing,
     set_fft_workers,
+    split_pass,
 )
 from sdlab.gridio import save_grid_function
 from sdlab.resolvent import ResolventAssembly, ResolventParams
@@ -239,13 +241,6 @@ def test_fourier_eval_blocks_match_pointwise_sum(monkeypatch, rng, d, n):
     np.testing.assert_allclose(fourier_eval(f, pts), want, rtol=0, atol=1e-13)
 
 
-@pytest.fixture
-def restore_fft_workers():
-    saved = fft_workers()
-    yield
-    set_fft_workers(saved)
-
-
 def test_small_transforms_run_on_one_worker(monkeypatch, restore_fft_workers):
     seen = []
 
@@ -312,3 +307,96 @@ def test_gradient_apply_matches_componentwise_transforms(rng, d, n):
     grad = gradient_apply(f).values
     for j in range(d):
         assert grad[j].tobytes() == ifftn(grid.ik_components[j] * fhat).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_apply_symbol_array_multiplies_the_transform_first(rng, n):
+    # the order numpy's temporary elision gives from 32^3 on; with a complex
+    # symbol, S * fftn(f) rounds differently below that
+    grid = Grid(3, n, 16.0)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    sym = np.power(complex(2.0, 1.0) + grid.k_squared, -0.7)
+    t = fftn(f.values)
+    t *= sym
+    assert apply_symbol_array(sym, f).values.tobytes() == ifftn(t).tobytes()
+
+
+def recording_kernel(seen):
+    def kernel(out, *args):
+        seen.append((threading.get_ident(), out.shape))
+
+    return kernel
+
+
+def test_split_pass_with_one_worker_starts_no_thread(monkeypatch, restore_fft_workers):
+    monkeypatch.setattr(grid_module, "THREADED_MIN_NODES", 1)
+    set_fft_workers(1)
+    threads, seen = threading.active_count(), []
+    split_pass(recording_kernel(seen), np.zeros((8, 4, 4)))
+    assert seen == [(threading.get_ident(), (8, 4, 4))]
+    assert threading.active_count() == threads
+
+
+def test_split_pass_below_the_threshold_is_one_call(restore_fft_workers):
+    set_fft_workers(2)
+    threads, seen = threading.active_count(), []
+    split_pass(recording_kernel(seen), np.zeros((63, 64, 64)))
+    assert seen == [(threading.get_ident(), (63, 64, 64))]
+    assert threading.active_count() == threads
+    split_pass(recording_kernel(seen), np.zeros((64, 64, 64)))
+    assert sorted(shape for _, shape in seen[1:]) == [(32, 64, 64)] * 2
+
+
+@pytest.mark.parametrize("workers,n,planes", [(3, 8, [2, 3, 3]), (6, 4, [1, 1, 1, 1])],
+                         ids=["3-of-8", "6-capped-at-4"])
+def test_split_pass_makes_min_of_workers_and_planes_slabs(monkeypatch, restore_fft_workers,
+                                                          workers, n, planes):
+    monkeypatch.setattr(grid_module, "THREADED_MIN_NODES", 1)
+    set_fft_workers(workers)
+    seen = []
+    split_pass(recording_kernel(seen), np.zeros((n, 5, 5)))
+    assert sorted(shape[0] for _, shape in seen) == planes
+    assert all(shape[1:] == (5, 5) for _, shape in seen)
+    assert len({ident for ident, _ in seen}) <= len(planes)
+    assert threading.get_ident() in {ident for ident, _ in seen}
+
+
+def test_split_pass_cuts_each_argument_along_its_first_grid_axis(monkeypatch, restore_fft_workers, rng):
+    # a (d,) + shape stack is cut along axis 1, an axis of length 1 and a
+    # scalar broadcast whole; the slabs write what the whole call writes
+    monkeypatch.setattr(grid_module, "THREADED_MIN_NODES", 1)
+    set_fft_workers(3)
+    grid = Grid(3, 8, 16.0)
+    stack = rng.standard_normal((3,) + grid.shape)
+    ik0, ik1 = grid.ik_components[:2]
+
+    def kernel(out, stack, ik0, ik1, scale):
+        np.multiply(stack[1] * ik0 + ik1, scale, out=out)
+
+    out = np.empty(grid.shape, dtype=np.complex128)
+    split_pass(kernel, out, stack, ik0, ik1, 0.5)
+    want = np.empty_like(out)
+    kernel(want, stack, ik0, ik1, 0.5)
+    assert out.tobytes() == want.tobytes()
+
+
+def test_split_pass_under_fast_thread_switching(monkeypatch, restore_fft_workers, rng):
+    # more workers than cores, switching every microsecond: slabs that wrote
+    # over each other or a slab left out would change the in-place sum
+    monkeypatch.setattr(grid_module, "THREADED_MIN_NODES", 1)
+    set_fft_workers(4)
+    term = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
+    total, want = np.zeros_like(term), np.zeros_like(term)
+
+    def accumulate(total, term, scale):
+        total += term * scale
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(50):
+            split_pass(accumulate, total, term, 1.0 + k)
+            accumulate(want, term, 1.0 + k)
+    finally:
+        sys.setswitchinterval(saved)
+    assert total.tobytes() == want.tobytes()
