@@ -69,6 +69,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -223,9 +224,13 @@ def _weighted_sum(out, grads, weight):
 
 
 def _conj_weighted_slots(v, stack, weight):
-    """conj(weight[j]) * v into stack[j], the last first, so v may be stack[0]"""
+    """conj(weight[j]) * v into stack[j], the last first, so v may be stack[0]
+
+    A real weight is its own conjugate, so it is read in place, not copied.
+    """
+    real = not np.iscomplexobj(weight)
     for j in reversed(range(len(stack))):
-        np.multiply(np.conj(weight[j]), v, out=stack[j])
+        np.multiply(weight[j] if real else np.conj(weight[j]), v, out=stack[j])
 
 
 def _conj_divergence(acc, hats, sym, *iks):
@@ -591,8 +596,12 @@ class ResolventAssembly:
         del stack  # frees the workspace before the post chain gathers its symbols
         split_pass(np.multiply, w, self.weight_out, w)
         corr = fftn(w, overwrite_x=True)
-        for alpha in post:
-            split_pass(np.multiply, corr, self._sym(alpha), corr)
+        # a repeated exponent (split's 1/2, 1/2) is gathered once
+        for alpha, repeats in groupby(post):
+            power = self._sym(alpha)
+            for _ in repeats:
+                split_pass(np.multiply, corr, power, corr)
+            del power
         split_pass(np.subtract, vhat, corr, vhat)
         return vhat
 

@@ -37,7 +37,7 @@ __all__ = [
 CENSOR_LIMIT = 1e-3
 CHUNK = 8192
 # noise held at a time: a chunk's noise is drawn and stepped in path blocks of at most this size
-NOISE_BLOCK_BYTES = 32 * 2**20
+NOISE_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -86,21 +86,26 @@ class SimResult:
     payoff_se: float | None = None
 
 
-def _chunk_noise(seed, chunk_index, m, steps):
+def _block_paths(m, steps):
+    """Paths per noise block of an m-path chunk: the fewest near-equal blocks of at most
+    NOISE_BLOCK_BYTES, one path at least."""
+    fit = max(1, NOISE_BLOCK_BYTES // (steps * 3 * 8))  # paths per block, at most
+    return -(-m // -(-m // fit))
+
+
+def _chunk_noise(seed, chunk_index, m, buf):
     """Yield (offset, noise) over consecutive path blocks of one chunk's noise.
 
     The chunk's stream comes from (seed, chunk index), and the blocks are
     drawn from it one after another, so together they are the
-    ``(m, steps, 3)`` array of one draw, bit for bit.  The blocks are the
-    fewest near-equal ones of at most NOISE_BLOCK_BYTES (one path at
-    least), and each is drawn into the same buffer, so a block must be
-    used before the next one is asked for.
+    ``(m, steps, 3)`` array of one draw, bit for bit.  The blocks are
+    ``_block_paths(m, steps)`` paths long (the last one may be shorter),
+    and each is drawn into the front of ``buf``, a ``(rows, steps, 3)``
+    array with at least that many rows, so a block must be used before
+    the next one is asked for.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    fit = max(1, NOISE_BLOCK_BYTES // (steps * 3 * 8))  # paths per block, at most
-    blocks = -(-m // fit)
-    size = -(-m // blocks)
-    buf = np.empty((size, steps, 3))
+    size = _block_paths(m, buf.shape[1])
     for offset in range(0, m, size):
         block = buf[: min(size, m - offset)]
         rng.standard_normal(out=block)
@@ -117,7 +122,8 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     statistics bit for bit.  A chunk's noise is drawn and stepped in
     consecutive path blocks of at most NOISE_BLOCK_BYTES, which leaves
     every number as one draw per chunk gives it while the noise held at
-    a time no longer grows with the step count.
+    a time no longer grows with the step count.  Every block of every
+    chunk is drawn into one buffer, allocated once per call.
     """
     grid = sp.drift.grid
     if grid.d != 3:
@@ -135,13 +141,17 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     terminal = np.empty((sp.paths, 3))
     terminal[:] = sp.x0
     censored = np.zeros(sp.paths, dtype=np.bool_)
+    # one noise buffer for every chunk, sized for the longer block of the
+    # first chunk and the last one
+    last = sp.paths - CHUNK * ((sp.paths - 1) // CHUNK)
+    buf = np.empty((max(_block_paths(min(CHUNK, sp.paths), steps), _block_paths(last, steps)), steps, 3))
     for chunk_index, start in enumerate(range(0, sp.paths, CHUNK)):
         m = min(CHUNK, sp.paths - start)
-        for offset, noise in _chunk_noise(sp.seed, chunk_index, m, steps):
+        for offset, noise in _chunk_noise(sp.seed, chunk_index, m, buf):
             block = slice(start + offset, start + offset + len(noise))
             em_chunk(terminal[block], fieldarr, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi,
                      censored[block])
-        del noise  # frees the chunk's buffer before the next chunk draws its own
+    del buf, noise  # frees the noise before the payoff is read
     censored_total = int(censored.sum())
 
     frac = censored_total / sp.paths

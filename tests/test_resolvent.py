@@ -570,6 +570,48 @@ def test_direct_solve_holds_five_arrays_above_its_assembly():
     assert peak - base <= 5 * 2**19 + 2**18
 
 
+def test_adjoint_solve_holds_six_arrays_above_its_assembly():
+    # the adjoint of test_direct_solve_holds_five_arrays_above_its_assembly:
+    # free* (its transform, then the output), the series sum, the three-slot
+    # stack, and conj(S) in each term's divergence pass; a real weight_vec
+    # is read in place.  Measured: 6.01 arrays.
+    grid = Grid(3, 32, 16.0)
+    b = DriftSpec("hardy", c=0.2).on_grid(grid)
+    rng = np.random.default_rng(1)
+    f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    a = ResolventAssembly(make_params(p=2.0, zeta=complex(2.0, 1.0), lam=0.1), b)
+    a._apply_adjoint_values(f)  # looks up every array the assembly holds
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = a._apply_adjoint_values(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == 2**19
+    assert peak - base <= 6 * 2**19 + 2**18
+
+
+def test_split_post_chain_gathers_its_half_power_once(grid8, monkeypatch):
+    # split's post chain is (1/2, 1/2): one gathered S^(1/2), applied twice
+    b = DriftSpec("hardy", c=0.2).on_grid(grid8)
+    a = ResolventAssembly(make_params(p=2.0, zeta=complex(2.0, 1.0), lam=0.1), b, "split")
+    f = GridFunction(grid8, np.random.default_rng(3).standard_normal(grid8.shape) + 0j)
+    want = a.apply(f).values
+    calls = []
+    sym = ResolventAssembly._sym
+
+    def counted(self, alpha):
+        calls.append(float(alpha))
+        return sym(self, alpha)
+
+    monkeypatch.setattr(ResolventAssembly, "_sym", counted)
+    got = a.apply(f).values
+    assert calls.count(0.5) == 1
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("rep", ["direct", "fractional", "split", "symmetric"])
 def test_spectral_step_writes_into_its_argument(rep):
     # apply_spectral returns the caller's transform, overwritten: a step

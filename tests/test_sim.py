@@ -1,12 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import em_reference
 from sdlab import sim
-from sdlab._accel import em_chunk, trilinear_at
+from sdlab._accel import TILE, em_chunk, trilinear_at
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair, mollify, truncate
 from sdlab.grid import Grid, GridFunction, GridVectorField
 from sdlab.resolvent import ResolventParams
-from sdlab.sim import CHUNK, SimParams, _chunk_noise, mc_vs_semigroup, simulate_paths, strong_feller_probe
+from sdlab.sim import (CHUNK, SimParams, _block_paths, _chunk_noise, mc_vs_semigroup, simulate_paths,
+                       strong_feller_probe)
 
 
 def zero_drift(grid):
@@ -115,9 +121,18 @@ def _per_component_trilinear(field, points, n, h):
 def test_trilinear_matches_per_component_reference_off_the_base_period(g16):
     rng = np.random.default_rng(1)
     field = rng.standard_normal((3,) + g16.shape)
-    pts = rng.uniform(0.0, g16.length, size=(500, 3))
+    L = g16.length
+    # points next to both faces of the base period, then shifted off it by whole periods,
+    # so that some coordinates are negative and some at or above L
+    edge = np.array([0.0, 1e-13, g16.h / 2, L - g16.h / 2, L - 1e-13, L])
+    pts = np.concatenate([rng.uniform(0.0, L, size=(500, 3)), rng.choice(edge, size=(100, 3))])
     want = _per_component_trilinear(field, pts, g16.n, g16.h)
-    shifted = pts + g16.length * rng.integers(-2, 3, size=pts.shape)
+    shifted = pts + L * rng.integers(-2, 3, size=pts.shape)
+    shifted[-60:] = pts[-60:] - L * rng.integers(2, 4, size=(60, 3))  # negative in every coordinate
+    assert (shifted < 0).any() and (shifted >= L).any() and (shifted[-60:] < 0).all()
+    for at in (pts, shifted, -shifted):
+        got = trilinear_at(field, at, g16.n, g16.h)
+        np.testing.assert_array_equal(got, em_reference.trilinear_at(field, at, g16.n, g16.h))
     np.testing.assert_allclose(trilinear_at(field, shifted, g16.n, g16.h), want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(trilinear_at(field[1], pts, g16.n, g16.h), want[1], rtol=0, atol=1e-12)
 
@@ -143,7 +158,7 @@ def _em_lanes(g, field, drift_sign):
     """
     m, steps, dt = 2000, 120, 1e-3
     lo, hi = 2 * g.h, g.length - 2 * g.h
-    (_, noise), = _chunk_noise(5, 0, m, steps)
+    (_, noise), = _chunk_noise(5, 0, m, np.empty((m, steps, 3)))
     runs = []
     for lane in (em_chunk, _masked_em):
         pos = np.tile([lo + g.h, 8.0, hi - 0.5 * g.h], (m, 1))
@@ -175,6 +190,47 @@ def test_em_chunk_zero_field_equals_masked_lane(g16, drift_sign):
     np.testing.assert_array_equal(pos, want_pos)
 
 
+@functools.lru_cache
+def _smooth_field(n):
+    """A smooth drift on the n^3 grid of spacing 1/2, strong enough to move paths by cells."""
+    g = Grid(3, n, n / 2)
+    return np.ascontiguousarray(DriftSpec("smooth-random", amp=1.5, kmax=2, seed=n).on_grid(g).values.real)
+
+
+@given(n=st.sampled_from([6, 8, 10]), m=st.integers(30, 700), steps=st.integers(1, 3 * TILE + 1),
+       drift_sign=st.sampled_from([-1.0, 1.0]), zero_field=st.booleans(), seed=st.integers(0, 2**16))
+def test_em_chunk_equals_frozen_reference_bit_for_bit(n, m, steps, drift_sign, zero_field, seed):
+    # zero safety margin: a third of the paths start next to the lower faces and a
+    # third next to the upper ones, so that censored paths sit below 0 or above L and
+    # are still looked up at every step; the rest start in the middle
+    h = 0.5
+    L = n * h
+    field = np.zeros((3, n, n, n)) if zero_field else _smooth_field(n)
+    dt = 1e-2
+    noise = np.random.default_rng(seed).standard_normal((m, steps, 3))
+    start = np.full((m, 3), L / 2)
+    start[: m // 3] = h / 8
+    start[m // 3 : 2 * m // 3] = L - h / 8
+    runs = []
+    for kernel in (em_chunk, em_reference.em_chunk):
+        pos, censored = start.copy(), np.zeros(m, dtype=np.bool_)
+        kernel(pos, field, n, h, dt, np.sqrt(2 * dt), noise, drift_sign, 0.0, L, censored)
+        runs.append((pos, censored))
+    (pos, censored), (want_pos, want_censored) = runs
+    np.testing.assert_array_equal(censored, want_censored)
+    np.testing.assert_array_equal(pos, want_pos)
+    assert (pos < 0).any() and (pos > L).any()
+
+
+def test_block_paths_split_a_chunk_into_fewest_near_equal_blocks(monkeypatch):
+    # feller's 8192-path chunk at 300 steps: four blocks of 2048 paths, 14.7 MB each
+    assert sim.NOISE_BLOCK_BYTES == 16 * 2**20
+    assert _block_paths(8192, 300) == 2048
+    assert _block_paths(100_000 - 12 * CHUNK, 300) == 1696  # criterion 11's last chunk: one block
+    monkeypatch.setattr(sim, "NOISE_BLOCK_BYTES", 1)
+    assert _block_paths(5, 10) == 1  # one path at least
+
+
 def test_noise_blocks_equal_one_draw_per_chunk(g16, monkeypatch):
     # two chunks, each drawn and stepped in blocks, against one draw and one
     # em_chunk call per chunk; the start is one cell inside the safety box
@@ -185,16 +241,18 @@ def test_noise_blocks_equal_one_draw_per_chunk(g16, monkeypatch):
     steps, dt = sp.steps, sp.dt_effective
     budget = 400 * steps * 24 + 100
     monkeypatch.setattr(sim, "NOISE_BLOCK_BYTES", budget)
-    blocks = []
+    blocks, buffers = [], set()
 
     def checked(pos, field, n, h, dt, sqrt2dt, noise, *rest):
         assert noise.nbytes <= budget and len(pos) == len(noise)
         blocks.append(len(noise))
+        buffers.add(noise.__array_interface__["data"][0])
         em_chunk(pos, field, n, h, dt, sqrt2dt, noise, *rest)
 
     monkeypatch.setattr(sim, "em_chunk", checked)
     res = simulate_paths(sp, payoff=_bump, drift_sign=+1.0)
     assert len(blocks) >= 6 and sum(blocks) == sp.paths
+    assert len(buffers) == 1  # every block of both chunks is drawn into one buffer
 
     terminal = np.empty((sp.paths, 3))
     censored = np.zeros(sp.paths, dtype=np.bool_)
