@@ -234,13 +234,18 @@ def mollify(b, eps):
 def _top_eigenvalue(sym_sq, weight, seed):
     """Largest eigenvalue of S W S, with S^2 the real multiplier ``sym_sq`` and W the weight.
 
-    Lanczos runs on the similar operator W^(1/2) S^2 W^(1/2): with
+    The matvec is the similar operator W^(1/2) S^2 W^(1/2): with
     A = S W^(1/2) and B = W^(1/2) S, S W S = AB and W^(1/2) S^2 W^(1/2) = BA
     share their spectrum, and BA costs one FFT pair per matvec instead of
-    two.  Implicitly restarted Lanczos (ARPACK) run to machine precision
-    (tol=0).  The start vector is all-ones plus seeded noise, so flat
-    spectra (constant fields, whose maximizer is the zero mode) converge
-    at once.
+    two.
+
+    A uniform weight w (every value equal to the first, the zero weight
+    included) makes BA the multiplier w S^2.  S^2 = (lam + |k|^2)^(-2 alpha)
+    peaks at k = 0 for lam > 0, so the constant vector is a top
+    eigenvector, and the value is its Rayleigh quotient from one matvec,
+    exact up to rounding.  Any other weight runs implicitly restarted
+    Lanczos (ARPACK) to machine precision (tol=0) from the all-ones vector
+    plus seeded noise.
     """
     # imported here: scipy.sparse.linalg costs ~70 ms and ~10 MB to load,
     # and only the F and F_half estimators need it
@@ -255,6 +260,8 @@ def _top_eigenvalue(sym_sq, weight, seed):
         xhat *= sym_sq
         return (root * ifftn(xhat, overwrite_x=True).real).ravel()
 
+    if weight.min() == weight.max():  # uniform: the values are finite, and no mask is allocated
+        return float(np.sum(matvec(np.ones(n_total))) / n_total)
     lo = LinearOperator((n_total, n_total), matvec=matvec, dtype=np.float64)
     v0 = np.ones(n_total) + 0.01 * np.random.default_rng(seed).standard_normal(n_total)
     try:
@@ -271,16 +278,16 @@ def _fractional_symbol(grid, lam, alpha):
 def _estimate_weighted_class(name, b, lambda_grid, seed, power, alpha):
     """delta(lambda) = top eigenvalue of (lam-Lap)^(-alpha) |b|^power (lam-Lap)^(-alpha).
 
-    A zero weight gives delta = 0 without a solve (Lanczos cannot start
-    on the zero operator).
+    A field of uniform magnitude (a constant field, or the zero field, whose
+    delta is 0) costs one matvec per lambda; any other runs Lanczos (see
+    ``_top_eigenvalue``).
     """
     lams = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
     weight = b.magnitude() ** power
     grid = b.grid
     curve = np.zeros(len(lams))
-    if np.any(weight):
-        for i, lam in enumerate(lams):
-            curve[i] = _top_eigenvalue(_fractional_symbol(grid, lam, 2.0 * alpha), weight, seed)
+    for i, lam in enumerate(lams):
+        curve[i] = _top_eigenvalue(_fractional_symbol(grid, lam, 2.0 * alpha), weight, seed)
     i0 = int(np.argmin(curve))
     return ClassEstimate(name, float(curve[i0]), float(lams[i0]), lams.copy(), curve)
 

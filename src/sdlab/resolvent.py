@@ -105,7 +105,8 @@ NEUMANN_KMAX = 200
 
 # The arrays assemblies share: weights under (field, p, name), the level index
 # under (grid, "levels") and (grid, "index"), level tables under (grid, zeta,
-# alpha) and kept symbols under (grid, zeta, alpha, "array").  A field key
+# alpha), kept symbols under (grid, zeta, alpha, "array") and the adjoint's
+# conjugate symbol under (grid, zeta, 1.0, "conj").  A field key
 # holds the field, so its identity is not reused while the entry lives.
 _SHARED = weakref.WeakValueDictionary()
 
@@ -187,12 +188,20 @@ class ResolventParams:
 
 
 class LinearOp:
-    """Matrix-free operator on grid value arrays with an adjoint."""
+    """Matrix-free operator on grid value arrays with an adjoint.
 
-    def __init__(self, grid, forward, adjoint=None):
+    ``symbol``, when set, states that the operator is the Fourier
+    multiplier with these values at the grid frequencies (``loop_factor``
+    sets it when its weights are uniform); ``estimate_op_norm`` at p = 2
+    then reads the peak of |symbol| and applies ``forward`` once, to the
+    plane wave there.
+    """
+
+    def __init__(self, grid, forward, adjoint=None, symbol=None):
         self.grid = grid
         self.forward = forward
         self.adjoint = adjoint
+        self.symbol = symbol
 
     def __call__(self, values):
         return self.forward(values)
@@ -233,13 +242,13 @@ def _conj_weighted_slots(v, stack, weight):
         np.multiply(weight[j] if real else np.conj(weight[j]), v, out=stack[j])
 
 
-def _conj_divergence(acc, hats, sym, *iks):
-    """conj(sym) * sum_j conj(ik_j) hats[j] into acc = hats[0]"""
+def _conj_divergence(acc, hats, sym_conj, *iks):
+    """sym_conj * sum_j conj(ik_j) hats[j] into acc = hats[0]"""
     acc *= np.conj(iks[0])
     for j in range(1, len(iks)):
         hats[j] *= np.conj(iks[j])
         acc += hats[j]
-    np.multiply(np.conj(sym), acc, out=acc)
+    np.multiply(sym_conj, acc, out=acc)
 
 
 def _powers_and_update(term, powers, p, total=None, subtract=False):
@@ -277,10 +286,10 @@ class ResolventAssembly:
     float64 factor to complex before it multiplies a complex array, so
     both give the same products.  ``weight_in_mag`` = |b|^(1/p), which
     only ``weighted_resolvent`` reads, the grid's level index, the level
-    tables of the symbols (zeta + |k|^2)^(-alpha) (``_tables``) and the
-    gathered symbols of the series exponents (``_kept``) are looked up on
-    first use, so applying an assembly mutates it; a value never changes
-    once stored.
+    tables of the symbols (zeta + |k|^2)^(-alpha) (``_tables``), the
+    gathered symbols of the series exponents (``_kept``) and the adjoints'
+    conjugate symbol (``_sym_conj``) are looked up on first use, so
+    applying an assembly mutates it; a value never changes once stored.
 
     Each array comes from the module's shared index, so assemblies of one
     (field, p) hold one set of weights, and assemblies of one (grid, zeta)
@@ -360,6 +369,17 @@ class ResolventAssembly:
             self._kept[key] = _shared((self.grid, self.params.zeta, key, "array"), gather)
         return self._kept[key]
 
+    @cached_property
+    def _sym_conj(self):
+        """conj((zeta + |k|^2)^(-1)), the adjoints' symbol, gathered on first adjoint use and kept.
+
+        Gathered from the conjugated level table, which equals the
+        conjugate of the gathered symbol bit for bit; forward solves never
+        build it.
+        """
+        grid, zeta = self.grid, self.params.zeta
+        return _shared((grid, zeta, 1.0, "conj"), lambda: np.conj(self._table(1.0))[self._levels[1]])
+
     # -- factor applications on raw value arrays ------------------------
     #
     # A loop (``_loop``, ``_loop_adjoint``, ``_symmetric_loop``) takes one
@@ -368,9 +388,9 @@ class ResolventAssembly:
     # before.  The d gradient components go through one transform of the
     # stack.  A temporary goes to its transform with overwrite_x=True; the
     # caller's arrays never do.  A symbol multiplies a fresh transform in
-    # place, so the transform is the left operand; an adjoint's conj(S) is
-    # the left operand, as numpy always ordered it.  The elementwise passes
-    # between two transforms are one ``split_pass`` call.
+    # place, so the transform is the left operand; an adjoint's conj(S)
+    # (``_sym_conj``) is the left operand, as numpy always ordered it.  The
+    # elementwise passes between two transforms are one ``split_pass`` call.
 
     def _stack(self):
         """An uninitialized complex ``(d,) + shape`` stack, the workspace of one series."""
@@ -385,7 +405,7 @@ class ResolventAssembly:
     def _free_adjoint(self, v):
         """(conj(zeta) - Lap)^(-1) v"""
         vhat = fftn(v)
-        np.multiply(np.conj(self._sym(1.0)), vhat, out=vhat)
+        np.multiply(self._sym_conj, vhat, out=vhat)
         return ifftn(vhat, overwrite_x=True)
 
     def _weighted_gradient(self, vhat, stack, out, sym=None):
@@ -408,7 +428,7 @@ class ResolventAssembly:
         """Adjoint of the input factor applied to v, which may be stack[0], in the stack's first slot"""
         split_pass(_conj_weighted_slots, v, stack, self.weight_vec)
         hats = fftn(stack, axes=self.grid.stack_axes, overwrite_x=True)
-        split_pass(_conj_divergence, hats[0], hats, self._sym(1.0), *self.grid.ik_components)
+        split_pass(_conj_divergence, hats[0], hats, self._sym_conj, *self.grid.ik_components)
         return ifftn(hats[0], overwrite_x=True)
 
     def _input_adjoint_values(self, v):
@@ -472,7 +492,21 @@ class ResolventAssembly:
         return LinearOp(self.grid, self._output_values, self._output_adjoint_values)
 
     def loop_factor(self):
-        return LinearOp(self.grid, self._loop_values, self._loop_adjoint_values)
+        return LinearOp(self.grid, self._loop_values, self._loop_adjoint_values, self._loop_symbol())
+
+    def _loop_symbol(self):
+        """The loop factor's multiplier when weight_vec and weight_out are uniform, else None.
+
+        With every value of each weight equal to its first, the loop is
+        weight_out (weight_vec . ik) (zeta + |k|^2)^(-1), built from the
+        ``ik_components`` and ``_sym(1.0)`` the loop applies.
+        """
+        wv, wo = self.weight_vec, self.weight_out
+        # uniform when min == max: the values are finite, and no mask is allocated
+        if not (wo.min() == wo.max() and all(w.min() == w.max() for w in wv)):
+            return None
+        ik_dot = sum(w.flat[0] * ik for w, ik in zip(wv, self.grid.ik_components))
+        return wo.flat[0] * ik_dot * self._sym(1.0)
 
     def weighted_resolvent(self):
         return LinearOp(self.grid, self._weighted_resolvent_values, self._weighted_resolvent_adjoint_values)
@@ -622,26 +656,45 @@ def apply_generator(b, f):
     return GridFunction(f.grid, -laplacian_apply(f).values + advect)
 
 
-def _dual_vector(v, p):
-    """Duality map of the p-norm: |v|^(p-1) * phase(v)."""
-    mag = np.abs(v)
-    phase = np.where(mag > 0, v / np.where(mag > 0, mag, 1.0), 0.0)
+def _dual_vector(v, mag, p):
+    """Duality map of the p-norm: |v|^(p-1) * phase(v), given mag = |v|."""
+    phase = np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
     return mag ** (p - 1.0) * phase
 
 
-def _top_singular_value(op, tol, seed):
-    """Largest singular value of ``op`` on complex grid arrays, by Lanczos (ARPACK svds).
+def _plane_wave(grid, index):
+    """exp(i k.x) at the grid nodes, k the frequency at ``index`` of the grid's transforms."""
+    n = grid.n
+    m = np.arange(n)
+    wave = np.ones(grid.shape, dtype=np.complex128)
+    for j, i in enumerate(index):
+        axis = [1] * grid.d
+        axis[j] = n
+        wave *= np.exp(2j * np.pi * (i * m % n) / n).reshape(axis)
+    return wave
 
-    The returned value is |op v| for the unit Ritz vector v, so it never
-    exceeds the true top singular value.  The matvecs look up
-    ``op.forward``/``op.adjoint`` at call time, so wrappers installed on
-    the op after it was built still see every call.
+
+def _top_singular_value(op, tol, seed):
+    """Largest singular value of ``op`` on complex grid arrays: |op v| for a unit v.
+
+    A multiplier (``op.symbol`` set) has the plane wave at the peak of
+    |symbol| for a top singular vector: v is that wave, and one forward
+    call gives the value, exact up to rounding: |op v| can exceed the
+    norm by rounding alone (it came within 5e-14 relative of the closed
+    form, on either side, on 8^3 to 32^3 and 8^4 grids).  Otherwise v is
+    the unit Ritz vector of Lanczos (ARPACK svds), so the value does not
+    exceed the true top singular value.  The matvecs look up ``op.forward``/
+    ``op.adjoint`` at call time, so wrappers installed on the op after it
+    was built still see every call.
     """
+    shape = op.grid.shape
+    if op.symbol is not None:
+        wave = _plane_wave(op.grid, np.unravel_index(np.argmax(np.abs(op.symbol)), shape))
+        return float(np.linalg.norm(op.forward(wave)) / np.linalg.norm(wave))
     # imported here: scipy.sparse.linalg costs ~70 ms and ~10 MB to load,
-    # and only the p = 2 norm needs it
+    # and only the p = 2 norm of a non-multiplier needs it
     from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-    shape = op.grid.shape
     n_total = op.grid.node_count()
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n_total) + 1j * rng.standard_normal(n_total)
@@ -663,16 +716,19 @@ def _top_singular_value(op, tol, seed):
 
 
 def estimate_op_norm(op, p, n_starts=64, tol=1e-4, seed=0):
-    """Lower estimate of the L^p -> L^p operator norm; requires the adjoint.
+    """Estimate of the L^p -> L^p operator norm; requires the adjoint.
 
-    At p == 2 the norm is the top singular value, computed by one Lanczos
+    At p == 2 the norm is the top singular value (``_top_singular_value``);
+    ``n_starts`` is ignored there.  For a multiplier (``op.symbol`` set,
+    as on a constant drift's loop factor) it is exact up to rounding, from
+    one forward call and no adjoint call.  Otherwise it is one Lanczos
     (ARPACK ``svds``) call to relative tolerance ``tol`` from a seeded
-    start; ``n_starts`` is ignored there.  A Ritz value never exceeds the
-    top singular value, so the result is still a lower estimate, and a
-    sharper one than the power iteration gives.  Otherwise: restarted
-    nonlinear power iteration on the norm ratio (Boyd's ascent on the
-    dual vectors), at most 100 steps from each of ``n_starts`` random
-    starts, returning the largest ratio found.
+    start: a Ritz value never exceeds the top singular value, so the
+    result is a lower estimate, and a sharper one than the power
+    iteration gives.  At p != 2, every operator, multiplier or not, runs
+    restarted nonlinear power iteration on the norm ratio (Boyd's ascent
+    on the dual vectors), at most 100 steps from each of ``n_starts``
+    random starts, and returns the largest ratio found, a lower estimate.
     """
     if p == 2.0:
         return _top_singular_value(op, tol, seed)
@@ -688,12 +744,13 @@ def estimate_op_norm(op, p, n_starts=64, tol=1e-4, seed=0):
         est_prev = 0.0
         for _ in range(100):
             y = op.forward(x)
-            est = lp_norm_values(y, p, hd)
+            mag = np.abs(y)  # read by the norm and by the dual vector
+            est = lp_norm_of_powers(mag ** p, p, hd)
             if est <= est_prev * (1.0 + tol):
                 break
             est_prev = est
-            z = op.adjoint(_dual_vector(y, p))
-            x = _dual_vector(z, p_conj)
+            z = op.adjoint(_dual_vector(y, mag, p))
+            x = _dual_vector(z, np.abs(z), p_conj)
             nx = lp_norm_values(x, p, hd)
             if nx == 0.0:
                 break

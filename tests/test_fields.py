@@ -115,9 +115,9 @@ def test_estimators_constant_field_closed_forms():
     b = const_field(g, [c, 0.0, 0.0])
     lams = np.array([0.5, 2.0, 50.0])
     half = estimate_class_F_half(b, lambda_grid=lams)
-    np.testing.assert_allclose(half.delta_curve, c / np.sqrt(lams), rtol=1e-6)
+    np.testing.assert_allclose(half.delta_curve, c / np.sqrt(lams), rtol=1e-13)
     full = estimate_class_F(b, lambda_grid=lams)
-    np.testing.assert_allclose(full.delta_curve, c * c / lams, rtol=1e-6)
+    np.testing.assert_allclose(full.delta_curve, c * c / lams, rtol=1e-13)
     # 1->1 norms carry the Gibbs ringing of the truncated kernel, so they
     # track c/sqrt(lam) only for lam resolved by the grid, and from above
     g16 = Grid(3, 16, 8.0)
@@ -128,11 +128,15 @@ def test_estimators_constant_field_closed_forms():
     np.testing.assert_allclose(kato.delta_curve, c / np.sqrt(lams_res), rtol=0.05)
 
 
-def test_estimators_zero_field():
+def test_estimators_zero_field(monkeypatch):
+    import scipy.sparse.linalg
+
     g = Grid(3, 8, 8.0)
     b = GridVectorField.zeros(g)
-    assert estimate_class_F_half(b, lambda_grid=[1.0]).delta == pytest.approx(0.0, abs=1e-12)
-    assert estimate_class_F(b, lambda_grid=[1.0]).delta == pytest.approx(0.0, abs=1e-12)
+    # a zero weight is uniform: one matvec, no Lanczos
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", None)
+    assert estimate_class_F_half(b, lambda_grid=[1.0]).delta == 0.0
+    assert estimate_class_F(b, lambda_grid=[1.0]).delta == 0.0
     assert estimate_class_K(b, lambda_grid=[1.0]).delta == pytest.approx(0.0, abs=1e-12)
 
 
@@ -153,7 +157,7 @@ def test_estimator_matvec_costs_one_fft_pair(monkeypatch, fn):
     import scipy.sparse.linalg
     from sdlab import fields
 
-    counts = {"fft": 0, "matvec": 0}
+    counts = {"fft": 0, "matvec": 0, "eigsh": 0}
     real_eigsh = scipy.sparse.linalg.eigsh
 
     def counted_fft(transform):
@@ -164,6 +168,8 @@ def test_estimator_matvec_costs_one_fft_pair(monkeypatch, fn):
         return wrapped
 
     def counted_eigsh(op, **kwargs):
+        counts["eigsh"] += 1
+
         def matvec(x):
             counts["matvec"] += 1
             return op.matvec(x)
@@ -176,6 +182,18 @@ def test_estimator_matvec_costs_one_fft_pair(monkeypatch, fn):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
     fn(DriftSpec("hardy", c=0.3).on_grid(Grid(3, 8, 8.0)), lambda_grid=[1.0])
     assert counts["matvec"] > 0
+    assert counts["fft"] == 2 * counts["matvec"]
+    # a constant field: one matvec, two transforms, per lambda, and no Lanczos
+    counts.update(fft=0, matvec=0, eigsh=0)
+    b = const_field(Grid(3, 8, 8.0), [0.3, 0.0, 0.1])
+    fn(b, lambda_grid=[0.1, 1.0, 1e4])
+    assert counts == {"fft": 6, "matvec": 0, "eigsh": 0}
+    # uniform but at one node: Lanczos
+    counts.update(fft=0, matvec=0, eigsh=0)
+    vals = b.values.copy()
+    vals[0, 5, 1, 2] = 0.35
+    fn(GridVectorField(b.grid, vals), lambda_grid=[2.0])
+    assert counts["eigsh"] == 1 and counts["matvec"] > 1
     assert counts["fft"] == 2 * counts["matvec"]
 
 
