@@ -162,7 +162,11 @@ def _input_from(cfg, grid, seed, with_callable=False):
             raise ConfigError(f"f.{key}: unknown key for input kind {kind!r}")
     if kind == "bump":
         sigma2 = float(fc.get("sigma2", (grid.length / 8.0) ** 2))
+        if not sigma2 > 0:
+            raise ConfigError(f"f.sigma2: expected a positive width, got {sigma2!r}")
         c = np.asarray(fc.get("center", [grid.length / 2.0] * grid.d), dtype=float)
+        if c.shape != (grid.d,):
+            raise ConfigError(f"f.center: expected {grid.d} coordinates, got {fc['center']!r}")
         coords = grid.coordinates()
         r2 = sum((x - ci) ** 2 for x, ci in zip(coords, c))
         f = GridFunction(grid, np.exp(-r2 / sigma2).astype(np.complex128))

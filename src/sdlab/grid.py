@@ -7,9 +7,9 @@ Fourier multipliers (zeta + |k|^2)^(-alpha) on the discrete frequency
 set, which makes every operator in this package exact on the grid up to
 floating point.
 
-Every transform in sdlab goes through ``fftn``/``ifftn`` here.  One call
-may transform a ``(d,) + shape`` stack of arrays over ``axes`` = (1, ...,
-d) at once, as the spectral gradient does.  A call on fewer than
+Every transform in sdlab goes through ``fftn``/``ifftn``/``irfftn`` here.
+One call may transform a ``(d,) + shape`` stack of arrays over ``axes`` =
+(1, ..., d) at once, as the spectral gradient does.  A call on fewer than
 ``THREADED_MIN_NODES`` (64^3) values in all runs on one worker, so a
 (3, 32^3) stack does; a larger one runs on ``fft_workers()`` workers
 (``SDL_THREADS`` or ``--threads``).  Below 64^3 a second worker costs a
@@ -18,9 +18,9 @@ each 1-D line the same way on any thread and in any batch, so neither
 the worker count nor the stacking changes a result.
 
 The elementwise passes between the transforms of a Neumann series follow
-the same rule through ``split_pass``: from 64^3 grid values on, a pass
-runs on min(``fft_workers()``, n) slabs of the first grid axis, one on
-the calling thread and the rest on a thread pool built on first use;
+the same rule through ``split_pass``: on a grid of 64^3 values or more, a
+pass runs on min(``fft_workers()``, n) slabs of the first grid axis, one
+on the calling thread and the rest on a thread pool built on first use;
 below it, the pass is one numpy call on the whole arrays.  Each output
 value is computed by the same operations either way.
 """
@@ -108,12 +108,13 @@ def _slab_pool():
 def split_pass(kernel, *args):
     """Run the elementwise ``kernel(*args)``, on slabs of the first grid axis from THREADED_MIN_NODES values.
 
-    The first argument is a grid array: its size picks the path, its first
-    axis is the one cut, and its ndim is the grid's.  Below
-    THREADED_MIN_NODES values, or with one worker, the kernel runs once on
-    the arguments as they are.  Otherwise it runs on min(fft_workers(), n)
-    slabs of about n/count planes each, the first on the calling thread and
-    the rest on the pool, and returns when all are done.  An array argument
+    The first argument is a grid array, or its last-axis half spectrum: its
+    first axis (n planes) is the one cut, its ndim is the grid's, and the
+    grid's n^ndim values pick the path.  Below THREADED_MIN_NODES grid
+    values, or with one worker, the kernel runs once on the arguments as
+    they are.  Otherwise it runs on min(fft_workers(), n) slabs of about
+    n/count planes each, the first on the calling thread and the rest on
+    the pool, and returns when all are done.  An array argument
     is cut along its first grid axis (axis ``ndim - grid ndim``, so a
     ``(d,) + shape`` stack is cut along axis 1) when that axis has the n
     planes; any other argument (an axis of length 1 that broadcasts, a
@@ -123,7 +124,7 @@ def split_pass(kernel, *args):
     """
     first = args[0]
     n, grid_ndim = first.shape[0], first.ndim
-    count = min(_FFT_WORKERS, n) if first.size >= THREADED_MIN_NODES else 1
+    count = min(_FFT_WORKERS, n) if n ** grid_ndim >= THREADED_MIN_NODES else 1
     if count == 1:
         kernel(*args)
         return
@@ -186,9 +187,19 @@ class Grid:
             shape[j] = self.n
             self.k_components.append(k1.reshape(shape))
         self.k_squared = sum(kc ** 2 for kc in self.k_components)
-        # the odd symbols 1j*k_j of d/dx_j, the one place they are built; they keep
-        # the unpaired Nyquist entry, so they map real data to complex data
+        # the odd symbols 1j*k_j of d/dx_j; they keep the unpaired Nyquist entry, so
+        # they map real data to complex data.  Every path reads them except the
+        # real lane of ``evolve``, which reads ik_half_components
         self.ik_components = [1j * kc for kc in self.k_components]
+        # the real lane's odd symbols: the Nyquist entry of each axis is zeroed, so
+        # they map real data to real data (the derivative of the real
+        # interpolant), and the last axis keeps only the n//2 + 1 frequencies of
+        # the half spectrum that ``irfftn`` reads
+        self.half_shape = self.shape[:-1] + (self.n // 2 + 1,)
+        k_real = k1.copy()
+        k_real[self.n // 2] = 0.0
+        self.ik_half_components = [1j * k_real.reshape(kc.shape) for kc in self.k_components]
+        self.ik_half_components[-1] = self.ik_half_components[-1][..., :self.half_shape[-1]]
         # the axes of one grid array in a (d,) + shape stack of them
         self.stack_axes = tuple(range(1, self.d + 1))
         x1 = self.h * np.arange(self.n)
@@ -343,6 +354,16 @@ def fftn(values, axes=None, overwrite_x=False):
 
 def ifftn(values, axes=None, overwrite_x=False):
     return _numpy_dtype(_fft.ifftn(values, axes=axes, overwrite_x=overwrite_x, workers=_workers(values)))
+
+
+def irfftn(values, s, axes=None, overwrite_x=False):
+    """scipy.fft.irfftn: the real array of shape ``s`` over ``axes`` whose transform has ``values``
+    on the last axis's n//2 + 1 nonnegative frequencies; the worker rule of ``fftn``.
+
+    The output is a new float64 array; with ``overwrite_x`` the input may
+    be destroyed.
+    """
+    return _numpy_dtype(_fft.irfftn(values, s=s, axes=axes, overwrite_x=overwrite_x, workers=_workers(values)))
 
 
 def apply_symbol_array(symbol_values, f):

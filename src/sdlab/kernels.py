@@ -272,7 +272,9 @@ def truncation_l1_curve(b, f, zeta, levels):
     grid = b.grid
     sym = np.power(complex(zeta) + grid.k_squared, -1.0)
     fhat = fftn(f.values)
-    grad = [ifftn(ik * sym * fhat) for ik in grid.ik_components]
+    # the d components in one inverse transform, as in grid.gradient_apply
+    grad = ifftn(np.stack([ik * sym * fhat for ik in grid.ik_components]), axes=grid.stack_axes,
+                 overwrite_x=True)
     out = []
     for lev in levels:
         dv = b.values - truncate(b, lev).values

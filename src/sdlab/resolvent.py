@@ -35,6 +35,14 @@ transform.  A solve of k terms costs, in d = 3:
   scipy calls (an ``evolve`` step, 4k + 4 in 2k + 2);
 * ``symmetric`` -- 4k + 2 transforms in 2k + 2 calls.
 
+``apply_spectral_real``, the real lane of ``evolve`` (real data, real
+zeta and drift), makes the same 4k + 4 transforms in 2k + 2 calls: k + 1
+``fftn`` calls on float64 arrays and k + 1 ``irfftn`` calls, each on a
+stack of the gradient's d components over the last-axis half of the
+spectrum.  Its grid arrays are float64, and its odd symbols are
+``Grid.ik_half_components``, with the Nyquist entry zeroed, so it
+applies the real operator; every other path reads ``Grid.ik_components``.
+
 A symbol S^alpha takes one value per distinct |k|^2 of the grid (827 at
 32^3, 4,051 at 64^3), so it is built as a level table over those values
 and gathered onto the grid by indexing it with the level index (``np.take``
@@ -82,7 +90,7 @@ from .errors import (
     SpectralDomainError,
 )
 from .fields import truncate
-from .grid import GridFunction, fftn, ifftn, lp_norm, lp_norm_of_powers, lp_norm_values, split_pass
+from .grid import GridFunction, fftn, ifftn, irfftn, lp_norm, lp_norm_of_powers, lp_norm_values, split_pass
 
 __all__ = [
     "ResolventParams",
@@ -191,10 +199,10 @@ class LinearOp:
     """Matrix-free operator on grid value arrays with an adjoint.
 
     ``symbol``, when set, states that the operator is the Fourier
-    multiplier with these values at the grid frequencies (``loop_factor``
-    sets it when its weights are uniform); ``estimate_op_norm`` at p = 2
-    then reads the peak of |symbol| and applies ``forward`` once, to the
-    plane wave there.
+    multiplier with these values at the grid frequencies (each factor view
+    of ``ResolventAssembly`` sets it when the factor's weights are
+    uniform); ``estimate_op_norm`` at p = 2 then reads the peak of |symbol|
+    and applies ``forward`` once, to the plane wave there.
     """
 
     def __init__(self, grid, forward, adjoint=None, symbol=None):
@@ -264,9 +272,13 @@ def _powers_and_update(term, powers, p, total=None, subtract=False):
         total += term
 
 
-def _real_view(slot):
-    """A float64 array of the slot's shape in the first half of the complex slot's memory."""
-    return slot.reshape(-1).view(np.float64)[:slot.size].reshape(slot.shape)
+def _real_view(slot, shape):
+    """A float64 array of the given shape at the start of the complex slot's memory.
+
+    A grid-shaped slot holds it in its first half, and a half-spectrum slot
+    (``Grid.half_shape``) in all but its last 2 n^(d-1) values.
+    """
+    return slot.reshape(-1).view(np.float64)[:np.prod(shape)].reshape(shape)
 
 
 def _weight_vec(b, p):
@@ -385,16 +397,23 @@ class ResolventAssembly:
     # A loop (``_loop``, ``_loop_adjoint``, ``_symmetric_loop``) takes one
     # ``(d,) + shape`` complex stack as its whole workspace and returns its
     # value in the stack's first slot; v may be the value it returned
-    # before.  The d gradient components go through one transform of the
-    # stack.  A temporary goes to its transform with overwrite_x=True; the
-    # caller's arrays never do.  A symbol multiplies a fresh transform in
-    # place, so the transform is the left operand; an adjoint's conj(S)
+    # before.  On the real lane ``_loop`` takes a half-spectrum stack and
+    # returns a float64 value in the real view of its first slot.  The d
+    # gradient components go through one transform of the stack.  A
+    # temporary goes to its transform with overwrite_x=True; the caller's
+    # arrays never do.  A symbol multiplies a fresh transform in place, so
+    # the transform is the left operand; an adjoint's conj(S)
     # (``_sym_conj``) is the left operand, as numpy always ordered it.  The
     # elementwise passes between two transforms are one ``split_pass`` call.
 
-    def _stack(self):
-        """An uninitialized complex ``(d,) + shape`` stack, the workspace of one series."""
-        return np.empty((self.grid.d,) + self.grid.shape, dtype=np.complex128)
+    def _stack(self, real=False):
+        """An uninitialized complex ``(d,) + shape`` stack, the workspace of one series.
+
+        The real lane's stack covers the last-axis half of the spectrum,
+        ``(d,) + Grid.half_shape``.
+        """
+        shape = self.grid.half_shape if real else self.grid.shape
+        return np.empty((self.grid.d,) + shape, dtype=np.complex128)
 
     def _free(self, v):
         """(zeta - Lap)^(-1) v"""
@@ -413,9 +432,20 @@ class ResolventAssembly:
 
         vhat and out may be stack[0]: the components ik_j vhat fill the
         stack from the last one down, and go through one inverse transform.
+        A float64 ``out`` takes the real lane: the components are formed on
+        the last-axis half of vhat and sym with the Nyquist-zeroed
+        ``ik_half_components``, into a half-spectrum stack, and the inverse
+        is one ``irfftn``; ``out`` may then be the real view of stack[0].
         """
-        split_pass(_gradient_slots, vhat, stack, sym, *self.grid.ik_components)
-        grads = ifftn(stack, axes=self.grid.stack_axes, overwrite_x=True)
+        grid = self.grid
+        if np.iscomplexobj(out):
+            split_pass(_gradient_slots, vhat, stack, sym, *grid.ik_components)
+            grads = ifftn(stack, axes=grid.stack_axes, overwrite_x=True)
+        else:
+            half = (..., slice(grid.half_shape[-1]))
+            split_pass(_gradient_slots, vhat[half], stack, None if sym is None else sym[half],
+                       *grid.ik_half_components)
+            grads = irfftn(stack, grid.shape, axes=grid.stack_axes, overwrite_x=True)
         split_pass(_weighted_sum, out, grads, self.weight_vec)
         return out
 
@@ -444,13 +474,19 @@ class ResolventAssembly:
         return out
 
     def _loop(self, v, stack):
-        """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v), in the stack's first slot"""
-        split_pass(np.multiply, self.weight_out, v, stack[0])
-        ahat = fftn(stack[0], overwrite_x=True)
-        return self._weighted_gradient(ahat, stack, stack[0], self._sym(1.0))
+        """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v), in the stack's first slot
+
+        A float64 v takes the real lane, with a half-spectrum stack: the
+        value is float64, in the real view of stack[0].
+        """
+        out = stack[0] if np.iscomplexobj(v) else _real_view(stack[0], self.grid.shape)
+        split_pass(np.multiply, self.weight_out, v, out)
+        ahat = fftn(out, overwrite_x=True)
+        return self._weighted_gradient(ahat, stack, out, self._sym(1.0))
 
     def _loop_values(self, v):
-        return self._loop(v, self._stack())
+        # an operator on complex arrays: a real v is read as complex, not on the real lane
+        return self._loop(np.asarray(v, dtype=np.complex128), self._stack())
 
     def _loop_adjoint(self, v, stack):
         split_pass(np.multiply, self._input_adjoint(v, stack), self.weight_out, stack[0])
@@ -486,30 +522,38 @@ class ResolventAssembly:
     # -- public operator views ------------------------------------------
 
     def input_factor(self):
-        return LinearOp(self.grid, self._input_values, self._input_adjoint_values)
+        return LinearOp(self.grid, self._input_values, self._input_adjoint_values,
+                        self._uniform_symbol(vec=self.weight_vec))
 
     def output_factor(self):
-        return LinearOp(self.grid, self._output_values, self._output_adjoint_values)
+        return LinearOp(self.grid, self._output_values, self._output_adjoint_values,
+                        self._uniform_symbol(scalar=self.weight_out))
 
     def loop_factor(self):
-        return LinearOp(self.grid, self._loop_values, self._loop_adjoint_values, self._loop_symbol())
-
-    def _loop_symbol(self):
-        """The loop factor's multiplier when weight_vec and weight_out are uniform, else None.
-
-        With every value of each weight equal to its first, the loop is
-        weight_out (weight_vec . ik) (zeta + |k|^2)^(-1), built from the
-        ``ik_components`` and ``_sym(1.0)`` the loop applies.
-        """
-        wv, wo = self.weight_vec, self.weight_out
-        # uniform when min == max: the values are finite, and no mask is allocated
-        if not (wo.min() == wo.max() and all(w.min() == w.max() for w in wv)):
-            return None
-        ik_dot = sum(w.flat[0] * ik for w, ik in zip(wv, self.grid.ik_components))
-        return wo.flat[0] * ik_dot * self._sym(1.0)
+        return LinearOp(self.grid, self._loop_values, self._loop_adjoint_values,
+                        self._uniform_symbol(self.weight_out, self.weight_vec))
 
     def weighted_resolvent(self):
-        return LinearOp(self.grid, self._weighted_resolvent_values, self._weighted_resolvent_adjoint_values)
+        return LinearOp(self.grid, self._weighted_resolvent_values, self._weighted_resolvent_adjoint_values,
+                        self._uniform_symbol(scalar=self.weight_in_mag))
+
+    def _uniform_symbol(self, scalar=None, vec=None):
+        """A factor's multiplier when each of its weights is uniform, else None.
+
+        The factor is scalar (vec . grad) (zeta - Lap)^(-1), either weight
+        left out when absent; with every value of each weight equal to its
+        first, it is the multiplier scalar (vec . ik) (zeta + |k|^2)^(-1),
+        built from the ``ik_components`` and ``_sym(1.0)`` the factor
+        applies.
+        """
+        weights = ([] if scalar is None else [scalar]) + ([] if vec is None else list(vec))
+        # uniform when min == max: the values are finite, and no mask is allocated
+        if not all(w.min() == w.max() for w in weights):
+            return None
+        factor = 1.0 if vec is None else sum(w.flat[0] * ik for w, ik in zip(vec, self.grid.ik_components))
+        if scalar is not None:
+            factor = scalar.flat[0] * factor
+        return factor * self._sym(1.0)
 
     def apply_input_factor(self, f):
         return GridFunction(self.grid, self._input_values(f.values))
@@ -523,8 +567,9 @@ class ResolventAssembly:
         """Sum over k of (-loop)^k g, accumulated in place into ``total`` = g.
 
         Callers pass a temporary, not a slot of the stack.  ``loop(v,
-        stack)`` writes the loop applied to v into stack[0] and returns it,
-        so each term overwrites the one before it, and the series holds
+        stack)`` writes the loop applied to v into stack[0] (its real view
+        on the real lane, where ``total`` is float64) and returns it, so
+        each term overwrites the one before it, and the series holds
         ``total`` and the stack whatever its length.  The k-th term is
         loop^k g, subtracted for odd k: negation is exact and commutes with
         rounding, so these are the sums of the negated terms.  Increments
@@ -538,7 +583,7 @@ class ResolventAssembly:
         kmax = NEUMANN_KMAX if kmax is None else kmax
         hd = self.grid.cell_volume() if cell_volume is None else cell_volume
         p = self.params.p
-        powers = _real_view(stack[-1])
+        powers = _real_view(stack[-1], self.grid.shape)
         split_pass(_powers_and_update, total, powers, p)
         norm_g = lp_norm_of_powers(powers, p, hd)
         history = []
@@ -602,8 +647,31 @@ class ResolventAssembly:
         step costs 4k + 4 transforms for k series terms in 2k + 2 calls
         (``symmetric`` 4k in 2k), so a chain of resolvents (``evolve``)
         leaves Fourier space only at its ends.  vhat is overwritten: pass a
-        transform the caller no longer needs.
+        transform the caller no longer needs.  The step runs on complex
+        grid arrays with ``Grid.ik_components``; ``apply_spectral_real`` is
+        its real lane.
         """
+        return self._apply_spectral(vhat, tol, kmax, real=False)
+
+    def apply_spectral_real(self, vhat, tol=None, kmax=None):
+        """``apply_spectral`` on the real lane, for vhat the transform of real data.
+
+        zeta and the drift must be real, and the factorization one of the
+        (pre, post) chains.  The step applies the real operator: its odd
+        symbols are ``Grid.ik_half_components``, with the Nyquist entry
+        zeroed, so R(zeta) v is real.  vhat and the step's value stay full
+        transforms, but every grid array between them is float64: the
+        gradients, the series terms, their sum and |v|^p.  The forward
+        transforms are ``fftn`` calls on real arrays, and each gradient is
+        one ``irfftn`` call on the last-axis half of the spectrum, so a
+        step costs the 4k + 4 transforms in 2k + 2 calls of
+        ``apply_spectral``.
+        """
+        if self.params.zeta.imag or np.iscomplexobj(self.weight_vec) or self.representation == "symmetric":
+            raise ValueError("the real lane needs a real zeta, a real drift and a (pre, post) chain")
+        return self._apply_spectral(vhat, tol, kmax, real=True)
+
+    def _apply_spectral(self, vhat, tol, kmax, real):
         if self.zero_drift:
             split_pass(np.multiply, self._sym(1.0), vhat, vhat)
             return vhat
@@ -619,13 +687,14 @@ class ResolventAssembly:
             split_pass(np.multiply, w, three_quarters, w)
             return w
         sym, (pre, post) = self._sym(1.0), self.chains
-        stack = self._stack()
+        stack = self._stack(real)
         g = stack[0]
-        split_pass(np.multiply, self._sym(pre[0]), vhat, g)
+        cut = (..., slice(g.shape[-1]))  # the real lane's half spectrum, else all of it
+        split_pass(np.multiply, self._sym(pre[0])[cut], vhat[cut], g)
         split_pass(np.multiply, sym, vhat, vhat)
         for alpha in pre[1:]:
-            split_pass(np.multiply, self._sym(alpha), g, g)
-        g = self._weighted_gradient(g, stack, np.empty_like(vhat))
+            split_pass(np.multiply, self._sym(alpha)[cut], g, g)
+        g = self._weighted_gradient(g, stack, np.empty(self.grid.shape, np.float64 if real else np.complex128))
         w, _ = self._neumann(g, self._loop, stack, tol=tol, kmax=kmax)  # summed in place: w is g
         del stack  # frees the workspace before the post chain gathers its symbols
         split_pass(np.multiply, w, self.weight_out, w)
@@ -720,10 +789,10 @@ def estimate_op_norm(op, p, n_starts=64, tol=1e-4, seed=0):
 
     At p == 2 the norm is the top singular value (``_top_singular_value``);
     ``n_starts`` is ignored there.  For a multiplier (``op.symbol`` set,
-    as on a constant drift's loop factor) it is exact up to rounding, from
-    one forward call and no adjoint call.  Otherwise it is one Lanczos
-    (ARPACK ``svds``) call to relative tolerance ``tol`` from a seeded
-    start: a Ritz value never exceeds the top singular value, so the
+    as on every factor view of a constant drift) it is exact up to
+    rounding, from one forward call and no adjoint call.  Otherwise it is
+    one Lanczos (ARPACK ``svds``) call to relative tolerance ``tol`` from a
+    seeded start: a Ritz value never exceeds the top singular value, so the
     result is a lower estimate, and a sharper one than the power
     iteration gives.  At p != 2, every operator, multiplier or not, runs
     restarted nonlinear power iteration on the norm ratio (Boyd's ascent

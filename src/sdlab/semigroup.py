@@ -7,6 +7,13 @@ iterate stays in Fourier space (``ResolventAssembly.apply_spectral``):
 one forward transform of f, n spectral steps, one inverse transform, so
 a b = 0 evolve costs two transforms in all.  Richardson
 extrapolation (2 u_{2n} - u_n) recovers second order when requested.
+
+Real f and a real drift take the real lane, picked from the data: the
+steps are ``apply_spectral_real``, which applies the real operator (odd
+symbols with the Nyquist entry zeroed) with float64 grid arrays between
+the transforms, and the last inverse is one ``irfftn`` of the half
+spectrum.  The result is real, its imaginary part exactly 0.  Complex f
+or a complex drift keep the complex path.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from . import constants as C
 from .errors import SpectralDomainError
 from .fields import truncate
-from .grid import GridFunction, fftn, ifftn, lp_norm
+from .grid import GridFunction, fftn, ifftn, irfftn, lp_norm
 from .resolvent import ResolventAssembly
 
 __all__ = [
@@ -62,11 +69,17 @@ def _evolve_fixed(params, b, f, t, steps, neumann_tol):
             f"need steps >= {int(np.ceil(t * floor))}"
         )
     assembly = ResolventAssembly(params.with_zeta(complex(mu)), b)
-    uhat = fftn(f.values)
+    grid = f.grid
+    # real data and a real drift take the real lane (zeta = mu is real)
+    real = not np.any(f.values.imag) and not np.iscomplexobj(assembly.weight_vec)
+    step = assembly.apply_spectral_real if real else assembly.apply_spectral
+    uhat = fftn(f.values.real if real else f.values)
     for _ in range(steps):
-        uhat = assembly.apply_spectral(uhat, tol=neumann_tol)  # in uhat's own buffer
+        uhat = step(uhat, tol=neumann_tol)  # in uhat's own buffer
         np.multiply(mu, uhat, out=uhat)
-    return GridFunction(f.grid, ifftn(uhat, overwrite_x=True))
+    if real:
+        return GridFunction(grid, irfftn(uhat[..., :grid.half_shape[-1]], grid.shape, overwrite_x=True))
+    return GridFunction(grid, ifftn(uhat, overwrite_x=True))
 
 
 def evolve(sp, params, b, f, neumann_tol=None):

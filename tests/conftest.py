@@ -70,23 +70,24 @@ def count_transforms(monkeypatch):
 
     ``calls`` counts scipy calls and ``transforms`` d-dimensional
     transforms: a call over the last d axes of a ``(d,) + shape`` stack
-    makes d of them.
+    makes d of them.  Both count the real lane's ``irfftn`` calls with the
+    ``fftn``/``ifftn`` ones.
     """
     from sdlab import resolvent, semigroup
 
     counts = {"calls": 0, "transforms": 0}
 
     def counted(transform):
-        def wrapped(values, axes=None, **kwargs):
+        def wrapped(values, *args, axes=None, **kwargs):
             counts["calls"] += 1
             counts["transforms"] += 1 if axes is None else values.size // np.prod([values.shape[a] for a in axes])
-            return transform(values, axes=axes, **kwargs)
+            return transform(values, *args, axes=axes, **kwargs)
 
         return wrapped
 
     def start():
         for module in (resolvent, semigroup):
-            for name in ("fftn", "ifftn"):
+            for name in ("fftn", "ifftn", "irfftn"):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
         return counts
 

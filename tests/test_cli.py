@@ -60,6 +60,25 @@ def test_unknown_field_or_input_key_exits_2(tmp_path, capsys, experiment, cfg, n
 
 
 @pytest.mark.parametrize(
+    "bump, named",
+    [
+        ({"sigma2": 0}, "f.sigma2: expected a positive width, got 0.0"),
+        ({"sigma2": -1}, "f.sigma2: expected a positive width, got -1.0"),
+        ({"center": [1, 2]}, "f.center: expected 3 coordinates, got [1, 2]"),
+    ],
+    ids=["sigma2-zero", "sigma2-negative", "center-short"],
+)
+def test_bad_bump_input_exits_2_and_names_key(tmp_path, capsys, bump, named):
+    # a zero width made a NaN input, a negative one a blow-up, and a short
+    # center lost its missing coordinates without a word
+    path = write_cfg(tmp_path, {"field": HARDY, "grid": {"n": 8}, "f": {"kind": "bump", **bump}})
+    out = tmp_path / "o"
+    assert main(["semigroup", "--config", path, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (out / "semigroup.csv").exists()
+
+
+@pytest.mark.parametrize(
     "cfg, named",
     [
         ({"field": HARDY, "grid": 3}, "grid: expected a JSON object, got 3"),

@@ -326,6 +326,24 @@ def test_p2_loop_norm_constant_field_closed_form():
             assert calls == {"forward": 1, "adjoint": 0}
 
 
+@pytest.mark.parametrize("view", ["input_factor", "output_factor", "weighted_resolvent"])
+def test_p2_factor_norms_of_a_constant_field_are_one_forward_call(view):
+    # a constant drift makes every factor a multiplier: sqrt(|c|) i k_1 S for the
+    # input factor, sqrt(|c|) S for the other two.  At lam = 1e4 and tol = 1e-3,
+    # Lanczos took 432 forward calls on the input factor
+    grid = Grid(3, 16, 16.0)
+    b = DriftSpec("constant", vector=[0.2, 0.0, 0.0]).on_grid(grid)
+    top = np.abs(grid.k_components[0]) if view == "input_factor" else 1.0
+    for zeta, lam in ((complex(3.0, 1.0), 1.0), (complex(C.kappa_d(3) * 1e4, 0.0), 1e4)):
+        op = getattr(ResolventAssembly(make_params(p=2.0, zeta=zeta, lam=lam), b), view)()
+        calls = counted_calls(op)
+        norm = estimate_op_norm(op, 2.0)
+        assert calls == {"forward": 1, "adjoint": 0}
+        assert norm == pytest.approx(np.max(np.abs(op.symbol)), rel=1e-12, abs=0.0)
+        exact = np.sqrt(0.2) * np.max(top / np.abs(zeta + grid.k_squared))
+        assert norm == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_p2_loop_norm_zero_field_is_one_forward_call(zero_field16):
     loop = ResolventAssembly(make_params(p=2.0, delta=0.0), zero_field16).loop_factor()
     calls = counted_calls(loop)
@@ -671,6 +689,14 @@ def test_split_post_chain_gathers_its_half_power_once(grid8, monkeypatch):
     got = a.apply(f).values
     assert calls.count(0.5) == 1
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("zeta, scale, rep", [(complex(3.0, 1.0), 1.0, "direct"), (3.0, 1.0 + 0.5j, "direct"),
+                                              (3.0, 1.0, "symmetric")], ids=["zeta", "drift", "symmetric"])
+def test_real_lane_refuses_complex_operators(grid8, zeta, scale, rep):
+    a = ResolventAssembly(make_params(p=2.0, zeta=zeta), DriftSpec("hardy", c=0.2).on_grid(grid8) * scale, rep)
+    with pytest.raises(ValueError, match="real lane"):
+        a.apply_spectral_real(fftn(np.ones(grid8.shape)))
 
 
 @pytest.mark.parametrize("rep", ["direct", "fractional", "split", "symmetric"])

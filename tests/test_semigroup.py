@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dense_oracles import dense_generator
+from sdlab import grid as grid_module
 from sdlab.errors import SpectralDomainError
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair, mollify, truncate
-from sdlab.grid import Grid, GridFunction, GridVectorField, lp_norm, pairing
+from sdlab.grid import Grid, GridFunction, GridVectorField, fft_workers, lp_norm, pairing, set_fft_workers
 from sdlab.resolvent import ResolventAssembly, ResolventParams
 from sdlab.semigroup import (
     SemigroupParams,
@@ -155,17 +158,71 @@ def test_zero_field_evolve_is_heat_multiplier(count_transforms, grid16):
     assert np.max(np.abs(u.values - want)) <= 1e-14 * np.max(np.abs(f.values))
 
 
-def test_spectral_evolve_matches_repeated_apply(hardy16):
+def nyquist_zeroed(grid):
+    """The full-spectrum odd symbols 1j*k_j with the unpaired Nyquist entry zeroed."""
+    keep = np.arange(grid.n) != grid.n // 2
+    return [ik * keep.reshape(ik.shape) for ik in grid.ik_components]
+
+
+def repeated_apply(params, b, f, t, steps):
+    """steps complex resolvent solves mu R(mu) f, mu = steps/t: the backward-Euler evolve, term by term."""
+    mu = steps / t
+    assembly = ResolventAssembly(params.with_zeta(complex(mu)), b)
+    for _ in range(steps):
+        f = mu * assembly.apply(f, tol=1e-9)
+    return f
+
+
+def hardy16_evolve_case(hardy16):
     params = ResolventParams(p=2.0, zeta=40.0, delta=0.05, lam=0.5)
     f = GridFunction.from_callable(hardy16.grid, lambda x, y, z: np.exp(-((x - 8) ** 2 + (y - 8) ** 2) / 4.0))
-    t, steps = 0.1, 4
-    mu = steps / t
-    assembly = ResolventAssembly(params.with_zeta(complex(mu)), hardy16)
-    want = f
-    for _ in range(steps):
-        want = mu * assembly.apply(want, tol=1e-9)
-    u = evolve(SemigroupParams(t, steps), params, hardy16, f, neumann_tol=1e-9)
+    u = evolve(SemigroupParams(0.1, 4), params, hardy16, f, neumann_tol=1e-9)
+    return params, f, u
+
+
+def test_spectral_evolve_matches_repeated_apply(monkeypatch, hardy16):
+    # real data on a real drift: the real lane applies the operator whose odd
+    # symbols drop the Nyquist entry, which complex apply applies with them
+    params, f, u = hardy16_evolve_case(hardy16)
+    monkeypatch.setattr(hardy16.grid, "ik_components", nyquist_zeroed(hardy16.grid))
+    want = repeated_apply(params, hardy16, f, 0.1, 4)
     assert lp_norm(u - want, 2) <= 1e-13 * lp_norm(want, 2)
+
+
+def test_real_lane_gap_to_the_unzeroed_complex_path(hardy16):
+    # the complex path keeps the Nyquist entry of 1j*k_j: it leaks an imaginary
+    # part into real data and moves the real part, by these measured amounts
+    params, f, u = hardy16_evolve_case(hardy16)
+    want = repeated_apply(params, hardy16, f, 0.1, 4).values
+    im_gap = np.max(np.abs(want.imag)) / np.max(np.abs(u.values))
+    re_gap = np.linalg.norm(want.real - u.values.real) / np.linalg.norm(want)
+    assert im_gap == pytest.approx(5.71e-6, rel=0.01)
+    assert re_gap == pytest.approx(1.085e-9, rel=0.01)
+
+
+@given(d=st.sampled_from([3, 4]), n=st.sampled_from([6, 8, 10]), p=st.sampled_from([2.0, 2.5]))
+def test_real_lane_is_real_zeroed_and_worker_independent(d, n, p):
+    # every grid size takes the slab path and threaded transforms here
+    grid = Grid(d, n, 16.0)
+    b = DriftSpec("hardy", c=0.2).on_grid(grid)
+    params = ResolventParams(p=p, zeta=40.0, delta=0.05, lam=0.5, d=d)
+    f = GridFunction(grid, np.random.default_rng(n + d).standard_normal(grid.shape))
+    saved = fft_workers()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "THREADED_MIN_NODES", 1)
+        outs = []
+        try:
+            for workers in (1, 2, 3):
+                set_fft_workers(workers)
+                outs.append(evolve(SemigroupParams(0.1, 4), params, b, f, neumann_tol=1e-9).values)
+        finally:
+            set_fft_workers(saved)
+        mp.setattr(grid, "ik_components", nyquist_zeroed(grid))
+        want = repeated_apply(params, b, f, 0.1, 4).values
+    u = outs[0]
+    assert not np.any(u.imag)
+    assert outs[1].tobytes() == u.tobytes() and outs[2].tobytes() == u.tobytes()
+    assert np.linalg.norm(u - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_semigroup_law(grid16, hardy16):
