@@ -21,6 +21,10 @@ class NonFiniteFieldError(SdlabError, ValueError):
     """
 
 
+class ComplexFieldError(SdlabError, ValueError):
+    """A drift field holds a value with a nonzero imaginary part; drifts are real."""
+
+
 class GuardViolationError(SdlabError):
     """The smallness condition gating the Neumann inversion fails.
 

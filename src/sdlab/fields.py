@@ -148,7 +148,7 @@ class DriftSpec:
         coords = np.stack([c.ravel() for c in grid.coordinates()], axis=1)
         vals = self.evaluate(coords, grid)
         comps = vals.T.reshape((grid.d,) + grid.shape)
-        return GridVectorField(grid, comps.astype(np.complex128))
+        return GridVectorField(grid, comps)
 
     def as_config(self):
         cfg = {"kind": self.kind, **self.params}
@@ -223,12 +223,10 @@ def mollify(b, eps):
     """Smooth b by convolution with the scaled bump (spectral product)."""
     sym = mollifier_symbol(b.grid, eps)
     axes = b.grid.stack_axes
-    hats = fftn(b.values, axes=axes)
+    # a complex copy: a transform of the float64 array would round differently
+    hats = fftn(b.values.astype(np.complex128), axes=axes)
     hats *= sym
-    out = ifftn(hats, axes=axes, overwrite_x=True)
-    if np.max(np.abs(b.values.imag)) == 0.0:
-        out = out.real.astype(np.complex128)
-    return GridVectorField(b.grid, out)
+    return GridVectorField(b.grid, ifftn(hats, axes=axes, overwrite_x=True).real)
 
 
 def _top_eigenvalue(sym_sq, weight, seed):

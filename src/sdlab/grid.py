@@ -1,11 +1,11 @@
 """Periodic-grid spectral core.
 
 A cubic torus of side ``L`` sampled with ``n`` points per axis carries
-complex scalar fields (GridFunction) and d-component vector fields
-(GridVectorField).  Fractional resolvent powers of the Laplacian act as
-Fourier multipliers (zeta + |k|^2)^(-alpha) on the discrete frequency
-set, which makes every operator in this package exact on the grid up to
-floating point.
+complex scalar fields (GridFunction) and real d-component vector fields,
+the drifts (GridVectorField).  Fractional resolvent powers of the
+Laplacian act as Fourier multipliers (zeta + |k|^2)^(-alpha) on the
+discrete frequency set, which makes every operator in this package exact
+on the grid up to floating point.
 
 Every transform in sdlab goes through ``fftn``/``ifftn``/``irfftn`` here.
 One call may transform a ``(d,) + shape`` stack of arrays over ``axes`` =
@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import GridMismatchError, NonFiniteFieldError
+from .errors import ComplexFieldError, GridMismatchError, NonFiniteFieldError
 
 __all__ = [
     "Grid",
@@ -284,13 +284,15 @@ class GridFunction:
 
 
 class GridVectorField:
-    """d complex components per node; drift catalog entries are real-valued.
+    """d real components per node: a drift b: R^d -> R^d, stored as one C-contiguous float64 array.
 
-    Every component value must be finite (``NonFiniteFieldError``).
+    Every component value must be finite (``NonFiniteFieldError``, checked
+    first), and a complex input must have a zero imaginary part
+    (``ComplexFieldError``).
     """
 
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=np.complex128)
+        values = np.asarray(values)
         if values.shape != (grid.d,) + grid.shape:
             raise GridMismatchError(
                 f"component shape {values.shape} does not match (d,)+grid {((grid.d,) + grid.shape)}"
@@ -298,16 +300,20 @@ class GridVectorField:
         bad = values.size - np.count_nonzero(np.isfinite(values))
         if bad:
             raise NonFiniteFieldError(f"drift field holds {bad} NaN or infinite component value(s)")
+        if np.iscomplexobj(values):
+            if np.any(values.imag):
+                raise ComplexFieldError("drift field holds component values with a nonzero imaginary part")
+            values = values.real
         self.grid = grid
-        self.values = values
+        self.values = np.ascontiguousarray(values, dtype=np.float64)
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.d,) + grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros((grid.d,) + grid.shape))
 
     def magnitude(self):
-        """Pointwise Euclidean magnitude |b| as a real array."""
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=0))
+        """Pointwise Euclidean magnitude |b|."""
+        return np.sqrt(np.sum(self.values ** 2, axis=0))
 
     def __add__(self, other):
         if self.grid != other.grid:
@@ -417,13 +423,13 @@ def laplacian_apply(f):
 
 
 def gradient_apply(f):
-    """Spectral gradient as a GridVectorField, its d components in one inverse transform."""
+    """Spectral gradient of f as a complex ``(d,) + shape`` stack, its d components in one inverse transform."""
     grid = f.grid
     fhat = fftn(f.values)
     comps = np.empty((grid.d,) + grid.shape, dtype=np.complex128)
     for j in range(grid.d):
         np.multiply(grid.ik_components[j], fhat, out=comps[j])
-    return GridVectorField(grid, ifftn(comps, axes=grid.stack_axes, overwrite_x=True))
+    return ifftn(comps, axes=grid.stack_axes, overwrite_x=True)
 
 
 def fourier_eval(f, points):

@@ -141,7 +141,7 @@ def weak_identity_residual(params, b, f, test_functions):
     assembly = ResolventAssembly(params, b)
     u = assembly.apply(f)
     grad_u = gradient_apply(u)
-    inner = np.sum(assembly.weight_vec * grad_u.values, axis=0)
+    inner = np.sum(assembly.weight_vec * grad_u, axis=0)
     advect = GridFunction(b.grid, assembly.weight_out * inner)
     zeta = params.zeta
     worst = 0.0

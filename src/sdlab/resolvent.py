@@ -35,11 +35,11 @@ transform.  A solve of k terms costs, in d = 3:
   scipy calls (an ``evolve`` step, 4k + 4 in 2k + 2);
 * ``symmetric`` -- 4k + 2 transforms in 2k + 2 calls.
 
-``apply_spectral_real``, the real lane of ``evolve`` (real data, real
-zeta and drift), makes the same 4k + 4 transforms in 2k + 2 calls: k + 1
-``fftn`` calls on float64 arrays and k + 1 ``irfftn`` calls, each on a
-stack of the gradient's d components over the last-axis half of the
-spectrum.  Its grid arrays are float64, and its odd symbols are
+``apply_spectral_real``, the real lane of ``evolve`` (real data and
+zeta; drifts are always real), makes the same 4k + 4 transforms in
+2k + 2 calls: k + 1 ``fftn`` calls on float64 arrays and k + 1
+``irfftn`` calls, each on a stack of the gradient's d components over
+the last-axis half of the spectrum.  Its grid arrays are float64, and its odd symbols are
 ``Grid.ik_half_components``, with the Nyquist entry zeroed, so it
 applies the real operator; every other path reads ``Grid.ik_components``.
 
@@ -56,9 +56,10 @@ Every array an assembly reads depends on (field, p) -- the weights -- on
 the grid -- the level index -- or on (grid, zeta, alpha) -- the tables
 and kept symbols -- and never on the factorization, so assemblies share
 them through one weakly held index: an entry lives exactly as long as
-some assembly holds its array.  Shared arrays are read-only.  A sampled
-field is treated as immutable: no code writes into ``b.values`` once an
-assembly has read it.
+some assembly holds its array.  An assembly gets every array by one
+lookup, ``_hold``, which keeps it in the assembly's own dict.  Shared
+arrays are read-only.  A sampled field is treated as immutable: no code
+writes into ``b.values`` once an assembly has read it.
 
 A product of a symbol with a fresh transform is written transform first
 (``t = fftn(...); t *= S``), so it rounds the same way at every grid size.
@@ -76,7 +77,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -117,32 +117,6 @@ NEUMANN_KMAX = 200
 # conjugate symbol under (grid, zeta, 1.0, "conj").  A field key
 # holds the field, so its identity is not reused while the entry lives.
 _SHARED = weakref.WeakValueDictionary()
-
-
-def _shared(key, build):
-    """The read-only array under ``key`` in the shared index, built by ``build()`` if absent."""
-    value = _SHARED.get(key)
-    if value is None:
-        value = build()
-        value.flags.writeable = False
-        _SHARED[key] = value
-    return value
-
-
-def _level_index(grid):
-    """(levels, index): the distinct |k|^2 of ``grid``, ascending, and each node's position among them.
-
-    The levels are the exact float values, so two nodes share a level
-    only when their |k|^2 are equal as floats.
-    """
-    levels, index = _SHARED.get((grid, "levels")), _SHARED.get((grid, "index"))
-    if levels is None or index is None:
-        levels, index = np.unique(grid.k_squared, return_inverse=True)
-        index = index.reshape(grid.shape)
-        for name, value in (("levels", levels), ("index", index)):
-            value.flags.writeable = False
-            _SHARED[grid, name] = value
-    return levels, index
 
 
 @dataclass
@@ -222,14 +196,15 @@ class LinearOp:
 # whole-array call computes there.
 
 
-def _gradient_slots(vhat, stack, sym, *iks):
-    """ik_j vhat into stack[j], the last first, so vhat may be stack[0];
-    with a symbol, vhat * sym goes into stack[0] first and is the one
-    differentiated"""
+def _slots(v, stack, sym, *factors):
+    """factors[j] * v into stack[j], the last first, so v may be stack[0];
+    with a symbol, v * sym goes into stack[0] first and is the one
+    multiplied.  The factors are a gradient's ik_j, or the input adjoint's
+    real weights, their own conjugates"""
     if sym is not None:
-        vhat = np.multiply(vhat, sym, out=stack[0])
-    for j in reversed(range(len(iks))):
-        np.multiply(iks[j], vhat, out=stack[j])
+        v = np.multiply(v, sym, out=stack[0])
+    for j in reversed(range(len(factors))):
+        np.multiply(factors[j], v, out=stack[j])
 
 
 def _weighted_sum(out, grads, weight):
@@ -238,16 +213,6 @@ def _weighted_sum(out, grads, weight):
     for j in range(1, len(grads)):
         grads[j] *= weight[j]
         out += grads[j]
-
-
-def _conj_weighted_slots(v, stack, weight):
-    """conj(weight[j]) * v into stack[j], the last first, so v may be stack[0]
-
-    A real weight is its own conjugate, so it is read in place, not copied.
-    """
-    real = not np.iscomplexobj(weight)
-    for j in reversed(range(len(stack))):
-        np.multiply(weight[j] if real else np.conj(weight[j]), v, out=stack[j])
 
 
 def _conj_divergence(acc, hats, sym_conj, *iks):
@@ -282,33 +247,28 @@ def _real_view(slot, shape):
 
 
 def _weight_vec(b, p):
-    """b |b|^(1/p - 1), with the removable singularity at b = 0 filled by 0; float64 for a real b."""
+    """b |b|^(1/p - 1), with the removable singularity at b = 0 filled by 0."""
     mag = b.magnitude()
     positive = mag > 0
-    scale = np.where(positive, np.where(positive, mag, 1.0) ** (1.0 / p - 1.0), 0.0)
-    return (b.values if np.any(b.values.imag) else b.values.real) * scale
+    return b.values * np.where(positive, np.where(positive, mag, 1.0) ** (1.0 / p - 1.0), 0.0)
 
 
 class ResolventAssembly:
     """The weight and symbol arrays of one (params, field) pair.
 
-    The series weights ``weight_vec`` = b |b|^(1/p - 1) and ``weight_out``
-    = |b|^(1/p') are looked up at construction.  ``weight_vec`` is float64
-    when b has no imaginary part and complex128 otherwise: numpy casts a
-    float64 factor to complex before it multiplies a complex array, so
-    both give the same products.  ``weight_in_mag`` = |b|^(1/p), which
-    only ``weighted_resolvent`` reads, the grid's level index, the level
-    tables of the symbols (zeta + |k|^2)^(-alpha) (``_tables``), the
-    gathered symbols of the series exponents (``_kept``) and the adjoints'
-    conjugate symbol (``_sym_conj``) are looked up on first use, so
-    applying an assembly mutates it; a value never changes once stored.
+    ``_hold`` looks up every array on first use, so applying an assembly
+    mutates it, and a value never changes once held: the float64 weights
+    ``weight_vec`` = b |b|^(1/p - 1) and ``weight_out`` = |b|^(1/p') (both
+    at construction), ``weight_in_mag`` = |b|^(1/p), which only
+    ``weighted_resolvent`` reads, the grid's level index, the level tables
+    of the symbols (zeta + |k|^2)^(-alpha), the gathered symbols of the
+    series exponents and the adjoints' conjugate symbol.
 
     Each array comes from the module's shared index, so assemblies of one
     (field, p) hold one set of weights, and assemblies of one (grid, zeta)
     one table and at most one gathered symbol per exponent, whatever their
-    factorizations.  The attributes, ``_tables`` and ``_kept`` are the
-    strong references that keep the entries alive.  The field ``b`` is
-    treated as immutable.
+    factorizations.  ``_held`` holds the strong references that keep the
+    entries alive.  The field ``b`` is treated as immutable.
     """
 
     def __init__(self, params, b, representation="direct"):
@@ -336,61 +296,76 @@ class ResolventAssembly:
                            (0.5 / C.holder_conjugate(q), 0.5 + 0.5 / q)),
             "split": ((1.0,), (0.5, 0.5)),
         }.get(representation, ((1.0,), (1.0,)))
-        self.weight_vec = _shared((b, p, "vec"), lambda: _weight_vec(b, p))
-        self.weight_out = _shared((b, p, "out"), lambda: b.magnitude() ** (1.0 / params.p_conj))
-        # b = 0: the resolvent is the free one, and apply skips the series
-        self.zero_drift = not np.any(self.weight_vec)
         # the exponents a series applies at every term keep their gathered symbol
         self._series_exponents = (1.0, 0.25, 0.75) if representation == "symmetric" else (1.0,)
-        self._tables = {}
-        self._kept = {}
+        self._held = {}
+        # b = 0: the resolvent is the free one, and apply skips the series
+        self.zero_drift = not np.any(self.weight_vec)
+        self.weight_out  # held from here on too, so no solve builds it after its workspace
 
-    @cached_property
+    def _hold(self, key, build):
+        """The read-only array under ``key`` in the shared index, built by ``build()`` if absent.
+
+        The assembly holds it from then on, in ``_held``.
+        """
+        value = self._held.get(key)
+        if value is None:
+            value = _SHARED.get(key)
+            if value is None:
+                value = build()
+                value.flags.writeable = False
+                _SHARED[key] = value
+            self._held[key] = value
+        return value
+
+    @property
+    def weight_vec(self):
+        return self._hold((self.b, self.params.p, "vec"), lambda: _weight_vec(self.b, self.params.p))
+
+    @property
+    def weight_out(self):
+        return self._hold((self.b, self.params.p, "out"), lambda: self.b.magnitude() ** (1.0 / self.params.p_conj))
+
+    @property
     def weight_in_mag(self):
-        """|b|^(1/p), the weight of ``weighted_resolvent``."""
-        b, p = self.b, self.params.p
-        return _shared((b, p, "in"), lambda: b.magnitude() ** (1.0 / p))
+        return self._hold((self.b, self.params.p, "in"), lambda: self.b.magnitude() ** (1.0 / self.params.p))
 
-    @cached_property
     def _levels(self):
-        """The grid's (levels, index), looked up on first use."""
-        return _level_index(self.grid)
+        """The grid's distinct |k|^2, ascending: two nodes share a level only when their |k|^2 are equal floats."""
+        return self._hold((self.grid, "levels"), lambda: np.unique(self.grid.k_squared))
+
+    def _index(self):
+        """Each grid node's position among the levels."""
+        return self._hold((self.grid, "index"), lambda: np.searchsorted(self._levels(), self.grid.k_squared))
 
     def _table(self, alpha):
-        """(zeta + level)^(-alpha) over the grid's |k|^2 levels, cached per alpha."""
-        key = float(alpha)
-        if key not in self._tables:
-            grid, zeta, levels = self.grid, self.params.zeta, self._levels[0]
-            self._tables[key] = _shared((grid, zeta, key), lambda: np.power(zeta + levels, -key))
-        return self._tables[key]
+        """(zeta + level)^(-alpha) over the grid's |k|^2 levels."""
+        zeta = self.params.zeta
+        return self._hold((self.grid, zeta, alpha), lambda: np.power(zeta + self._levels(), -alpha))
 
     def _sym(self, alpha):
         """(zeta + |k|^2)^(-alpha) on the grid frequencies, gathered from its level table.
 
-        A series exponent's symbol is gathered once and kept read-only; any
-        other is gathered into a fresh array on every call.
+        A series exponent's symbol is gathered once and held; any other is
+        gathered into a fresh array on every call.
         """
-        key = float(alpha)
+        alpha = float(alpha)
 
         def gather():
-            return self._table(key)[self._levels[1]]
+            return self._table(alpha)[self._index()]
 
-        if key not in self._series_exponents:
+        if alpha not in self._series_exponents:
             return gather()
-        if key not in self._kept:
-            self._kept[key] = _shared((self.grid, self.params.zeta, key, "array"), gather)
-        return self._kept[key]
+        return self._hold((self.grid, self.params.zeta, alpha, "array"), gather)
 
-    @cached_property
     def _sym_conj(self):
-        """conj((zeta + |k|^2)^(-1)), the adjoints' symbol, gathered on first adjoint use and kept.
+        """conj((zeta + |k|^2)^(-1)), the adjoints' symbol, gathered from the conjugated level table.
 
-        Gathered from the conjugated level table, which equals the
-        conjugate of the gathered symbol bit for bit; forward solves never
-        build it.
+        It equals the conjugate of the gathered symbol bit for bit; forward
+        solves never build it.
         """
-        grid, zeta = self.grid, self.params.zeta
-        return _shared((grid, zeta, 1.0, "conj"), lambda: np.conj(self._table(1.0))[self._levels[1]])
+        return self._hold((self.grid, self.params.zeta, 1.0, "conj"),
+                          lambda: np.conj(self._table(1.0))[self._index()])
 
     # -- factor applications on raw value arrays ------------------------
     #
@@ -424,7 +399,7 @@ class ResolventAssembly:
     def _free_adjoint(self, v):
         """(conj(zeta) - Lap)^(-1) v"""
         vhat = fftn(v)
-        np.multiply(self._sym_conj, vhat, out=vhat)
+        np.multiply(self._sym_conj(), vhat, out=vhat)
         return ifftn(vhat, overwrite_x=True)
 
     def _weighted_gradient(self, vhat, stack, out, sym=None):
@@ -439,11 +414,11 @@ class ResolventAssembly:
         """
         grid = self.grid
         if np.iscomplexobj(out):
-            split_pass(_gradient_slots, vhat, stack, sym, *grid.ik_components)
+            split_pass(_slots, vhat, stack, sym, *grid.ik_components)
             grads = ifftn(stack, axes=grid.stack_axes, overwrite_x=True)
         else:
             half = (..., slice(grid.half_shape[-1]))
-            split_pass(_gradient_slots, vhat[half], stack, None if sym is None else sym[half],
+            split_pass(_slots, vhat[half], stack, None if sym is None else sym[half],
                        *grid.ik_half_components)
             grads = irfftn(stack, grid.shape, axes=grid.stack_axes, overwrite_x=True)
         split_pass(_weighted_sum, out, grads, self.weight_vec)
@@ -456,9 +431,9 @@ class ResolventAssembly:
 
     def _input_adjoint(self, v, stack):
         """Adjoint of the input factor applied to v, which may be stack[0], in the stack's first slot"""
-        split_pass(_conj_weighted_slots, v, stack, self.weight_vec)
+        split_pass(_slots, v, stack, None, *self.weight_vec)
         hats = fftn(stack, axes=self.grid.stack_axes, overwrite_x=True)
-        split_pass(_conj_divergence, hats[0], hats, self._sym_conj, *self.grid.ik_components)
+        split_pass(_conj_divergence, hats[0], hats, self._sym_conj(), *self.grid.ik_components)
         return ifftn(hats[0], overwrite_x=True)
 
     def _input_adjoint_values(self, v):
@@ -656,10 +631,10 @@ class ResolventAssembly:
     def apply_spectral_real(self, vhat, tol=None, kmax=None):
         """``apply_spectral`` on the real lane, for vhat the transform of real data.
 
-        zeta and the drift must be real, and the factorization one of the
-        (pre, post) chains.  The step applies the real operator: its odd
-        symbols are ``Grid.ik_half_components``, with the Nyquist entry
-        zeroed, so R(zeta) v is real.  vhat and the step's value stay full
+        zeta must be real, and the factorization one of the (pre, post)
+        chains.  The step applies the real operator: its odd symbols are
+        ``Grid.ik_half_components``, with the Nyquist entry zeroed, so
+        R(zeta) v is real.  vhat and the step's value stay full
         transforms, but every grid array between them is float64: the
         gradients, the series terms, their sum and |v|^p.  The forward
         transforms are ``fftn`` calls on real arrays, and each gradient is
@@ -667,8 +642,8 @@ class ResolventAssembly:
         step costs the 4k + 4 transforms in 2k + 2 calls of
         ``apply_spectral``.
         """
-        if self.params.zeta.imag or np.iscomplexobj(self.weight_vec) or self.representation == "symmetric":
-            raise ValueError("the real lane needs a real zeta, a real drift and a (pre, post) chain")
+        if self.params.zeta.imag or self.representation == "symmetric":
+            raise ValueError("the real lane needs a real zeta and a (pre, post) chain")
         return self._apply_spectral(vhat, tol, kmax, real=True)
 
     def _apply_spectral(self, vhat, tol, kmax, real):
@@ -720,8 +695,7 @@ def apply_generator(b, f):
     """-Lap f + b . grad f with the full drift field, applied spectrally."""
     from .grid import gradient_apply, laplacian_apply
 
-    grad = gradient_apply(f)
-    advect = np.sum(b.values * grad.values, axis=0)
+    advect = np.sum(b.values * gradient_apply(f), axis=0)
     return GridFunction(f.grid, -laplacian_apply(f).values + advect)
 
 

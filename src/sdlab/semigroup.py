@@ -8,12 +8,12 @@ one forward transform of f, n spectral steps, one inverse transform, so
 a b = 0 evolve costs two transforms in all.  Richardson
 extrapolation (2 u_{2n} - u_n) recovers second order when requested.
 
-Real f and a real drift take the real lane, picked from the data: the
+Real f takes the real lane, picked from the data (drifts are real): the
 steps are ``apply_spectral_real``, which applies the real operator (odd
 symbols with the Nyquist entry zeroed) with float64 grid arrays between
 the transforms, and the last inverse is one ``irfftn`` of the half
 spectrum.  The result is real, its imaginary part exactly 0.  Complex f
-or a complex drift keep the complex path.
+keeps the complex path.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def _evolve_fixed(params, b, f, t, steps, neumann_tol):
         )
     assembly = ResolventAssembly(params.with_zeta(complex(mu)), b)
     grid = f.grid
-    # real data and a real drift take the real lane (zeta = mu is real)
-    real = not np.any(f.values.imag) and not np.iscomplexobj(assembly.weight_vec)
+    # real data takes the real lane (zeta = mu and the drift are real)
+    real = not np.any(f.values.imag)
     step = assembly.apply_spectral_real if real else assembly.apply_spectral
     uhat = fftn(f.values.real if real else f.values)
     for _ in range(steps):
@@ -138,7 +138,8 @@ def ultracontractivity_study(
 
     Norms are lower estimates: for p = 1 a sup over evolved unit-mass
     deltas at sampled sources, otherwise the largest ratio over 32
-    random inputs.  The t grid must respect the box guard t << (L/4)^2
+    random inputs.  Every t must be positive (ValueError, before any
+    evolve).  The t grid must respect the box guard t << (L/4)^2
     and, at the small end, the kernel-resolution guard sqrt(4 pi t) >~ 2h.
 
     Returns (slope, t_grid, norms).
@@ -149,6 +150,8 @@ def ultracontractivity_study(
         raise ValueError("steps must be >= 1")
     grid = b.grid
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(t_grid > 0):
+        raise ValueError(f"t_grid: every time must be positive, got {t_grid.tolist()}")
     box_guard = (grid.length / 4.0) ** 2
     if np.max(t_grid) > 0.25 * box_guard:
         raise ValueError(

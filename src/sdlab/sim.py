@@ -49,7 +49,7 @@ class SimParams:
     ``safety_margin`` (absolute length units) on every side.
     """
 
-    drift: object  # GridVectorField (real-valued); zero field for pure diffusion
+    drift: object  # GridVectorField; the zero field for pure diffusion
     t: float
     dt: float
     paths: int
@@ -116,7 +116,8 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     """Run Euler-Maruyama paths; returns terminal points and statistics.
 
     ``payoff`` may be a GridFunction (read at terminal points by its
-    trigonometric interpolant) or a callable on (N, d) points.  Paths run
+    trigonometric interpolant) or a callable on (N, d) points; its
+    standard error needs at least 2 paths (ValueError).  Paths run
     in chunks of CHUNK, each with its own noise stream derived from
     (seed, chunk index), so identical SimParams reproduce identical
     statistics bit for bit.  A chunk's noise is drawn and stepped in
@@ -128,7 +129,8 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     grid = sp.drift.grid
     if grid.d != 3:
         raise ValueError("the path simulator is implemented for d = 3")
-    fieldarr = np.ascontiguousarray(sp.drift.values.real)
+    if payoff is not None and sp.paths < 2:
+        raise ValueError(f"paths: a payoff's standard error needs at least 2 paths, got {sp.paths}")
     n, h = grid.n, grid.h
     steps = sp.steps
     dt = sp.dt_effective
@@ -149,7 +151,7 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
         m = min(CHUNK, sp.paths - start)
         for offset, noise in _chunk_noise(sp.seed, chunk_index, m, buf):
             block = slice(start + offset, start + offset + len(noise))
-            em_chunk(terminal[block], fieldarr, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi,
+            em_chunk(terminal[block], sp.drift.values, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi,
                      censored[block])
     del buf, noise  # frees the noise before the payoff is read
     censored_total = int(censored.sum())

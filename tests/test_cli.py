@@ -394,3 +394,18 @@ def test_nonfinite_field_exits_2_and_names_key(tmp_path, capsys):
     )
     assert main(["estimate-class", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "field.vector[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, 0.05, 0.1, 0.2], [-0.05, 0.05]], ids=["zero", "negative"])
+def test_ultracontractivity_nonpositive_t_exits_2_and_names_key(tmp_path, capsys, t_grid):
+    cfg = write_cfg(tmp_path, {"grid": {"n": 8}, "t_grid": t_grid})
+    assert main(["ultracontractivity", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "t_grid" in err
+
+
+def test_simulate_one_path_exits_2_and_names_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"field": {"kind": "hardy", "c": 0.2}, "grid": {"n": 8}, "paths": 1})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "paths" in err

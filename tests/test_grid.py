@@ -8,7 +8,7 @@ import scipy.fft
 from dense_oracles import load_grid_function
 
 from sdlab import grid as grid_module
-from sdlab.errors import GridMismatchError, NonFiniteFieldError
+from sdlab.errors import ComplexFieldError, GridMismatchError, NonFiniteFieldError
 from sdlab.grid import (
     Grid,
     GridFunction,
@@ -56,7 +56,7 @@ def test_multiplier_constant_is_eigenfunction(grid8):
 def test_multiplier_gradient_single_mode():
     g = Grid(3, 16, 2 * np.pi)
     f = GridFunction.from_callable(g, lambda x, y, z: np.sin(x))
-    out = gradient_apply(free_assembly(g, 1.0).apply_free_resolvent(f)).values[0]
+    out = gradient_apply(free_assembly(g, 1.0).apply_free_resolvent(f))[0]
     # i*k/(1+k^2) at k=1 turns sin into cos/2
     np.testing.assert_allclose(out, np.cos(g.coordinates()[0]) / 2.0, atol=1e-12)
 
@@ -169,8 +169,8 @@ def test_laplacian_vs_finite_differences():
 
 def test_gradient_divergence_recovers_laplacian(grid8, random_f8):
     # divergence of the gradient: sum over j of d/dx_j of its j-th component
-    grad = gradient_apply(random_f8).values
-    second = [gradient_apply(GridFunction(grid8, grad[j])).values[j] for j in range(3)]
+    grad = gradient_apply(random_f8)
+    second = [gradient_apply(GridFunction(grid8, grad[j]))[j] for j in range(3)]
     lap1 = GridFunction(grid8, sum(second))
     lap2 = laplacian_apply(random_f8)
     assert lp_norm(lap1 - lap2, 2) / lp_norm(lap2, 2) < 1e-12
@@ -189,6 +189,18 @@ def test_vector_field_rejects_nonfinite(grid8, value):
     values[1, 2, 3, 4] = value
     with pytest.raises(NonFiniteFieldError, match="1 NaN or infinite"):
         GridVectorField(grid8, values)
+
+
+def test_vector_field_is_real(grid8, rng):
+    values = rng.standard_normal((3,) + grid8.shape)
+    for given in (values, values + 0j, values.tolist()):
+        b = GridVectorField(grid8, given)
+        assert b.values.dtype == np.float64 and b.values.flags.c_contiguous
+        np.testing.assert_array_equal(b.values, values)
+    with pytest.raises(ComplexFieldError, match="nonzero imaginary part"):
+        GridVectorField(grid8, values + 1e-300j)
+    with pytest.raises(ComplexFieldError):
+        b * 1j
 
 
 def test_serialization_roundtrip(tmp_path, grid8, random_f8):
@@ -304,7 +316,7 @@ def test_gradient_apply_matches_componentwise_transforms(rng, d, n):
     grid = Grid(d, n, 16.0)
     f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     fhat = fftn(f.values)
-    grad = gradient_apply(f).values
+    grad = gradient_apply(f)
     for j in range(d):
         assert grad[j].tobytes() == ifftn(grid.ik_components[j] * fhat).tobytes()
 
