@@ -183,13 +183,10 @@ def _resolvent_setup(cfg, grid, seed, p=None):
     p = float(cfg.get("p", 2.0)) if p is None else p
     lams = np.asarray(cfg.get("lambda_grid", np.logspace(-1, 2, 5)), dtype=float)
     est = estimate_class_F_half(b, lambda_grid=lams, seed=seed)
-    if est.delta == 0.0:
-        delta, lam = 0.0, float(lams[0])
-    else:
-        delta, lam = guarded_pair(est, p=p, d=grid.d, margin=float(cfg.get("guard_margin", 0.7)))
+    delta, lam = guarded_pair(est, p=p, d=grid.d, margin=float(cfg.get("guard_margin", 0.7)))
     zc = cfg.get("zeta")
     zeta = complex(*zc) if zc is not None else complex(2.0 * Cmod.kappa_d(grid.d) * lam, 0.0)
-    params = ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam, d=grid.d)
+    params = ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam)
     return b, est, params
 
 
@@ -461,9 +458,7 @@ def run_smoothing_study(cfg, out, seed):
     delta = float(cfg.get("delta", 0.25))
     lam = float(cfg.get("lam", 1.0))
     fields = [_field_from(cfg, Grid(base.d, n, base.length)) for n in sizes]
-    params = ResolventParams(
-        p=p, zeta=complex(2 * Cmod.kappa_d(base.d) * lam, 0.0), delta=delta, lam=lam, d=base.d
-    )
+    params = ResolventParams(p=p, zeta=complex(2 * Cmod.kappa_d(base.d) * lam, 0.0), delta=delta, lam=lam)
     rows = bessel_smoothing_study(fields, params, q, seed=seed)
     out_rows = []
     prev = None

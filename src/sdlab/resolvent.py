@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -95,7 +95,6 @@ import numpy as np
 from . import constants as C
 from .errors import (
     GuardViolationError,
-    GridMismatchError,
     NeumannDivergenceError,
     NeumannMaxTermsError,
     SpectralDomainError,
@@ -150,9 +149,8 @@ _SHARED_LOCK = threading.RLock()
 class ResolventParams:
     """Exponent and spectral parameter for one resolvent assembly.
 
-    Validity is checked at construction: the smallness guard
-    m_d c_p delta < 1 (equivalent to p lying in the admissible interval)
-    and the half-plane condition Re zeta >= kappa_d * lam.  The
+    Construction checks that each field is finite, p > 1 and delta >= 0;
+    ``ResolventAssembly`` checks the hypotheses that depend on d.  The
     fractional factorization's exponents r = (1 + p)/2 and q = 2p follow
     from p.
     """
@@ -161,39 +159,23 @@ class ResolventParams:
     zeta: complex
     delta: float
     lam: float
-    d: int = 3
 
     def __post_init__(self):
         self.zeta = complex(self.zeta)
-        if self.d < 3:
-            raise ValueError(f"d must be >= 3, got {self.d}")
+        for name in ("p", "zeta", "delta", "lam"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.p <= 1:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        guard = C.neumann_guard_value(self.p, self.delta, self.d)
-        if guard >= 1.0:
-            raise GuardViolationError(
-                f"m_d c_p delta = {guard:.6g} >= 1: exponent p={self.p} is outside "
-                "the admissible interval; the series inverse is not guarded"
-            )
-        floor = C.kappa_d(self.d) * self.lam
-        if self.zeta.real < floor * (1.0 - 1e-12):
-            raise SpectralDomainError(
-                f"Re zeta = {self.zeta.real:.6g} below the half-plane floor "
-                f"kappa_d*lam = {floor:.6g}"
-            )
 
     @property
     def p_conj(self):
         return C.holder_conjugate(self.p)
 
-    @property
-    def guard_value(self):
-        return C.neumann_guard_value(self.p, self.delta, self.d)
-
     def with_zeta(self, zeta):
-        return ResolventParams(p=self.p, zeta=zeta, delta=self.delta, lam=self.lam, d=self.d)
+        return replace(self, zeta=zeta)
 
 
 class LinearOp:
@@ -289,6 +271,11 @@ def _weight_vec(b, p):
 class ResolventAssembly:
     """The weight and symbol arrays of one (params, field) pair.
 
+    Construction checks the hypotheses at d = ``b.grid.d``: d >= 3
+    (``ValueError``), the guard m_d c_p delta < 1 (``GuardViolationError``;
+    it puts p in the admissible interval) and the half-plane condition
+    Re zeta >= kappa_d lam, up to a relative 1e-12 (``SpectralDomainError``).
+
     ``_hold`` looks up every array on first use, so applying an assembly
     mutates it, and a value never changes once held: the float64 weights
     ``weight_vec`` = b |b|^(1/p - 1) and ``weight_out`` = |b|^(1/p') (both
@@ -305,6 +292,17 @@ class ResolventAssembly:
     """
 
     def __init__(self, params, b, representation="direct"):
+        d = b.grid.d
+        if d < 3:
+            raise ValueError(f"d must be >= 3, got {d}")
+        guard = C.neumann_guard_value(params.p, params.delta, d)
+        if guard >= 1.0:
+            raise GuardViolationError(f"m_d c_p delta = {guard:.6g} >= 1: exponent p={params.p} is outside "
+                                      "the admissible interval; the series inverse is not guarded")
+        floor = C.kappa_d(d) * params.lam
+        if params.zeta.real < floor * (1.0 - 1e-12):
+            raise SpectralDomainError(f"Re zeta = {params.zeta.real:.6g} below the half-plane floor "
+                                      f"kappa_d*lam = {floor:.6g}")
         if representation not in REPRESENTATIONS:
             raise ValueError(f"unknown representation {representation!r}")
         if representation == "symmetric":
@@ -317,8 +315,6 @@ class ResolventAssembly:
         self.params = params
         self.b = b
         self.grid = b.grid
-        if self.grid.d != params.d:
-            raise GridMismatchError(f"grid dimension {self.grid.d} != params.d {params.d}")
         self.representation = representation
 
         p = params.p
@@ -978,13 +974,13 @@ def norm_bound_report(params, b, n_starts=16, seed=0):
     rounding slack of 1e-8, so an attained bound (the resolvent at b = 0)
     is not failed on a last-bit tie.
     """
-    d, p, delta, lam = params.d, params.p, params.delta, params.lam
+    d, p, delta, lam = b.grid.d, params.p, params.delta, params.lam
     tol = 1e-3
     c1 = C.C1(p, delta, d)
     c2 = C.C2(p, delta, d)
     c3 = C.C3(p, delta, d)
     cp = C.C_p_resolvent(p, delta, d)
-    guard = params.guard_value
+    guard = C.neumann_guard_value(p, delta, d)
     rows = []
     for z in zeta_ray_grid(lam, d):
         pr = params.with_zeta(z)

@@ -50,6 +50,8 @@ class SemigroupParams:
     richardson: bool = False
 
     def __post_init__(self):
+        if not np.isfinite(self.t):
+            raise ValueError(f"t must be finite, got {self.t!r}")
         if self.t <= 0:
             raise ValueError("t must be positive")
         if self.steps < 1:
@@ -62,7 +64,7 @@ class SemigroupParams:
 
 def _evolve_fixed(params, b, f, t, steps, neumann_tol):
     mu = steps / t
-    floor = C.kappa_d(params.d) * params.lam
+    floor = C.kappa_d(b.grid.d) * params.lam
     if mu < floor:
         raise SpectralDomainError(
             f"steps/t = {mu:.6g} below the half-plane floor {floor:.6g}; "

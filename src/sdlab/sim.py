@@ -58,6 +58,9 @@ class SimParams:
     safety_margin: float = 0.0
 
     def __post_init__(self):
+        for name in ("t", "dt"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.t <= 0 or self.dt > self.t:
             raise ValueError("need 0 < dt <= t")
         if self.paths < 1:

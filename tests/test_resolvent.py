@@ -42,18 +42,29 @@ from sdlab.resolvent import (
 from sdlab.semigroup import SemigroupParams, evolve
 
 
-def make_params(delta=0.05, lam=1.0, p=2.5, zeta=None, **kw):
+def make_params(delta=0.05, lam=1.0, p=2.5, zeta=None):
     zeta = complex(3.0, 1.0) if zeta is None else zeta
-    return ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam, **kw)
+    return ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam)
 
 
-def test_params_validation():
-    with pytest.raises(GuardViolationError):
-        ResolventParams(p=2.0, zeta=10.0, delta=0.9, lam=1.0)  # m_d * 0.9 > 1
-    with pytest.raises(SpectralDomainError):
-        ResolventParams(p=2.0, zeta=1.0, delta=0.05, lam=2.0)  # Re zeta < kappa_d lam
+def test_params_validation(bounded_field8):
+    # the parameters alone are valid in any d; the assembly checks them at d = 3
+    with pytest.raises(GuardViolationError):  # m_d * 0.9 > 1
+        ResolventAssembly(ResolventParams(p=2.0, zeta=10.0, delta=0.9, lam=1.0), bounded_field8)
+    with pytest.raises(SpectralDomainError):  # Re zeta < kappa_d lam
+        ResolventAssembly(ResolventParams(p=2.0, zeta=1.0, delta=0.05, lam=2.0), bounded_field8)
     pr = make_params()
-    assert pr.guard_value < 1.0
+    assert C.neumann_guard_value(pr.p, pr.delta, 3) < 1.0
+    ResolventAssembly(pr, bounded_field8)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["p", "zeta", "delta", "lam"])
+def test_params_reject_non_finite_fields(name, value):
+    # NaN passes every comparison of the guard and the floor as False
+    kwargs = {"p": 2.0, "zeta": complex(3.0, 1.0), "delta": 0.05, "lam": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ResolventParams(**kwargs)
 
 
 def test_dft_oracle_matches_fft(grid8, random_f8):
@@ -321,7 +332,7 @@ def test_p2_loop_norm_constant_field_closed_form():
         b = GridVectorField(grid, vals)
         ck = sum(cj * kj for cj, kj in zip(c, grid.k_components))
         for zeta, lam in ((complex(3.0, 1.0), 1.0), (complex(C.kappa_d(d) * 1e4, 0.0), 1e4)):
-            a = ResolventAssembly(make_params(p=2.0, zeta=zeta, lam=lam, d=d), b)
+            a = ResolventAssembly(make_params(p=2.0, zeta=zeta, lam=lam), b)
             loop = a.loop_factor()
             calls = counted_calls(loop)
             exact = np.max(np.abs(ck) / np.abs(zeta + grid.k_squared))
@@ -737,7 +748,7 @@ def test_gathered_symbols_equal_the_power_bit_for_bit(d, n, zeta):
     grid = Grid(d, n, 16.0)
     b = GridVectorField.zeros(grid)
     for rep, p in COMBOS:
-        a = ResolventAssembly(make_params(p=p, zeta=zeta, d=d), b, rep)
+        a = ResolventAssembly(make_params(p=p, zeta=zeta), b, rep)
         pre, post = a.chains
         for alpha in {1.0, *pre, *post} | ({0.25, 0.75} if rep == "symmetric" else set()):
             sym = a._sym(alpha)
@@ -746,19 +757,20 @@ def test_gathered_symbols_equal_the_power_bit_for_bit(d, n, zeta):
             assert (a._sym(alpha) is sym) == (alpha in a._series_exponents)
 
 
-def assert_matches_dense_solve(b, f, p, reps):
+def assert_matches_dense_solve(b, f, cases):
+    """Each (p, reps) case's factorizations solve as np.linalg.solve does, on one dense solve."""
     zeta = complex(2.5, 1.0)
     M = zeta * np.eye(b.grid.node_count()) + dense_generator(b.grid, b)
     want = np.linalg.solve(M, f.values.ravel()).reshape(b.grid.shape)
-    for rep in reps:
-        u = ResolventAssembly(make_params(p=p, zeta=zeta), b, rep).apply(f).values
-        assert np.all(np.isfinite(u))
-        assert np.max(np.abs(u - want)) / np.max(np.abs(want)) < 1e-8
+    for p, reps in cases:
+        for rep in reps:
+            u = ResolventAssembly(make_params(p=p, zeta=zeta), b, rep).apply(f).values
+            assert np.all(np.isfinite(u))
+            assert np.max(np.abs(u - want)) / np.max(np.abs(want)) < 1e-8
 
 
-DRIFT_ZEROS_CASES = pytest.mark.parametrize(
-    "p,reps", [(2.0, ("direct", "fractional", "split", "symmetric")), (2.5, ("direct", "fractional", "split"))]
-)
+DENSE_CASES = [(2.0, ("direct", "fractional", "split", "symmetric")), (2.5, ("direct", "fractional", "split"))]
+DRIFT_ZEROS_CASES = pytest.mark.parametrize("p,reps", DENSE_CASES)
 
 
 @DRIFT_ZEROS_CASES
@@ -772,7 +784,7 @@ def test_drift_with_zeros_on_nodes_matches_dense_solve(grid8, random_f8, p, reps
     vals[1] = profile[None, :, None]
     b = GridVectorField(grid8, vals)
     assert np.count_nonzero(b.magnitude() == 0.0) == 32
-    assert_matches_dense_solve(b, random_f8, p, reps)
+    assert_matches_dense_solve(b, random_f8, [(p, reps)])
 
 
 @DRIFT_ZEROS_CASES
@@ -783,17 +795,33 @@ def test_drift_with_an_isolated_zero_matches_dense_solve(grid8, random_f8, p, re
     vals = np.array([0.3 * np.sin(x - c) + 0.15 * (1.0 - np.cos(x - c)) for x in grid8.coordinates()])
     b = GridVectorField(grid8, vals)
     assert np.argwhere(b.magnitude() == 0.0).tolist() == [[3, 3, 3]]
-    assert_matches_dense_solve(b, random_f8, p, reps)
+    assert_matches_dense_solve(b, random_f8, [(p, reps)])
+
+
+def test_four_dimensional_field_matches_dense_solve():
+    # d is read from the grid: default params serve a 6^4 field, and a 2-D one is refused
+    grid = Grid(4, 6, 16.0)
+    rng = np.random.default_rng(4)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    b = DriftSpec("hardy", c=0.2).on_grid(grid)
+    assert_matches_dense_solve(b, f, DENSE_CASES)
+    # the guard and the floor take the grid's d: m_4 > m_3 and kappa_4 < kappa_3
+    ResolventAssembly(make_params(zeta=1.4), b)  # kappa_4 = 4/3 <= 1.4 < kappa_3 = 3/2
+    with pytest.raises(GuardViolationError):
+        ResolventAssembly(make_params(p=2.0, delta=0.9 / C.m_d(3)), b)  # guard 0.9 at d = 3
+    with pytest.raises(ValueError, match="d must be >= 3, got 2"):
+        ResolventAssembly(make_params(), GridVectorField.zeros(Grid(2, 8, 16.0)))
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0])
-def test_guard_at_exactly_one_raises_and_one_ulp_below_does_not(p):
+def test_guard_at_exactly_one_raises_and_one_ulp_below_does_not(bounded_field8, p):
     delta = 1.0 / (C.m_d(3) * C.c_p(p))
     assert C.neumann_guard_value(p, delta, 3) == 1.0
     with pytest.raises(GuardViolationError):
-        ResolventParams(p=p, zeta=10.0, delta=delta, lam=1.0)
+        ResolventAssembly(ResolventParams(p=p, zeta=10.0, delta=delta, lam=1.0), bounded_field8)
     below = ResolventParams(p=p, zeta=10.0, delta=np.nextafter(delta, 0.0), lam=1.0)
-    assert below.guard_value < 1.0
+    assert C.neumann_guard_value(p, below.delta, 3) < 1.0
+    ResolventAssembly(below, bounded_field8)
 
 
 @pytest.mark.parametrize("im", [0.0, 1.0], ids=["real", "complex"])
@@ -803,14 +831,15 @@ def test_zeta_on_the_half_plane_floor_is_accepted(grid8, bounded_field8, random_
     params = ResolventParams(p=2.0, zeta=complex(floor, im * floor), delta=0.05, lam=lam)
     u = ResolventAssembly(params, bounded_field8).apply(random_f8).values
     assert np.all(np.isfinite(u))
+    below = ResolventParams(p=2.0, zeta=complex(floor * (1.0 - 2e-12), im * floor), delta=0.05, lam=lam)
     with pytest.raises(SpectralDomainError):
-        ResolventParams(p=2.0, zeta=complex(floor * (1.0 - 2e-12), im * floor), delta=0.05, lam=lam)
+        ResolventAssembly(below, bounded_field8)
 
 
 def slab_outputs(grid, p, zeta, f):
     """Every solve output of the property test below, as bytes."""
     b = DriftSpec("hardy", c=0.2).on_grid(grid)
-    params = make_params(p=p, zeta=zeta, d=grid.d)
+    params = make_params(p=p, zeta=zeta)
     out = []
     for rep in resolvent.REPRESENTATIONS if p == 2.0 else ("direct", "fractional", "split"):
         a = ResolventAssembly(params, b, rep)
@@ -851,7 +880,7 @@ def test_views_satisfy_the_adjoint_identity(n, d, p, zeta, amp, holes, seed):
     vals = amp * rng.standard_normal((d,) + grid.shape)
     if holes:
         vals *= rng.random(grid.shape) < 0.5
-    a = ResolventAssembly(make_params(p=p, zeta=zeta, d=d), GridVectorField(grid, vals))
+    a = ResolventAssembly(make_params(p=p, zeta=zeta), GridVectorField(grid, vals))
     x, y = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape) for _ in range(2))
     for view in ("input_factor", "output_factor", "loop_factor", "weighted_resolvent", "resolvent_op"):
         op = getattr(a, view)()
@@ -889,7 +918,7 @@ def gated(op):
 def test_views_map_a_batch_item_by_item_bit_for_bit(view, d, n):
     grid = Grid(d, n, 8.0)
     rng = np.random.default_rng(d + n)
-    a = ResolventAssembly(make_params(p=2.5, d=d), random_drift(grid, 0.3, True, n))
+    a = ResolventAssembly(make_params(p=2.5), random_drift(grid, 0.3, True, n))
     op = getattr(a, view)()
     batch = rng.standard_normal((2, 3) + grid.shape) + 1j * rng.standard_normal((2, 3) + grid.shape)
     for apply in (op.forward, op.adjoint):
@@ -908,7 +937,7 @@ def test_batched_boyd_equals_the_per_start_loop_bit_for_bit(view, d, p, n_starts
     # groups of at most ``limit`` starts (the most the grid allows without one), refilled
     # as starts stop; amp = 0 is the zero drift, and "gated" takes the norm-0 exit
     grid = Grid(d, 6 if d == 4 else 8, 8.0)
-    a = ResolventAssembly(make_params(p=p, zeta=complex(3.0, 1.0), d=d), random_drift(grid, amp, holes, seed))
+    a = ResolventAssembly(make_params(p=p, zeta=complex(3.0, 1.0)), random_drift(grid, amp, holes, seed))
     op = gated(a.loop_factor()) if view == "gated" else getattr(a, view)()
     want = estimate_op_norm_per_start(op, p, n_starts=n_starts, tol=1e-3, seed=seed)
     saved = fft_workers()

@@ -205,7 +205,7 @@ def test_real_lane_is_real_zeroed_and_worker_independent(d, n, p):
     # every grid size takes the slab path and threaded transforms here
     grid = Grid(d, n, 16.0)
     b = DriftSpec("hardy", c=0.2).on_grid(grid)
-    params = ResolventParams(p=p, zeta=40.0, delta=0.05, lam=0.5, d=d)
+    params = ResolventParams(p=p, zeta=40.0, delta=0.05, lam=0.5)
     f = GridFunction(grid, np.random.default_rng(n + d).standard_normal(grid.shape))
     saved = fft_workers()
     with pytest.MonkeyPatch.context() as mp:
@@ -265,6 +265,13 @@ def test_ultracontractivity_guards():
         ultracontractivity_study(free_params(), b0, 2, 2, [0.1])
     with pytest.raises(ValueError):
         ultracontractivity_study(free_params(), b0, 1, np.inf, [5.0])
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+def test_semigroup_params_reject_non_finite_t(t):
+    # unchecked, NaN t would run the whole series on NaN data and inf t overflow int() in the steps hint
+    with pytest.raises(ValueError, match="^t must be finite"):
+        SemigroupParams(t, 4)
 
 
 def test_delta_sources_unique(grid16):

@@ -39,6 +39,14 @@ def test_params_validation(g16):
         SimParams(drift=zero_drift(g16), t=0.1, dt=0.01, paths=0, seed=0, x0=center(g16))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["t", "dt"])
+def test_params_reject_non_finite_times(g16, name, value):
+    times = {"t": 0.1, "dt": 0.01, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SimParams(drift=zero_drift(g16), paths=10, seed=0, x0=center(g16), **times)
+
+
 def test_seeded_determinism(g16):
     sp = SimParams(drift=zero_drift(g16), t=0.05, dt=1e-3, paths=3000, seed=11, x0=center(g16))
     r1 = simulate_paths(sp, payoff=lambda p: p[:, 0])
