@@ -35,7 +35,7 @@ from .fields import (
     mollify,
     truncate,
 )
-from .grid import Grid, GridFunction, GridVectorField, lp_norm, parse_thread_count, set_fft_workers
+from .grid import Grid, GridFunction, GridVectorField, lp_norm, pairing, parse_thread_count, set_fft_workers
 from .gridio import save_grid_function, write_csv, write_manifest
 from .kernels import (
     KernelProbe,
@@ -124,6 +124,22 @@ def _object_from(cfg, key, default):
     return value
 
 
+def _count_from(cfg, key, default):
+    """cfg[key] (``default`` if absent) as an int, which must be at least 1."""
+    value = int(cfg.get(key, default))
+    if value < 1:
+        raise ConfigError(f"{key}: expected a count of at least 1, got {value}")
+    return value
+
+
+def _list_from(cfg, key, default, cast=float):
+    """cfg[key] (``default`` if absent), which must be a nonempty JSON list, each entry through ``cast``."""
+    values = cfg.get(key, default)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key}: expected a nonempty list, got {json.dumps(values)}")
+    return [cast(x) for x in values]
+
+
 def _grid_from(cfg):
     g = _object_from(cfg, "grid", {})
     for key in g:
@@ -178,16 +194,19 @@ def _input_from(cfg, grid, seed, with_callable=False):
     return (f, None) if with_callable else f
 
 
-def _resolvent_setup(cfg, grid, seed, p=None):
+def _resolvent_setup(cfg, grid, seed):
     b = _field_from(cfg, grid)
-    p = float(cfg.get("p", 2.0)) if p is None else p
-    lams = np.asarray(cfg.get("lambda_grid", np.logspace(-1, 2, 5)), dtype=float)
+    p = float(cfg.get("p", 2.0))
+    lams = np.asarray(_list_from(cfg, "lambda_grid", np.logspace(-1, 2, 5).tolist()))
+    margin = float(cfg.get("guard_margin", 0.7))
+    if not 0.0 < margin < 1.0:
+        raise ConfigError(f"guard_margin: expected 0 < margin < 1, got {margin}")
     est = estimate_class_F_half(b, lambda_grid=lams, seed=seed)
-    delta, lam = guarded_pair(est, p=p, d=grid.d, margin=float(cfg.get("guard_margin", 0.7)))
+    delta, lam = guarded_pair(est, p=p, d=grid.d, margin=margin)
     zc = cfg.get("zeta")
     zeta = complex(*zc) if zc is not None else complex(2.0 * Cmod.kappa_d(grid.d) * lam, 0.0)
     params = ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam)
-    return b, est, params
+    return b, params
 
 
 # -- experiment handlers -------------------------------------------------
@@ -208,8 +227,8 @@ def run_constants(cfg, out, seed):
 def run_estimate_class(cfg, out, seed):
     grid = _grid_from(cfg)
     b = _field_from(cfg, grid)
-    lams = np.asarray(cfg.get("lambda_grid", default_lambda_grid()), dtype=float)
-    classes = cfg.get("classes", ["F_half", "F", "K"])
+    lams = np.asarray(_list_from(cfg, "lambda_grid", default_lambda_grid().tolist()))
+    classes = _list_from(cfg, "classes", ["F_half", "F", "K"], cast=str)
     est_fns = {"F_half": estimate_class_F_half, "F": estimate_class_F, "K": estimate_class_K}
     rows = []
     for cls in classes:
@@ -231,7 +250,7 @@ def run_estimate_class(cfg, out, seed):
 )
 def run_resolvent(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
+    b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
     rep = cfg.get("representation", "direct")
     a = ResolventAssembly(params, b, rep)
@@ -250,12 +269,12 @@ def run_resolvent(cfg, out, seed):
 @experiment("pseudo-resolvent", required=("field",), optional=("grid", "p", "n_pairs", "lambda_grid", "guard_margin"))
 def run_pseudo_resolvent(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
+    n_pairs = _count_from(cfg, "n_pairs", 10)
+    b, params = _resolvent_setup(cfg, grid, seed)
     rng = np.random.default_rng(seed)
     f = GridFunction(grid, rng.standard_normal(grid.shape) + 0j)
     zetas = zeta_ray_grid(params.lam, grid.d, n_ray=4, n_real=3)
-    pairs = [(zetas[i], zetas[j]) for i in range(len(zetas)) for j in range(i + 1, len(zetas))]
-    pairs = pairs[: int(cfg.get("n_pairs", 10))]
+    pairs = [(zetas[i], zetas[j]) for i in range(len(zetas)) for j in range(i + 1, len(zetas))][:n_pairs]
     rows = []
     ok = True
     for zeta, eta in pairs:
@@ -269,8 +288,9 @@ def run_pseudo_resolvent(cfg, out, seed):
 @experiment("norm-bounds", required=("field",), optional=("grid", "p", "n_starts", "lambda_grid", "guard_margin"))
 def run_norm_bounds(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
-    rows = norm_bound_report(params, b, n_starts=int(cfg.get("n_starts", 8)), seed=seed)
+    n_starts = _count_from(cfg, "n_starts", 8)
+    b, params = _resolvent_setup(cfg, grid, seed)
+    rows = norm_bound_report(params, b, n_starts=n_starts, seed=seed)
     write_csv(
         out / "norm_bounds.csv",
         ["quantity", "zeta", "measured", "bound", "pass"],
@@ -286,12 +306,12 @@ def run_norm_bounds(cfg, out, seed):
 )
 def run_convergence_study(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
+    levels = _list_from(cfg, "levels", [2, 4, 8, 16, 32])
+    steps = _count_from(cfg, "steps", 5)
+    b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
-    levels = [float(x) for x in cfg.get("levels", [2, 4, 8, 16, 32])]
     res_curve = strong_convergence_study(params, b, levels, f)
     t = float(cfg.get("t", 0.1))
-    steps = int(cfg.get("steps", 5))
     sg_p, sg_sup = semigroup_convergence_study(params, b, levels, t, steps, f)
     rows = [
         (lev, r, sp_, ss)
@@ -312,16 +332,14 @@ def run_convergence_study(cfg, out, seed):
 )
 def run_semigroup(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
+    steps = _count_from(cfg, "steps", 8)
+    b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
     t = float(cfg.get("t", 0.1))
-    steps = int(cfg.get("steps", 8))
     sp = SemigroupParams(t, steps, richardson=bool(cfg.get("richardson", False)))
     u = evolve(sp, params, b, f)
     save_grid_function(u, out / "evolved")
     one = GridFunction(grid, np.ones(grid.shape))
-    from .grid import pairing
-
     rows = [
         (t, steps, float(np.min(u.values.real)), lp_norm(u, np.inf), pairing(u, one).real)
     ]
@@ -336,14 +354,14 @@ def run_semigroup(cfg, out, seed):
 )
 def run_ultracontractivity(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
+    t_grid = np.asarray(_list_from(cfg, "t_grid", np.logspace(np.log10(0.02), np.log10(0.1), 6).tolist()))
+    steps, n_sources = _count_from(cfg, "steps", 16), _count_from(cfg, "n_sources", 2)
+    b, params = _resolvent_setup(cfg, grid, seed)
     p_from = float(cfg.get("p_from", 1.0))
     r_to = cfg.get("r_to", "inf")
     r_to = np.inf if r_to in ("inf", None) else float(r_to)
-    t_grid = np.asarray(cfg.get("t_grid", np.logspace(np.log10(0.02), np.log10(0.1), 6)), dtype=float)
     slope, ts, norms = ultracontractivity_study(
-        params, b, p_from, r_to, t_grid, steps=int(cfg.get("steps", 16)),
-        n_sources=int(cfg.get("n_sources", 2)), seed=seed, neumann_tol=1e-7,
+        params, b, p_from, r_to, t_grid, steps=steps, n_sources=n_sources, seed=seed, neumann_tol=1e-7,
     )
     rows = [(t, nv, "") for t, nv in zip(ts, norms)] + [(float("nan"), slope, "fitted_slope")]
     write_csv(out / "ultracontractivity.csv", ["t", "value", "tag"], rows)
@@ -358,20 +376,22 @@ def run_verify_kernels(cfg, out, seed):
     d = int(cfg.get("d", 3))
     distances = np.logspace(-1, 1, 6)
     re_zetas = np.logspace(np.log10(0.2), np.log10(20.0), 5)
+
+    def complex_probes(qs):
+        """Probes at zeta = rz (1 + i q) for each distance, Re zeta and q."""
+        return [KernelProbe(d, (0.0,) * d, (r,) + (0.0,) * (d - 1), complex(rz, q * rz), 2.0)
+                for r in distances for rz in re_zetas for q in qs]
+
+    def domination_csv(token, checked):
+        """One kernels_<token>.csv row per checked probe; 0 when every probe passes, else 1."""
+        rows = [(p_.distance, p_.zeta, lhs, rhs, ratio, ok) for (p_, lhs, rhs, ratio, ok, _) in checked]
+        write_csv(out / f"kernels_{token}.csv", ["distance", "zeta", "lhs", "rhs", "ratio", "pass"], rows)
+        return 0 if all(r[5] for r in rows) else 1
+
     status = 0
     for token in which:
         if token == "A1":
-            probes = [
-                KernelProbe(d, (0.0,) * d, (r,) + (0.0,) * (d - 1), complex(rz, q * rz), 2.0)
-                for r in distances for rz in re_zetas for q in (-1.0, -0.5, 0.0)
-            ]
-            rows = [
-                (p_.distance, p_.zeta, lhs, rhs, ratio, ok)
-                for (p_, lhs, rhs, ratio, ok, _) in check_gradient_domination(probes)
-            ]
-            write_csv(out / "kernels_A1.csv",
-                      ["distance", "zeta", "lhs", "rhs", "ratio", "pass"], rows)
-            status |= 0 if all(r[5] for r in rows) else 1
+            status |= domination_csv(token, check_gradient_domination(complex_probes((-1.0, -0.5, 0.0))))
         elif token == "A2":
             probes = [
                 KernelProbe(d, (0.0,) * d, (r,) + (0.0,) * (d - 1), rz, 2.0)
@@ -388,19 +408,8 @@ def run_verify_kernels(cfg, out, seed):
             write_csv(out / "kernels_A2.csv",
                       ["r", "distance", "zeta", "lhs", "rhs", "ratio_or_sup"], rows_all)
         elif token in ("A3", "A4"):
-            probes = [
-                KernelProbe(d, (0.0,) * d, (r,) + (0.0,) * (d - 1), complex(rz, q * rz), 2.0)
-                for r in distances for rz in re_zetas for q in (-1.0, -0.5, 0.5, 1.0)
-            ]
-            rows_grad, rows_half = check_complex_domination(probes)
-            chosen = rows_grad if token == "A3" else rows_half
-            rows = [
-                (p_.distance, p_.zeta, lhs, rhs, ratio, ok)
-                for (p_, lhs, rhs, ratio, ok, _) in chosen
-            ]
-            write_csv(out / f"kernels_{token}.csv",
-                      ["distance", "zeta", "lhs", "rhs", "ratio", "pass"], rows)
-            status |= 0 if all(r[5] for r in rows) else 1
+            rows_grad, rows_half = check_complex_domination(complex_probes((-1.0, -0.5, 0.5, 1.0)))
+            status |= domination_csv(token, rows_grad if token == "A3" else rows_half)
         elif token == "A5":
             rows = []
             for q in (1.5, 2.0, 3.0):
@@ -436,14 +445,11 @@ def run_verify_kernels(cfg, out, seed):
 )
 def run_holder_probe(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
+    pairs_per_bin = _count_from(cfg, "pairs_per_bin", 2048)
+    b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
     u = ResolventAssembly(params, b).apply(f)
-    slope, resid, seps, maxima = holder_probe(
-        GridFunction(grid, u.values.real),
-        pairs_per_bin=int(cfg.get("pairs_per_bin", 2048)),
-        seed=seed,
-    )
+    slope, resid, seps, maxima = holder_probe(GridFunction(grid, u.values.real), pairs_per_bin, seed=seed)
     rows = [(s, m, "") for s, m in zip(seps, maxima)] + [(float("nan"), slope, "fitted_slope")]
     write_csv(out / "holder.csv", ["separation", "value", "tag"], rows)
     return 0
@@ -454,7 +460,7 @@ def run_smoothing_study(cfg, out, seed):
     base = _grid_from(cfg)
     p = float(cfg.get("p", 2.5))
     q = float(cfg.get("q", 3.0))
-    sizes = [int(n) for n in cfg.get("sizes", [16, 32, 64])]
+    sizes = _list_from(cfg, "sizes", [16, 32, 64], cast=int)
     delta = float(cfg.get("delta", 0.25))
     lam = float(cfg.get("lam", 1.0))
     fields = [_field_from(cfg, Grid(base.d, n, base.length)) for n in sizes]
@@ -475,9 +481,10 @@ def run_smoothing_study(cfg, out, seed):
 @experiment("weak-identity", required=("field",), optional=("grid", "p", "count", "f", "lambda_grid", "guard_margin"))
 def run_weak_identity(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
+    count = _count_from(cfg, "count", 5)
+    b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
-    vs = make_test_functions(grid, count=int(cfg.get("count", 5)), seed=seed)
+    vs = make_test_functions(grid, count=count, seed=seed)
     worst = weak_identity_residual(params, b, f, vs)
     write_csv(
         out / "weak_identity.csv",
@@ -497,12 +504,12 @@ def run_weak_identity(cfg, out, seed):
 )
 def run_simulate(cfg, out, seed):
     grid = _grid_from(cfg)
-    b, est, params = _resolvent_setup(cfg, grid, seed)
-    f, payoff_fn = _input_from(cfg, grid, seed, with_callable=True)
     c0 = grid.length / 2.0
-    starts = [np.asarray(s, dtype=float) for s in cfg.get(
-        "starts", [[c0 + 1.0, c0, c0], [c0, c0 - 1.2, c0], [c0, c0, c0 + 1.4]]
-    )]
+    starts = _list_from(cfg, "starts", [[c0 + 1.0, c0, c0], [c0, c0 - 1.2, c0], [c0, c0, c0 + 1.4]],
+                        cast=lambda s: np.asarray(s, dtype=float))
+    pde_steps = _count_from(cfg, "pde_steps", 64)
+    b, params = _resolvent_setup(cfg, grid, seed)
+    f, payoff_fn = _input_from(cfg, grid, seed, with_callable=True)
     rows, ok, results = mc_vs_semigroup(
         b,
         params,
@@ -511,7 +518,7 @@ def run_simulate(cfg, out, seed):
         t=float(cfg.get("t", 0.2)),
         dt=float(cfg.get("dt", 1e-3)),
         paths=int(cfg.get("paths", 20000)),
-        pde_steps=int(cfg.get("pde_steps", 64)),
+        pde_steps=pde_steps,
         seed=seed,
         drift_sign=float(cfg.get("drift_sign", -1.0)),
         payoff_fn=payoff_fn,

@@ -273,6 +273,15 @@ def _fractional_symbol(grid, lam, alpha):
     return np.power(lam + grid.k_squared, -alpha)
 
 
+def _lambdas(lambda_grid):
+    """The lambda grid as floats, ``DEFAULT_LAMBDA_GRID`` if None: nonempty and positive, since
+    at lam <= 0 the torus's zero mode makes (lam - Lap)^(-alpha) infinite."""
+    lams = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
+    if not (lams.size and np.all(lams > 0)):
+        raise ValueError(f"lambda_grid: expected a nonempty grid of positive values, got {lams.tolist()}")
+    return lams
+
+
 def _estimate_weighted_class(name, b, lambda_grid, seed, power, alpha):
     """delta(lambda) = top eigenvalue of (lam-Lap)^(-alpha) |b|^power (lam-Lap)^(-alpha).
 
@@ -280,7 +289,7 @@ def _estimate_weighted_class(name, b, lambda_grid, seed, power, alpha):
     delta is 0) costs one matvec per lambda; any other runs Lanczos (see
     ``_top_eigenvalue``).
     """
-    lams = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
+    lams = _lambdas(lambda_grid)
     weight = b.magnitude() ** power
     grid = b.grid
     curve = np.zeros(len(lams))
@@ -326,7 +335,7 @@ def estimate_class_K(b, lambda_grid=None):
     Every column is swept at once by the FFT correlation of
     ``kato_column_norms``.
     """
-    lams = DEFAULT_LAMBDA_GRID if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
+    lams = _lambdas(lambda_grid)
     curve = np.array([float(np.max(kato_column_norms(b, lam))) for lam in lams])
     i0 = int(np.argmin(curve))
     return ClassEstimate("K", float(curve[i0]), float(lams[i0]), lams.copy(), curve)

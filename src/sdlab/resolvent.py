@@ -1,13 +1,19 @@
 """Resolvent assembly for the singular-drift generator -Lap + b.grad.
 
-The resolvent at zeta is assembled from three factors:
+Each factor of the resolvent at zeta is one view v -> left . [grad]
+(zeta - Lap)^(-1) (right * v), described by (left, gradient, right)
+(``ResolventAssembly._view``), which gives its forward map, its adjoint
+and, when its weights are uniform, its Fourier symbol:
 
-* input factor   (weighted gradient of the free resolvent),
-* loop factor    (the composition whose p-norm stays below 1 under the
-                  smallness guard m_d c_p delta < 1),
-* output factor  (free resolvent of the weighted function),
+* input factor       -- (weight_vec, grad, -), weight_vec = b |b|^(1/p - 1);
+* loop factor        -- (weight_vec, grad, weight_out), weight_out = |b|^(1/p'):
+                        its p-norm stays below 1 under the smallness guard
+                        m_d c_p delta < 1;
+* output factor      -- (-, -, weight_out);
+* weighted resolvent -- (|b|^(1/p), -, -).
 
-inverted through a Neumann series:
+The resolvent is inverted through a Neumann series, on one path for
+every drift (on b = 0 the correction vanishes and no series runs):
 
     R(zeta) = (zeta - Lap)^(-1) - output (1 + loop)^(-1) input.
 
@@ -55,15 +61,6 @@ a series applies at every term (1, and 1/4, 3/4 for ``symmetric``) are
 kept as gathered n^d arrays; a chain exponent is gathered where it is
 used and dropped.
 
-Every array an assembly reads depends on (field, p) -- the weights -- on
-the grid -- the level index -- or on (grid, zeta, alpha) -- the tables
-and kept symbols -- and never on the factorization, so assemblies share
-them through one weakly held index: an entry lives exactly as long as
-some assembly holds its array.  An assembly gets every array by one
-lookup, ``_hold``, which keeps it in the assembly's own dict.  Shared
-arrays are read-only.  A sampled field is treated as immutable: no code
-writes into ``b.values`` once an assembly has read it.
-
 A product of a symbol with a fresh transform is written transform first
 (``t = fftn(...); t *= S``), so it rounds the same way at every grid size.
 
@@ -88,6 +85,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -149,8 +147,9 @@ _SHARED_LOCK = threading.RLock()
 class ResolventParams:
     """Exponent and spectral parameter for one resolvent assembly.
 
-    Construction checks that each field is finite, p > 1 and delta >= 0;
-    ``ResolventAssembly`` checks the hypotheses that depend on d.  The
+    Construction checks that each field is finite, p > 1, delta >= 0 and
+    lam > 0 (at lam <= 0 the torus's zero mode makes (lam - Lap)^(-alpha)
+    infinite); ``ResolventAssembly`` checks the hypotheses that depend on d.  The
     fractional factorization's exponents r = (1 + p)/2 and q = 2p follow
     from p.
     """
@@ -169,6 +168,8 @@ class ResolventParams:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
+        if self.lam <= 0:
+            raise ValueError(f"lam must be positive on the torus, got {self.lam}")
 
     @property
     def p_conj(self):
@@ -284,11 +285,13 @@ class ResolventAssembly:
     of the symbols (zeta + |k|^2)^(-alpha), the gathered symbols of the
     series exponents and the adjoints' conjugate symbol.
 
-    Each array comes from the module's shared index, so assemblies of one
-    (field, p) hold one set of weights, and assemblies of one (grid, zeta)
-    one table and at most one gathered symbol per exponent, whatever their
-    factorizations.  ``_held`` holds the strong references that keep the
-    entries alive.  The field ``b`` is treated as immutable.
+    Each array comes from the module's weakly held shared index, read-only,
+    so assemblies of one (field, p) hold one set of weights, and assemblies
+    of one (grid, zeta) one table and at most one gathered symbol per
+    exponent, whatever their factorizations.  ``_held`` holds the strong
+    references that keep the entries alive: an entry lives exactly as long
+    as some assembly holds its array.  The field ``b`` is treated as
+    immutable: no code writes into ``b.values`` once an assembly has read it.
     """
 
     def __init__(self, params, b, representation="direct"):
@@ -328,7 +331,7 @@ class ResolventAssembly:
         # the exponents a series applies at every term keep their gathered symbol
         self._series_exponents = (1.0, 0.25, 0.75) if representation == "symmetric" else (1.0,)
         self._held = {}
-        # b = 0: the resolvent is the free one, and apply skips the series
+        # b = 0: the resolvent is the free one, and apply_spectral skips the series
         self.zero_drift = not np.any(self.weight_vec)
         self.weight_out  # held from here on too, so no solve builds it after its workspace
 
@@ -422,17 +425,18 @@ class ResolventAssembly:
         """
         return np.empty((self.grid.d,) + shape, dtype=np.complex128)
 
-    def _free(self, v):
-        """(zeta - Lap)^(-1) v"""
-        vhat = fftn(v, axes=self.grid.axes)
-        vhat *= self._sym(1.0)
-        return ifftn(vhat, axes=self.grid.axes, overwrite_x=True)
-
-    def _free_adjoint(self, v):
-        """(conj(zeta) - Lap)^(-1) v"""
-        vhat = fftn(v, axes=self.grid.axes)
-        np.multiply(self._sym_conj(), vhat, out=vhat)
-        return ifftn(vhat, axes=self.grid.axes, overwrite_x=True)
+    def _multiplier(self, v, left=None, right=None, adjoint=False):
+        """left (zeta - Lap)^(-1) (right * v), a weight left out when None; with ``adjoint``,
+        conj(zeta) for zeta, so a view's adjoint is this call with its weights swapped"""
+        vhat = fftn(v if right is None else right * v, axes=self.grid.axes)
+        if adjoint:
+            np.multiply(self._sym_conj(), vhat, out=vhat)
+        else:
+            vhat *= self._sym(1.0)
+        out = ifftn(vhat, axes=self.grid.axes, overwrite_x=True)
+        if left is not None:
+            out *= left
+        return out
 
     def _weighted_gradient(self, vhat, stack, out, sym=None):
         """weight_vec . grad of the grid function whose transform is vhat (times sym if given), into out
@@ -456,11 +460,6 @@ class ResolventAssembly:
         split_pass(_weighted_sum, out, grads, self.weight_vec, grid=grid)
         return out
 
-    def _input_values(self, v):
-        """weight_vec . grad (zeta - Lap)^(-1) v"""
-        vhat = fftn(v, axes=self.grid.axes)
-        return self._weighted_gradient(vhat, self._stack(vhat.shape), vhat, self._sym(1.0))
-
     def _input_adjoint(self, v, stack):
         """Adjoint of the input factor applied to v, which may be stack[0], in the stack's first slot"""
         grid = self.grid
@@ -468,18 +467,6 @@ class ResolventAssembly:
         hats = fftn(stack, axes=grid.axes, overwrite_x=True)
         split_pass(_conj_divergence, hats[0], hats, self._sym_conj(), *grid.ik_components, grid=grid)
         return ifftn(hats[0], axes=grid.axes, overwrite_x=True)
-
-    def _input_adjoint_values(self, v):
-        return self._input_adjoint(v, self._stack(v.shape))
-
-    def _output_values(self, v):
-        """(zeta - Lap)^(-1) (weight_out * v)"""
-        return self._free(self.weight_out * v)
-
-    def _output_adjoint_values(self, v):
-        out = self._free_adjoint(v)
-        out *= self.weight_out
-        return out
 
     def _loop(self, v, stack):
         """weight_vec . grad (zeta - Lap)^(-1) (weight_out * v), in the stack's first slot
@@ -492,25 +479,9 @@ class ResolventAssembly:
         ahat = fftn(out, axes=self.grid.axes, overwrite_x=True)
         return self._weighted_gradient(ahat, stack, out, self._sym(1.0))
 
-    def _loop_values(self, v):
-        # an operator on complex arrays: a real v is read as complex, not on the real lane
-        return self._loop(np.asarray(v, dtype=np.complex128), self._stack(np.shape(v)))
-
     def _loop_adjoint(self, v, stack):
         split_pass(np.multiply, self._input_adjoint(v, stack), self.weight_out, stack[0], grid=self.grid)
         return stack[0]
-
-    def _loop_adjoint_values(self, v):
-        return self._loop_adjoint(v, self._stack(v.shape))
-
-    def _weighted_resolvent_values(self, v):
-        """|b|^(1/p) (zeta - Lap)^(-1) v"""
-        out = self._free(v)
-        out *= self.weight_in_mag
-        return out
-
-    def _weighted_resolvent_adjoint_values(self, v):
-        return self._free_adjoint(self.weight_in_mag * v)
 
     def _symmetric_loop(self, vhat, stack):
         """S^(1/4) fftn(|b|^(1/2) (weight_vec . grad ifftn(S^(3/4) vhat))), in the stack's first slot
@@ -530,44 +501,61 @@ class ResolventAssembly:
     # -- public operator views ------------------------------------------
 
     def input_factor(self):
-        return LinearOp(self.grid, self._input_values, self._input_adjoint_values,
-                        self._uniform_symbol(vec=self.weight_vec))
+        return self._view(self.weight_vec, gradient=True)
 
     def output_factor(self):
-        return LinearOp(self.grid, self._output_values, self._output_adjoint_values,
-                        self._uniform_symbol(scalar=self.weight_out))
+        return self._view(right=self.weight_out)
 
     def loop_factor(self):
-        return LinearOp(self.grid, self._loop_values, self._loop_adjoint_values,
-                        self._uniform_symbol(self.weight_out, self.weight_vec))
+        return self._view(self.weight_vec, gradient=True, right=self.weight_out)
 
     def weighted_resolvent(self):
-        return LinearOp(self.grid, self._weighted_resolvent_values, self._weighted_resolvent_adjoint_values,
-                        self._uniform_symbol(scalar=self.weight_in_mag))
+        return self._view(left=self.weight_in_mag)
 
-    def _uniform_symbol(self, scalar=None, vec=None):
-        """A factor's multiplier when each of its weights is uniform, else None.
+    def _view(self, left=None, gradient=False, right=None):
+        """The ``LinearOp`` v -> left . [grad] (zeta - Lap)^(-1) (right * v), a weight left out when None.
 
-        The factor is scalar (vec . grad) (zeta - Lap)^(-1), either weight
-        left out when absent; with every value of each weight equal to its
-        first, it is the multiplier scalar (vec . ik) (zeta + |k|^2)^(-1),
-        built from the ``ik_components`` and ``_sym(1.0)`` the factor
-        applies.
+        Without ``gradient`` both weights are scalar arrays, and forward and
+        adjoint are ``_multiplier`` with the weights in place and swapped.
+        With it, left is ``weight_vec``, dotted into the gradient, and right
+        is None (the input factor) or ``weight_out`` (the loop factor): the
+        view runs the series kernels, which read those held weights, and
+        the loop reads a real v as complex, not on the real lane.
         """
-        weights = ([] if scalar is None else [scalar]) + ([] if vec is None else list(vec))
+        if not gradient:
+            forward = partial(self._multiplier, left=left, right=right)
+            adjoint = partial(self._multiplier, left=right, right=left, adjoint=True)
+        else:
+            def forward(v):
+                if right is not None:
+                    return self._loop(np.asarray(v, dtype=np.complex128), self._stack(np.shape(v)))
+                vhat = fftn(v, axes=self.grid.axes)
+                return self._weighted_gradient(vhat, self._stack(vhat.shape), vhat, self._sym(1.0))
+
+            def adjoint(v):
+                return (self._input_adjoint if right is None else self._loop_adjoint)(v, self._stack(v.shape))
+        return LinearOp(self.grid, forward, adjoint, self._uniform_symbol(left, gradient, right))
+
+    def _uniform_symbol(self, left, gradient, right):
+        """A view's multiplier when each of its weights is uniform, else None.
+
+        With every value of each weight equal to its first, the view is the
+        multiplier right (left . ik) (zeta + |k|^2)^(-1), or right left
+        (zeta + |k|^2)^(-1) without the gradient, built from the
+        ``ik_components`` and ``_sym(1.0)`` the view applies.
+        """
+        vec = list(left) if gradient else []
+        scalars = [w for w in (None if gradient else left, right) if w is not None]
         # uniform when min == max: the values are finite, and no mask is allocated
-        if not all(w.min() == w.max() for w in weights):
+        if not all(w.min() == w.max() for w in scalars + vec):
             return None
-        factor = 1.0 if vec is None else sum(w.flat[0] * ik for w, ik in zip(vec, self.grid.ik_components))
-        if scalar is not None:
-            factor = scalar.flat[0] * factor
+        factor = sum(w.flat[0] * ik for w, ik in zip(vec, self.grid.ik_components)) if gradient else 1.0
+        for w in scalars:
+            factor = w.flat[0] * factor
         return factor * self._sym(1.0)
 
     def apply_input_factor(self, f):
-        return GridFunction(self.grid, self._input_values(f.values))
-
-    def apply_free_resolvent(self, f):
-        return GridFunction(self.grid, self._free(f.values))
+        return GridFunction(self.grid, self.input_factor()(f.values))
 
     # -- series inversion -------------------------------------------------
 
@@ -634,7 +622,7 @@ class ResolventAssembly:
         symmetric under exponent conjugation), so the same series engine
         inverts it.
         """
-        free = self._free_adjoint(v)
+        free = self._multiplier(v, adjoint=True)
         stack = self._stack(v.shape)
         w, _ = self._neumann(self.weight_out * free, self._loop_adjoint, stack)
         free -= self._input_adjoint(w, stack)
@@ -652,7 +640,7 @@ class ResolventAssembly:
         S / (1 + loop symbol) = 1/(zeta + |k|^2 + i c.k), set as ``symbol``
         from the pieces of the loop view's.
         """
-        loop = self._uniform_symbol(self.weight_out, self.weight_vec)
+        loop = self.loop_factor().symbol
         return LinearOp(
             self.grid,
             lambda v: self._each(lambda item: self.apply(GridFunction(self.grid, item)).values, v),
@@ -696,7 +684,7 @@ class ResolventAssembly:
 
     def _apply_spectral(self, vhat, tol, kmax, real):
         if self.zero_drift:
-            split_pass(np.multiply, self._sym(1.0), vhat, vhat)
+            split_pass(np.multiply, vhat, self._sym(1.0), vhat)
             return vhat
         # the kept symbols are looked up before the stack is allocated: one
         # gathered on first use is held for good, and placed after the stack
@@ -733,8 +721,6 @@ class ResolventAssembly:
 
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
-        if self.zero_drift:
-            return self.apply_free_resolvent(f)
         uhat = self.apply_spectral(fftn(f.values), tol=tol, kmax=kmax)
         return GridFunction(self.grid, ifftn(uhat, overwrite_x=True))
 
@@ -925,10 +911,7 @@ def pseudo_resolvent_residual(params, b, zeta, eta, f):
     diff = u_z - u_e
     resid = diff - (eta - zeta) * prod
     scale = max(lp_norm(diff, p), abs(eta - zeta) * lp_norm(prod, p), 1e-300)
-    r = lp_norm(resid, p)
-    if r == 0.0:
-        return 0.0
-    return r / scale
+    return lp_norm(resid, p) / scale
 
 
 def strong_convergence_study(params, b, levels, f, b_ref=None):

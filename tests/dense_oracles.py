@@ -32,13 +32,20 @@ def dense_weight(values):
     return np.diag(np.asarray(values, dtype=np.complex128).ravel())
 
 
-def dense_generator(grid, b):
-    """-Laplacian + b.grad as a dense matrix."""
+def dense_generator_parts(grid):
+    """(-Laplacian, [d/dx_j]) as dense matrices: the drift-free parts of ``dense_generator``."""
     lap = dense_multiplier(grid, -grid.k_squared.astype(np.complex128))
-    out = -lap
-    for j in range(grid.d):
-        dj = dense_multiplier(grid, 1j * grid.k_components[j] + 0j * grid.k_squared)
-        out = out + dense_weight(b.values[j]) @ dj
+    return -lap, [dense_multiplier(grid, 1j * grid.k_components[j] + 0j * grid.k_squared) for j in range(grid.d)]
+
+
+def dense_generator(grid, b, parts=None):
+    """-Laplacian + b.grad as a dense matrix, from ``parts`` (``dense_generator_parts(grid)``) if given.
+
+    Each b_j d/dx_j scales the rows of d/dx_j by b_j, as diag(b_j) @ d/dx_j does.
+    """
+    out, derivatives = dense_generator_parts(grid) if parts is None else parts
+    for bj, dj in zip(b.values, derivatives):
+        out = out + bj.ravel()[:, None] * dj
     return out
 
 

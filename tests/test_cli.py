@@ -422,3 +422,59 @@ def test_simulate_one_path_exits_2_before_the_evolve(tmp_path, capsys, monkeypat
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "paths" in err
+
+
+@pytest.mark.parametrize(
+    "experiment, cfg, key",
+    [
+        ("pseudo-resolvent", {"field": HARDY, "n_pairs": -3}, "n_pairs"),
+        ("norm-bounds", {"field": HARDY, "n_starts": 0, "p": 2.5}, "n_starts"),
+        ("weak-identity", {"field": HARDY, "count": 0}, "count"),
+        ("holder-probe", {"field": HARDY, "pairs_per_bin": 0}, "pairs_per_bin"),
+        ("ultracontractivity", {"n_sources": 0}, "n_sources"),
+        ("simulate", {"field": HARDY, "pde_steps": 0}, "pde_steps"),
+        ("convergence-study", {"field": HARDY, "levels": []}, "levels"),
+        ("convergence-study", {"field": HARDY, "levels": 5}, "levels"),
+        ("simulate", {"field": HARDY, "starts": []}, "starts"),
+        ("ultracontractivity", {"t_grid": []}, "t_grid"),
+        ("smoothing-study", {"field": HARDY, "sizes": []}, "sizes"),
+        ("estimate-class", {"field": HARDY, "classes": []}, "classes"),
+        ("resolvent", {"field": HARDY, "lambda_grid": []}, "lambda_grid"),
+    ],
+    ids=["n_pairs", "n_starts", "count", "pairs_per_bin", "n_sources", "pde_steps", "levels", "levels-not-list",
+         "starts", "t_grid", "sizes", "classes", "lambda_grid"],
+)
+def test_count_below_one_or_empty_list_exits_2_before_any_estimate(tmp_path, capsys, monkeypatch, experiment, cfg, key):
+    import sdlab.cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the config was checked")
+
+    for name in ("estimate_class_F_half", "estimate_class_F", "estimate_class_K"):
+        monkeypatch.setattr(sdlab.cli, name, no_estimate)
+    path = write_cfg(tmp_path, {**cfg, "grid": {"n": 8}})
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("margin", [-1.0, 0.0, 1.0])
+def test_guard_margin_outside_zero_one_exits_2(tmp_path, capsys, margin):
+    # a margin is a config fault, not a hypothesis failure (exit 3)
+    path = write_cfg(tmp_path, {"field": None, "grid": {"n": 8}, "guard_margin": margin})
+    assert main(["pseudo-resolvent", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: guard_margin: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, cfg, key",
+    [
+        ("smoothing-study", {"field": HARDY, "lam": 0, "sizes": [8]}, "lam"),
+        ("estimate-class", {"field": HARDY, "lambda_grid": [0, 1]}, "lambda_grid"),
+        ("estimate-class", {"field": HARDY, "lambda_grid": [-1, 1], "classes": ["K"]}, "lambda_grid"),
+    ],
+    ids=["smoothing-lam", "lambda-zero", "lambda-negative-K"],
+)
+def test_nonpositive_lambda_exits_2_and_names_key(tmp_path, capsys, experiment, cfg, key):
+    path = write_cfg(tmp_path, {**cfg, "grid": {"n": 8}})
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err

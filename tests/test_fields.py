@@ -197,6 +197,14 @@ def test_estimator_matvec_costs_one_fft_pair(monkeypatch, fn):
     assert counts["fft"] == 2 * counts["matvec"]
 
 
+@pytest.mark.parametrize("lams", [[0.0, 1.0], [-1.0, 1.0], []], ids=["zero", "negative", "empty"])
+@pytest.mark.parametrize("estimator", [estimate_class_F_half, estimate_class_F, estimate_class_K])
+def test_class_estimators_reject_a_nonpositive_or_empty_lambda_grid(estimator, lams):
+    # at lam <= 0 the zero mode makes (lam - Lap)^(-alpha) infinite on the torus
+    with pytest.raises(ValueError, match="^lambda_grid: "):
+        estimator(DriftSpec("hardy", c=0.2).on_grid(Grid(3, 8, 8.0)), lambda_grid=lams)
+
+
 def test_estimator_scaling():
     g = Grid(3, 16, 8.0)
     b = DriftSpec("hardy", c=0.1).on_grid(g)

@@ -49,16 +49,16 @@ def test_grid_invariants():
 
 def test_multiplier_constant_is_eigenfunction(grid8):
     one = GridFunction(grid8, np.ones(grid8.shape))
-    out = free_assembly(grid8, 1.0).apply_free_resolvent(one)
+    out = free_assembly(grid8, 1.0).apply(one)
     np.testing.assert_allclose(out.values, 1.0, atol=1e-13)
-    out2 = free_assembly(grid8, 2.0).apply_free_resolvent(one)
+    out2 = free_assembly(grid8, 2.0).apply(one)
     np.testing.assert_allclose(out2.values, 0.5, atol=1e-13)
 
 
 def test_multiplier_gradient_single_mode():
     g = Grid(3, 16, 2 * np.pi)
     f = GridFunction.from_callable(g, lambda x, y, z: np.sin(x))
-    out = gradient_apply(free_assembly(g, 1.0).apply_free_resolvent(f))[0]
+    out = gradient_apply(free_assembly(g, 1.0).apply(f))[0]
     # i*k/(1+k^2) at k=1 turns sin into cos/2
     np.testing.assert_allclose(out, np.cos(g.coordinates()[0]) / 2.0, atol=1e-12)
 
@@ -79,7 +79,7 @@ def test_multiplier_composition_principal_branch(grid8, random_f8):
 
 def test_resolvent_defining_equation(grid8, random_f8):
     zeta = complex(1.5, -0.8)
-    u = free_assembly(grid8, zeta).apply_free_resolvent(random_f8)
+    u = free_assembly(grid8, zeta).apply(random_f8)
     resid = zeta * u - laplacian_apply(u) - random_f8
     assert lp_norm(resid, 2) / lp_norm(random_f8, 2) < 1e-10
 

@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boyd_reference import estimate_op_norm_per_start
 from dense_oracles import (
     apply_dense,
     dense_generator,
+    dense_generator_parts,
     dense_input_factor,
     dense_loop_factor,
     dense_output_factor,
@@ -28,7 +29,17 @@ from sdlab.errors import (
     SpectralDomainError,
 )
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair
-from sdlab.grid import Grid, GridFunction, GridVectorField, fft_workers, fftn, ifftn, lp_norm, set_fft_workers
+from sdlab.grid import (
+    Grid,
+    GridFunction,
+    GridVectorField,
+    apply_symbol_array,
+    fft_workers,
+    fftn,
+    ifftn,
+    lp_norm,
+    set_fft_workers,
+)
 from sdlab.resolvent import (
     LinearOp,
     ResolventAssembly,
@@ -40,6 +51,7 @@ from sdlab.resolvent import (
     zeta_ray_grid,
 )
 from sdlab.semigroup import SemigroupParams, evolve
+from view_reference import reference_view
 
 
 def make_params(delta=0.05, lam=1.0, p=2.5, zeta=None):
@@ -65,6 +77,13 @@ def test_params_reject_non_finite_fields(name, value):
     kwargs = {"p": 2.0, "zeta": complex(3.0, 1.0), "delta": 0.05, "lam": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         ResolventParams(**kwargs)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_params_reject_a_nonpositive_lam(lam):
+    # the torus's zero mode makes (lam - Lap)^(-alpha) infinite at lam <= 0
+    with pytest.raises(ValueError, match="^lam must be positive"):
+        ResolventParams(p=2.0, zeta=3.0, delta=0.05, lam=lam)
 
 
 def test_dft_oracle_matches_fft(grid8, random_f8):
@@ -129,7 +148,7 @@ def test_output_factor_unit_weight_is_free_resolvent(grid16, rng):
     a = ResolventAssembly(pr, b)
     f = GridFunction(grid16, rng.standard_normal(grid16.shape) + 0j)
     got = GridFunction(grid16, a.output_factor()(f.values))
-    want = a.apply_free_resolvent(f)
+    want = apply_symbol_array(a._sym(1.0), f)
     assert lp_norm(got - want, 2) / lp_norm(want, 2) < 1e-13
 
 
@@ -499,7 +518,7 @@ def test_zero_field_apply_is_free_resolvent(count_transforms, rep, grid16, zero_
     pr = make_params(delta=0.0, lam=0.5, p=2.0, zeta=complex(2.0, 1.0))
     a = ResolventAssembly(pr, zero_field16, rep)
     f = GridFunction(grid16, rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape))
-    free = a.apply_free_resolvent(f).values
+    free = apply_symbol_array(a._sym(1.0), f).values
     counts = count_transforms()
     out = a.apply(f).values
     assert counts == {"calls": 2, "transforms": 2}
@@ -599,7 +618,7 @@ def test_neumann_sums_in_place_to_the_explicit_series(grid16, hardy16, rng):
     np.testing.assert_array_equal(g.values, kept)
     total, term = kept.copy(), kept
     for _ in history:
-        term = -a._loop_values(term)
+        term = -a.loop_factor()(term)
         total = total + term
     np.testing.assert_array_equal(out.values, total)
 
@@ -757,10 +776,13 @@ def test_gathered_symbols_equal_the_power_bit_for_bit(d, n, zeta):
             assert (a._sym(alpha) is sym) == (alpha in a._series_exponents)
 
 
-def assert_matches_dense_solve(b, f, cases):
-    """Each (p, reps) case's factorizations solve as np.linalg.solve does, on one dense solve."""
+def assert_matches_dense_solve(b, f, cases, parts=None):
+    """Each (p, reps) case's factorizations solve as np.linalg.solve does, on one dense solve.
+
+    ``parts`` are the grid's ``dense_generator_parts``, built here if None.
+    """
     zeta = complex(2.5, 1.0)
-    M = zeta * np.eye(b.grid.node_count()) + dense_generator(b.grid, b)
+    M = zeta * np.eye(b.grid.node_count()) + dense_generator(b.grid, b, parts)
     want = np.linalg.solve(M, f.values.ravel()).reshape(b.grid.shape)
     for p, reps in cases:
         for rep in reps:
@@ -811,6 +833,23 @@ def test_four_dimensional_field_matches_dense_solve():
         ResolventAssembly(make_params(p=2.0, delta=0.9 / C.m_d(3)), b)  # guard 0.9 at d = 3
     with pytest.raises(ValueError, match="d must be >= 3, got 2"):
         ResolventAssembly(make_params(), GridVectorField.zeros(Grid(2, 8, 16.0)))
+
+
+@pytest.mark.parametrize("d,n", [(3, 8), (4, 6)])
+def test_factorizations_match_the_dense_generator_solve_on_random_drifts(d, n):
+    # every factorization's apply solves (zeta + generator) u = f: all four at p = 2 and
+    # the three chains at p = 2.5, on random real drifts, the zero drift among them
+    grid = Grid(d, n, 8.0)
+    parts = dense_generator_parts(grid)  # built once: 4.6 s at 6^4
+
+    @example(amp=0.0, holes=False, seed=0)
+    @given(amp=st.sampled_from([0.0, 0.1, 0.3]), holes=st.booleans(), seed=st.integers(0, 2**16))
+    def check(amp, holes, seed):
+        rng = np.random.default_rng(seed)
+        f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        assert_matches_dense_solve(random_drift(grid, amp, holes, seed), f, DENSE_CASES, parts)
+
+    check()
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0])
@@ -926,6 +965,40 @@ def test_views_map_a_batch_item_by_item_bit_for_bit(view, d, n):
         assert out.shape == batch.shape
         for i in np.ndindex(2, 3):
             assert out[i].tobytes() == apply(batch[i]).tobytes(), (view, apply)
+
+
+def same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@given(d=st.sampled_from([3, 4]), p=st.sampled_from([1.5, 2.0, 2.5]), zeta=st.sampled_from([3.0, complex(3.0, 1.5)]),
+       kind=st.sampled_from(["zero", "holed", "random", "constant"]), seed=st.integers(0, 2**16))
+def test_views_match_the_frozen_view_methods_bit_for_bit(d, p, zeta, kind, seed):
+    # each view's forward, adjoint and symbol are what the old per-view methods gave
+    # (tests/view_reference.py), on one grid array, a batch and real input; on the zero
+    # drift every factorization's apply is the free resolvent's multiplier
+    grid = Grid(d, 6 if d == 4 else 8, 8.0)
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        b = GridVectorField(grid, 0.2 * rng.standard_normal((d,) + (1,) * d) + np.zeros((d,) + grid.shape))
+    else:
+        b = random_drift(grid, 0.0 if kind == "zero" else 0.3, kind == "holed", seed)
+    a = ResolventAssembly(make_params(p=p, zeta=zeta), b)
+    single, batch = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in (grid.shape, (2,) + grid.shape))
+    real = rng.standard_normal(grid.shape)
+    for name in VIEWS[:4]:
+        op = getattr(a, name)()
+        forward, adjoint, symbol = reference_view(a, name)
+        assert (op.symbol is None) == (symbol is None) == (kind in ("holed", "random")), name
+        assert symbol is None or same_bytes(op.symbol, symbol), name
+        for v in (single, batch, real):
+            assert same_bytes(op.forward(v), forward(v)), name
+            assert same_bytes(op.adjoint(v), adjoint(v)), name
+    if kind == "zero":
+        f = GridFunction(grid, single)
+        for rep in resolvent.REPRESENTATIONS if p == 2.0 else ("direct", "fractional", "split"):
+            got = ResolventAssembly(make_params(p=p, zeta=zeta), b, rep).apply(f).values
+            assert same_bytes(got, apply_symbol_array(a._sym(1.0), f).values), rep
 
 
 @pytest.mark.parametrize("view", VIEWS + ("gated",))
