@@ -124,20 +124,36 @@ def _object_from(cfg, key, default):
     return value
 
 
+def _number(value, key):
+    """A config value as a float; it must be a JSON number, not null, a bool, a string or a list."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _number_from(cfg, key, default):
+    """cfg[key] (``default`` if absent) as a float, which must be a JSON number."""
+    return _number(cfg.get(key, default), key)
+
+
+def _count(value, key, least=1):
+    """A config value as an int, which must be a whole JSON number (3.0 is taken, 2.5 is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value) or value < least:
+        raise ConfigError(f"{key}: expected a whole number of at least {least}, got {json.dumps(value)}")
+    return int(value)
+
+
 def _count_from(cfg, key, default):
-    """cfg[key] (``default`` if absent) as an int, which must be at least 1."""
-    value = int(cfg.get(key, default))
-    if value < 1:
-        raise ConfigError(f"{key}: expected a count of at least 1, got {value}")
-    return value
+    """cfg[key] (``default`` if absent) as an int, which must be a whole number of at least 1."""
+    return _count(cfg.get(key, default), key)
 
 
-def _list_from(cfg, key, default, cast=float):
-    """cfg[key] (``default`` if absent), which must be a nonempty JSON list, each entry through ``cast``."""
+def _list_from(cfg, key, default, cast=None):
+    """cfg[key] (``default`` if absent), a nonempty JSON list of numbers, or of entries through ``cast``."""
     values = cfg.get(key, default)
     if not isinstance(values, list) or not values:
         raise ConfigError(f"{key}: expected a nonempty list, got {json.dumps(values)}")
-    return [cast(x) for x in values]
+    return [_number(x, key) if cast is None else cast(x) for x in values]
 
 
 def _grid_from(cfg):
@@ -145,7 +161,7 @@ def _grid_from(cfg):
     for key in g:
         if key not in {"n", "L", "d"}:
             raise ConfigError(f"grid.{key}: unknown key")
-    return Grid(int(g.get("d", 3)), int(g.get("n", 32)), float(g.get("L", 16.0)))
+    return Grid(_count(g.get("d", 3), "grid.d"), _count(g.get("n", 32), "grid.n"), _number(g.get("L", 16.0), "grid.L"))
 
 
 def _field_from(cfg, grid):
@@ -159,9 +175,9 @@ def _field_from(cfg, grid):
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"field: {exc}") from exc
     if level is not None:
-        b = truncate(b, float(level))
+        b = truncate(b, _number(level, "field.truncate"))
     if eps is not None:
-        b = mollify(b, float(eps))
+        b = mollify(b, _number(eps, "field.mollify"))
     return b
 
 
@@ -177,7 +193,7 @@ def _input_from(cfg, grid, seed, with_callable=False):
         if key not in INPUT_KEYS[kind]:
             raise ConfigError(f"f.{key}: unknown key for input kind {kind!r}")
     if kind == "bump":
-        sigma2 = float(fc.get("sigma2", (grid.length / 8.0) ** 2))
+        sigma2 = _number(fc.get("sigma2", (grid.length / 8.0) ** 2), "f.sigma2")
         if not sigma2 > 0:
             raise ConfigError(f"f.sigma2: expected a positive width, got {sigma2!r}")
         c = np.asarray(fc.get("center", [grid.length / 2.0] * grid.d), dtype=float)
@@ -189,22 +205,27 @@ def _input_from(cfg, grid, seed, with_callable=False):
         if with_callable:
             return f, lambda pts: np.exp(-np.sum((pts - c) ** 2, axis=1) / sigma2)
         return f
-    rng = np.random.default_rng(int(fc.get("seed", seed)))
+    rng = np.random.default_rng(_count(fc.get("seed", seed), "f.seed", least=0))
     f = GridFunction(grid, rng.standard_normal(grid.shape).astype(np.complex128))
     return (f, None) if with_callable else f
 
 
 def _resolvent_setup(cfg, grid, seed):
     b = _field_from(cfg, grid)
-    p = float(cfg.get("p", 2.0))
+    p = _number_from(cfg, "p", 2.0)
     lams = np.asarray(_list_from(cfg, "lambda_grid", np.logspace(-1, 2, 5).tolist()))
-    margin = float(cfg.get("guard_margin", 0.7))
+    margin = _number_from(cfg, "guard_margin", 0.7)
     if not 0.0 < margin < 1.0:
         raise ConfigError(f"guard_margin: expected 0 < margin < 1, got {margin}")
+    zeta = cfg.get("zeta")
+    if zeta is not None:
+        if not isinstance(zeta, list) or len(zeta) != 2:
+            raise ConfigError(f"zeta: expected a number pair [re, im], got {json.dumps(zeta)}")
+        zeta = complex(_number(zeta[0], "zeta"), _number(zeta[1], "zeta"))
     est = estimate_class_F_half(b, lambda_grid=lams, seed=seed)
     delta, lam = guarded_pair(est, p=p, d=grid.d, margin=margin)
-    zc = cfg.get("zeta")
-    zeta = complex(*zc) if zc is not None else complex(2.0 * Cmod.kappa_d(grid.d) * lam, 0.0)
+    if zeta is None:
+        zeta = complex(2.0 * Cmod.kappa_d(grid.d) * lam, 0.0)
     params = ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam)
     return b, params
 
@@ -308,10 +329,10 @@ def run_convergence_study(cfg, out, seed):
     grid = _grid_from(cfg)
     levels = _list_from(cfg, "levels", [2, 4, 8, 16, 32])
     steps = _count_from(cfg, "steps", 5)
+    t = _number_from(cfg, "t", 0.1)
     b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
     res_curve = strong_convergence_study(params, b, levels, f)
-    t = float(cfg.get("t", 0.1))
     sg_p, sg_sup = semigroup_convergence_study(params, b, levels, t, steps, f)
     rows = [
         (lev, r, sp_, ss)
@@ -333,9 +354,9 @@ def run_convergence_study(cfg, out, seed):
 def run_semigroup(cfg, out, seed):
     grid = _grid_from(cfg)
     steps = _count_from(cfg, "steps", 8)
+    t = _number_from(cfg, "t", 0.1)
     b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
-    t = float(cfg.get("t", 0.1))
     sp = SemigroupParams(t, steps, richardson=bool(cfg.get("richardson", False)))
     u = evolve(sp, params, b, f)
     save_grid_function(u, out / "evolved")
@@ -356,10 +377,10 @@ def run_ultracontractivity(cfg, out, seed):
     grid = _grid_from(cfg)
     t_grid = np.asarray(_list_from(cfg, "t_grid", np.logspace(np.log10(0.02), np.log10(0.1), 6).tolist()))
     steps, n_sources = _count_from(cfg, "steps", 16), _count_from(cfg, "n_sources", 2)
-    b, params = _resolvent_setup(cfg, grid, seed)
-    p_from = float(cfg.get("p_from", 1.0))
+    p_from = _number_from(cfg, "p_from", 1.0)
     r_to = cfg.get("r_to", "inf")
-    r_to = np.inf if r_to in ("inf", None) else float(r_to)
+    r_to = np.inf if r_to in ("inf", None) else _number(r_to, "r_to")
+    b, params = _resolvent_setup(cfg, grid, seed)
     slope, ts, norms = ultracontractivity_study(
         params, b, p_from, r_to, t_grid, steps=steps, n_sources=n_sources, seed=seed, neumann_tol=1e-7,
     )
@@ -373,7 +394,7 @@ def run_verify_kernels(cfg, out, seed):
     which = cfg.get("which", ["A1", "A2", "A3", "A4", "A5", "A0"])
     if isinstance(which, str):
         which = [w.strip() for w in which.split(",") if w.strip()]
-    d = int(cfg.get("d", 3))
+    d = _count_from(cfg, "d", 3)
     distances = np.logspace(-1, 1, 6)
     re_zetas = np.logspace(np.log10(0.2), np.log10(20.0), 5)
 
@@ -458,11 +479,11 @@ def run_holder_probe(cfg, out, seed):
 @experiment("smoothing-study", required=("field",), optional=("grid", "p", "q", "sizes", "delta", "lam"))
 def run_smoothing_study(cfg, out, seed):
     base = _grid_from(cfg)
-    p = float(cfg.get("p", 2.5))
-    q = float(cfg.get("q", 3.0))
-    sizes = _list_from(cfg, "sizes", [16, 32, 64], cast=int)
-    delta = float(cfg.get("delta", 0.25))
-    lam = float(cfg.get("lam", 1.0))
+    p = _number_from(cfg, "p", 2.5)
+    q = _number_from(cfg, "q", 3.0)
+    sizes = _list_from(cfg, "sizes", [16, 32, 64], cast=lambda n: _count(n, "sizes"))
+    delta = _number_from(cfg, "delta", 0.25)
+    lam = _number_from(cfg, "lam", 1.0)
     fields = [_field_from(cfg, Grid(base.d, n, base.length)) for n in sizes]
     params = ResolventParams(p=p, zeta=complex(2 * Cmod.kappa_d(base.d) * lam, 0.0), delta=delta, lam=lam)
     rows = bessel_smoothing_study(fields, params, q, seed=seed)
@@ -508,19 +529,12 @@ def run_simulate(cfg, out, seed):
     starts = _list_from(cfg, "starts", [[c0 + 1.0, c0, c0], [c0, c0 - 1.2, c0], [c0, c0, c0 + 1.4]],
                         cast=lambda s: np.asarray(s, dtype=float))
     pde_steps = _count_from(cfg, "pde_steps", 64)
+    t, dt = _number_from(cfg, "t", 0.2), _number_from(cfg, "dt", 1e-3)
+    paths, drift_sign = _count_from(cfg, "paths", 20000), _number_from(cfg, "drift_sign", -1.0)
     b, params = _resolvent_setup(cfg, grid, seed)
     f, payoff_fn = _input_from(cfg, grid, seed, with_callable=True)
     rows, ok, results = mc_vs_semigroup(
-        b,
-        params,
-        f,
-        starts,
-        t=float(cfg.get("t", 0.2)),
-        dt=float(cfg.get("dt", 1e-3)),
-        paths=int(cfg.get("paths", 20000)),
-        pde_steps=pde_steps,
-        seed=seed,
-        drift_sign=float(cfg.get("drift_sign", -1.0)),
+        b, params, f, starts, t=t, dt=dt, paths=paths, pde_steps=pde_steps, seed=seed, drift_sign=drift_sign,
         payoff_fn=payoff_fn,
     )
     rows = [(";".join(f"{x:g}" for x in start),) + tuple(rest) for start, *rest in rows]

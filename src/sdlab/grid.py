@@ -40,7 +40,11 @@ over small independent calls, never both, and no pool task waits on the
 pool.  Measured on 2 vCPU against one start at a time: the eight 32^3
 p = 2.5 loop norms of acceptance criterion 5 (64 starts each) went from
 81-97 s to 54-67 s, and ``sdbench`` ``certify`` (eight 16^3 ones, 8 starts
-each) from 2.30 to 2.01 s of ``wall_s``.
+each) from 2.30 to 2.01 s of ``wall_s``.  The Monte Carlo path lane
+shares them too: ``sim.simulate_paths`` steps one noise block on the
+calling thread while the pool draws the next, one numpy call that
+releases the GIL.  With one worker, ``run_on_workers`` calls its tasks in
+order on the calling thread, so its callers need no branch on the count.
 """
 
 from __future__ import annotations
@@ -130,11 +134,13 @@ def run_on_workers(tasks):
     """Call each of ``tasks``, at most fft_workers() of them: the first on the calling
     thread and the rest on the slab pool; returns their results in order when all are done.
 
-    A task must not wait on the pool itself: it makes only calls that run
-    on one worker.  The first exception raised by a task is raised here.
+    With one worker, any number of tasks run in order on the calling
+    thread, as does a single task, and no pool is built.  A task must not
+    wait on the pool itself: it makes only calls that run on one worker.
+    The first exception raised by a task is raised here.
     """
-    if len(tasks) == 1:
-        return [tasks[0]()]
+    if len(tasks) == 1 or _FFT_WORKERS == 1:
+        return [task() for task in tasks]
     pool = _slab_pool()
     futures = [pool.submit(task) for task in tasks[1:]]
     try:

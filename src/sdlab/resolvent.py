@@ -805,7 +805,8 @@ def estimate_op_norm(op, p, n_starts=64, tol=1e-4, seed=0):
     iteration gives.  At p != 2, every operator, multiplier or not, runs
     restarted nonlinear power iteration on the norm ratio (Boyd's ascent
     on the dual vectors), at most 100 steps from each of ``n_starts``
-    random starts, and returns the largest ratio found, a lower estimate.
+    random starts, and returns the largest ratio found, a lower estimate;
+    ``n_starts`` below 1 raises ValueError there.
 
     The starts at p != 2 are drawn from one ``default_rng(seed)`` stream in
     start order, each as a real then an imaginary standard normal grid
@@ -824,7 +825,7 @@ def estimate_op_norm(op, p, n_starts=64, tol=1e-4, seed=0):
     if p == 2.0:
         return _top_singular_value(op, tol, seed)
     if n_starts < 1:
-        return 0.0
+        raise ValueError(f"n_starts: expected at least 1 random start at p != 2, got {n_starts}")
     grid = op.grid
     rng = np.random.default_rng(seed)
     lock = threading.Lock()

@@ -14,16 +14,23 @@ values); a grid-function payoff is read by its trigonometric
 interpolant, the function the semigroup side evolves.  Paths leaving
 the safety box are censored (frozen and counted); runs with a censored
 fraction >= 0.1% are flagged invalid.
+
+Each chunk of CHUNK paths draws its noise from its own (seed, chunk)
+stream, in path blocks of at most NOISE_BLOCK_BYTES.  The calling thread
+steps one block while the slab pool draws the next, so the draw, one
+numpy call that releases the GIL, overlaps the step; the stepping itself
+stays on the calling thread, where the GIL keeps it anyway.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._accel import em_chunk
-from .grid import GridFunction, fourier_eval
+from .grid import GridFunction, fourier_eval, run_on_workers
 from .semigroup import SemigroupParams, evolve
 
 __all__ = [
@@ -36,8 +43,8 @@ __all__ = [
 
 CENSOR_LIMIT = 1e-3
 CHUNK = 8192
-# noise held at a time: a chunk's noise is drawn and stepped in path blocks of at most this size
-NOISE_BLOCK_BYTES = 16 * 2**20
+# a chunk's noise is drawn and stepped in path blocks of at most this size, two blocks held at a time
+NOISE_BLOCK_BYTES = 10 * 2**20
 
 
 @dataclass
@@ -96,23 +103,26 @@ def _block_paths(m, steps):
     return -(-m // -(-m // fit))
 
 
-def _chunk_noise(seed, chunk_index, m, buf):
-    """Yield (offset, noise) over consecutive path blocks of one chunk's noise.
+def _stream(seed, chunk_index):
+    """The noise stream of one chunk, derived from (seed, chunk index)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
 
-    The chunk's stream comes from (seed, chunk index), and the blocks are
-    drawn from it one after another, so together they are the
-    ``(m, steps, 3)`` array of one draw, bit for bit.  The blocks are
-    ``_block_paths(m, steps)`` paths long (the last one may be shorter),
-    and each is drawn into the front of ``buf``, a ``(rows, steps, 3)``
-    array with at least that many rows, so a block must be used before
-    the next one is asked for.
+
+def _noise_blocks(paths, steps):
+    """(chunk index, start, stop) of every path block of a run, in stream order.
+
+    The run's paths fall in chunks of CHUNK (the last one may be shorter),
+    and each m-path chunk in consecutive blocks of ``_block_paths(m, steps)``
+    paths (its last one may be shorter).  Drawn one after another from the
+    chunk's ``_stream``, a chunk's blocks are the ``(m, steps, 3)`` array
+    of one draw, bit for bit.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    size = _block_paths(m, buf.shape[1])
-    for offset in range(0, m, size):
-        block = buf[: min(size, m - offset)]
-        rng.standard_normal(out=block)
-        yield offset, block
+    blocks = []
+    for chunk_index, first in enumerate(range(0, paths, CHUNK)):
+        end = min(first + CHUNK, paths)
+        size = _block_paths(end - first, steps)
+        blocks += [(chunk_index, start, min(start + size, end)) for start in range(first, end, size)]
+    return blocks
 
 
 def simulate_paths(sp, payoff=None, drift_sign=-1.0):
@@ -124,10 +134,15 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     in chunks of CHUNK, each with its own noise stream derived from
     (seed, chunk index), so identical SimParams reproduce identical
     statistics bit for bit.  A chunk's noise is drawn and stepped in
-    consecutive path blocks of at most NOISE_BLOCK_BYTES, which leaves
-    every number as one draw per chunk gives it while the noise held at
-    a time no longer grows with the step count.  Every block of every
-    chunk is drawn into one buffer, allocated once per call.
+    consecutive path blocks of at most NOISE_BLOCK_BYTES (``_noise_blocks``),
+    which leaves every number as one draw per chunk gives it while the
+    noise held at a time no longer grows with the step count.  The blocks
+    alternate between the two halves of one noise array, allocated once
+    per call: while ``em_chunk`` steps a block on the calling thread, the
+    next block is drawn into the other half on the slab pool
+    (``run_on_workers``), and with one worker after it on the calling
+    thread.  Each stream is still drawn block after block in order, so no
+    number depends on the worker count.
     """
     grid = sp.drift.grid
     if grid.d != 3:
@@ -146,17 +161,27 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     terminal = np.empty((sp.paths, 3))
     terminal[:] = sp.x0
     censored = np.zeros(sp.paths, dtype=np.bool_)
-    # one noise buffer for every chunk, sized for the longer block of the
-    # first chunk and the last one
-    last = sp.paths - CHUNK * ((sp.paths - 1) // CHUNK)
-    buf = np.empty((max(_block_paths(min(CHUNK, sp.paths), steps), _block_paths(last, steps)), steps, 3))
-    for chunk_index, start in enumerate(range(0, sp.paths, CHUNK)):
-        m = min(CHUNK, sp.paths - start)
-        for offset, noise in _chunk_noise(sp.seed, chunk_index, m, buf):
-            block = slice(start + offset, start + offset + len(noise))
-            em_chunk(terminal[block], sp.drift.values, n, h, dt, sqrt2dt, noise, drift_sign, lo, hi,
-                     censored[block])
-    del buf, noise  # frees the noise before the payoff is read
+    blocks = _noise_blocks(sp.paths, steps)
+    streams = [_stream(sp.seed, chunk_index) for chunk_index in range(blocks[-1][0] + 1)]
+    # block i is drawn into half i % 2, sized for the longest block
+    noise = np.empty((2, max(stop - start for _, start, stop in blocks), steps, 3))
+
+    def draw(i):
+        chunk_index, start, stop = blocks[i]
+        streams[chunk_index].standard_normal(out=noise[i % 2, : stop - start])
+
+    def step(i):
+        _, start, stop = blocks[i]
+        em_chunk(terminal[start:stop], sp.drift.values, n, h, dt, sqrt2dt, noise[i % 2, : stop - start],
+                 drift_sign, lo, hi, censored[start:stop])
+
+    draw(0)
+    for i in range(len(blocks)):
+        tasks = [functools.partial(step, i)]
+        if i + 1 < len(blocks):
+            tasks.append(functools.partial(draw, i + 1))
+        run_on_workers(tasks)
+    del noise  # frees the noise before the payoff is read
     censored_total = int(censored.sum())
 
     frac = censored_total / sp.paths

@@ -457,6 +457,53 @@ def test_count_below_one_or_empty_list_exits_2_before_any_estimate(tmp_path, cap
     assert f"config error: {key}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, cfg, key",
+    [
+        ("pseudo-resolvent", {"field": HARDY, "n_pairs": None}, "n_pairs"),
+        ("pseudo-resolvent", {"field": HARDY, "n_pairs": 2.5}, "n_pairs"),
+        ("pseudo-resolvent", {"field": HARDY, "n_pairs": True}, "n_pairs"),
+        ("pseudo-resolvent", {"field": HARDY, "p": [2.5]}, "p"),
+        ("pseudo-resolvent", {"field": HARDY, "guard_margin": "0.5"}, "guard_margin"),
+        ("simulate", {"field": HARDY, "paths": 2.5}, "paths"),
+        ("simulate", {"field": HARDY, "dt": None}, "dt"),
+        ("smoothing-study", {"field": HARDY, "sizes": [8, None]}, "sizes"),
+        ("resolvent", {"field": HARDY, "grid": {"n": 8.5}}, "grid.n"),
+        ("resolvent", {"field": HARDY, "zeta": [3.0, None]}, "zeta"),
+        ("resolvent", {"field": HARDY, "zeta": "3"}, "zeta"),
+    ],
+    ids=["n_pairs-null", "n_pairs-2.5", "n_pairs-bool", "p-list", "margin-string", "paths-2.5", "dt-null",
+         "sizes-null-entry", "grid-n-2.5", "zeta-null-entry", "zeta-string"],
+)
+def test_config_value_of_the_wrong_type_exits_2_and_names_key(tmp_path, capsys, monkeypatch, experiment, cfg, key):
+    # a JSON null, bool, list or string, or a count that is not whole, is a config fault,
+    # not a TypeError (exit 1) or a silently truncated int
+    import sdlab.cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the config was checked")
+
+    for name in ("estimate_class_F_half", "estimate_class_F", "estimate_class_K"):
+        monkeypatch.setattr(sdlab.cli, name, no_estimate)
+    path = write_cfg(tmp_path, {"grid": {"n": 8}, **cfg})
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: expected a " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, -1])
+def test_noise_input_seed_must_be_a_whole_number_of_at_least_0(tmp_path, capsys, seed):
+    path = write_cfg(tmp_path, {"field": None, "grid": {"n": 8}, "f": {"kind": "noise", "seed": seed}})
+    assert main(["semigroup", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: f.seed: expected a whole number of at least 0, got " in capsys.readouterr().err
+
+
+def test_whole_float_count_is_taken(tmp_path):
+    path = write_cfg(tmp_path, {"field": None, "grid": {"n": 8.0}, "n_pairs": 2.0})
+    out = tmp_path / "o"
+    assert main(["pseudo-resolvent", "--config", path, "--out", str(out)]) == 0
+    assert len((out / "pseudo_resolvent.csv").read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("margin", [-1.0, 0.0, 1.0])
 def test_guard_margin_outside_zero_one_exits_2(tmp_path, capsys, margin):
     # a margin is a config fault, not a hypothesis failure (exit 3)

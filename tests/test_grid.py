@@ -442,6 +442,23 @@ def test_run_on_workers_runs_the_first_task_on_the_caller(restore_fft_workers):
     assert run_on_workers([threading.get_ident]) == [threading.get_ident()]
 
 
+def test_run_on_workers_with_one_worker_runs_every_task_in_order_on_the_caller(monkeypatch, restore_fft_workers):
+    set_fft_workers(1)
+
+    def no_pool():
+        raise AssertionError("a pool was asked for at one worker")
+
+    monkeypatch.setattr(grid_module, "_slab_pool", no_pool)
+    calls = []
+
+    def task(i):
+        calls.append((i, threading.get_ident()))
+        return i
+
+    assert run_on_workers([functools.partial(task, i) for i in range(3)]) == [0, 1, 2]
+    assert calls == [(i, threading.get_ident()) for i in range(3)]
+
+
 def test_split_pass_under_fast_thread_switching(monkeypatch, restore_fft_workers, rng):
     # more workers than cores, switching every microsecond: slabs that wrote
     # over each other or a slab left out would change the in-place sum

@@ -313,6 +313,16 @@ def test_estimate_op_norm_sanity(grid16):
     assert est == pytest.approx(1.0 / zeta, rel=1e-3)
 
 
+@pytest.mark.parametrize("n_starts", [0, -1])
+def test_estimate_op_norm_without_starts_raises_at_p_not_2(grid8, n_starts):
+    # a norm of 0 from no starts would pass every bound of norm_bound_report
+    identity = LinearOp(grid8, lambda v: v.copy(), lambda v: v.copy())
+    with pytest.raises(ValueError, match="^n_starts: "):
+        estimate_op_norm(identity, 2.5, n_starts=n_starts)
+    with pytest.raises(ValueError, match="^n_starts: "):
+        norm_bound_report(make_params(p=2.5), GridVectorField.zeros(grid8), n_starts=n_starts)
+
+
 @pytest.mark.parametrize("factor", ["loop", "input", "output"])
 def test_p2_op_norm_dense_svd_oracle(grid8, bounded_field8, factor):
     a = ResolventAssembly(make_params(p=2.0), bounded_field8)

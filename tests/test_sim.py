@@ -1,4 +1,6 @@
 import functools
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ import em_reference
 from sdlab import sim
 from sdlab._accel import TILE, em_chunk, trilinear_at
 from sdlab.fields import DriftSpec, estimate_class_F_half, guarded_pair, mollify, truncate
-from sdlab.grid import Grid, GridFunction, GridVectorField
+from sdlab.grid import Grid, GridFunction, GridVectorField, set_fft_workers
 from sdlab.resolvent import ResolventParams
-from sdlab.sim import (CHUNK, SimParams, _block_paths, _chunk_noise, mc_vs_semigroup, simulate_paths,
+from sdlab.sim import (CHUNK, SimParams, _block_paths, _noise_blocks, _stream, mc_vs_semigroup, simulate_paths,
                        strong_feller_probe)
 
 
@@ -166,7 +168,7 @@ def _em_lanes(g, field, drift_sign):
     """
     m, steps, dt = 2000, 120, 1e-3
     lo, hi = 2 * g.h, g.length - 2 * g.h
-    (_, noise), = _chunk_noise(5, 0, m, np.empty((m, steps, 3)))
+    noise = _stream(5, 0).standard_normal((m, steps, 3))
     runs = []
     for lane in (em_chunk, _masked_em):
         pos = np.tile([lo + g.h, 8.0, hi - 0.5 * g.h], (m, 1))
@@ -231,52 +233,116 @@ def test_em_chunk_equals_frozen_reference_bit_for_bit(n, m, steps, drift_sign, z
 
 
 def test_block_paths_split_a_chunk_into_fewest_near_equal_blocks(monkeypatch):
-    # feller's 8192-path chunk at 300 steps: four blocks of 2048 paths, 14.7 MB each
-    assert sim.NOISE_BLOCK_BYTES == 16 * 2**20
-    assert _block_paths(8192, 300) == 2048
-    assert _block_paths(100_000 - 12 * CHUNK, 300) == 1696  # criterion 11's last chunk: one block
+    # feller's 8192-path chunk at 300 steps: six blocks of 1366 paths, 9.8 MB each
+    assert sim.NOISE_BLOCK_BYTES == 10 * 2**20
+    assert _block_paths(8192, 300) == 1366
+    assert _block_paths(100_000 - 12 * CHUNK, 300) == 848  # criterion 11's last chunk: two blocks
     monkeypatch.setattr(sim, "NOISE_BLOCK_BYTES", 1)
     assert _block_paths(5, 10) == 1  # one path at least
 
 
-def test_noise_blocks_equal_one_draw_per_chunk(g16, monkeypatch):
-    # two chunks, each drawn and stepped in blocks, against one draw and one
-    # em_chunk call per chunk; the start is one cell inside the safety box
-    field = np.ascontiguousarray(DriftSpec("smooth-random", amp=1.5, kmax=2, seed=3).on_grid(g16).values.real)
-    lo, hi = 2 * g16.h, g16.length - 2 * g16.h
-    sp = SimParams(drift=GridVectorField(g16, field), t=0.05, dt=1e-3, paths=CHUNK + 1000, seed=12,
-                   x0=[lo + g16.h, 8.0, 8.0], safety_margin=lo)
-    steps, dt = sp.steps, sp.dt_effective
-    budget = 400 * steps * 24 + 100
+def test_noise_blocks_list_every_chunk_in_stream_order():
+    blocks = _noise_blocks(2 * CHUNK + 5, 300)
+    assert blocks[:2] == [(0, 0, 1366), (0, 1366, 2732)] and blocks[5] == (0, 6830, CHUNK)
+    assert blocks[6:12] == [(1, CHUNK + a, CHUNK + b) for _, a, b in blocks[:6]]
+    assert blocks[12:] == [(2, 2 * CHUNK, 2 * CHUNK + 5)]
+
+
+def _two_chunk_run(g, monkeypatch):
+    """A two-chunk run whose chunks take 21 and 3 noise blocks, its field and its block budget.
+
+    The start is one cell inside the safety box, so that part of the paths is censored.
+    """
+    field = np.ascontiguousarray(DriftSpec("smooth-random", amp=1.5, kmax=2, seed=3).on_grid(g).values.real)
+    lo = 2 * g.h
+    sp = SimParams(drift=GridVectorField(g, field), t=0.05, dt=1e-3, paths=CHUNK + 1000, seed=12,
+                   x0=[lo + g.h, 8.0, 8.0], safety_margin=lo)
+    budget = 400 * sp.steps * 24 + 100
     monkeypatch.setattr(sim, "NOISE_BLOCK_BYTES", budget)
-    blocks, buffers = [], set()
+    return sp, field, budget
 
-    def checked(pos, field, n, h, dt, sqrt2dt, noise, *rest):
-        assert noise.nbytes <= budget and len(pos) == len(noise)
-        blocks.append(len(noise))
-        buffers.add(noise.__array_interface__["data"][0])
-        em_chunk(pos, field, n, h, dt, sqrt2dt, noise, *rest)
 
-    monkeypatch.setattr(sim, "em_chunk", checked)
-    res = simulate_paths(sp, payoff=_bump, drift_sign=+1.0)
-    assert len(blocks) >= 6 and sum(blocks) == sp.paths
-    assert len(buffers) == 1  # every block of both chunks is drawn into one buffer
-
+def _one_draw_per_chunk(sp, field, g):
+    """(terminal, censored) of sp from one noise draw and one em_chunk call per chunk."""
+    steps, dt = sp.steps, sp.dt_effective
+    lo, hi = sp.safety_margin, g.length - sp.safety_margin
     terminal = np.empty((sp.paths, 3))
     censored = np.zeros(sp.paths, dtype=np.bool_)
     for chunk_index, start in enumerate(range(0, sp.paths, CHUNK)):
         m = min(CHUNK, sp.paths - start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sp.seed, spawn_key=(chunk_index,)))
         pos = np.tile(sp.x0, (m, 1))
-        em_chunk(pos, field, g16.n, g16.h, dt, np.sqrt(2 * dt), rng.standard_normal((m, steps, 3)), +1.0,
+        em_chunk(pos, field, g.n, g.h, dt, np.sqrt(2 * dt), rng.standard_normal((m, steps, 3)), +1.0,
                  lo, hi, censored[start : start + m])
         terminal[start : start + m] = pos
+    return terminal, censored
+
+
+def _assert_equals_one_draw_per_chunk(res, sp, field, g):
+    terminal, censored = _one_draw_per_chunk(sp, field, g)
     vals = _bump(terminal)
     assert 0 < censored.sum() < sp.paths
     np.testing.assert_array_equal(res.terminal, terminal)
     assert res.censored == censored.sum()
     assert res.payoff_mean == np.mean(vals)
     assert res.payoff_se == np.std(vals, ddof=1) / np.sqrt(sp.paths)
+
+
+def test_noise_blocks_equal_one_draw_per_chunk(g16, monkeypatch):
+    # two chunks, each drawn and stepped in blocks, against one draw and one
+    # em_chunk call per chunk
+    sp, field, budget = _two_chunk_run(g16, monkeypatch)
+    blocks, bases, offsets = [], [], []
+
+    def checked(pos, field, n, h, dt, sqrt2dt, noise, *rest):
+        assert noise.nbytes <= budget and len(pos) == len(noise)
+        blocks.append(len(noise))
+        bases.append(noise.base)
+        offsets.append(noise.__array_interface__["data"][0] - noise.base.__array_interface__["data"][0])
+        em_chunk(pos, field, n, h, dt, sqrt2dt, noise, *rest)
+
+    monkeypatch.setattr(sim, "em_chunk", checked)
+    res = simulate_paths(sp, payoff=_bump, drift_sign=+1.0)
+    assert len(blocks) >= 6 and sum(blocks) == sp.paths
+    # every block of both chunks lies in one of the two halves of one allocation, in turn
+    half = bases[0].nbytes // 2
+    assert bases[0].shape[0] == 2 and all(base is bases[0] for base in bases)
+    assert offsets == [half * (i % 2) for i in range(len(blocks))]
+    _assert_equals_one_draw_per_chunk(res, sp, field, g16)
+
+
+def test_simulate_paths_is_bit_identical_at_any_worker_count(g16, monkeypatch, restore_fft_workers):
+    # the next block is drawn on the pool from 2 workers on, after the step at 1; with
+    # threads switching every microsecond, a draw into the half being stepped would show
+    sp, field, _ = _two_chunk_run(g16, monkeypatch)
+    assert min(Counter(c for c, _, _ in _noise_blocks(sp.paths, sp.steps)).values()) >= 3
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            set_fft_workers(workers)
+            _assert_equals_one_draw_per_chunk(simulate_paths(sp, payoff=_bump, drift_sign=+1.0), sp, field, g16)
+    finally:
+        sys.setswitchinterval(saved)
+
+
+def test_em_chunk_error_propagates_and_the_next_call_works(g16, monkeypatch, restore_fft_workers):
+    set_fft_workers(2)
+    sp, field, _ = _two_chunk_run(g16, monkeypatch)
+    calls = []
+
+    def fails_on_block_2(*args):
+        calls.append(len(calls))
+        if len(calls) == 3:
+            raise RuntimeError("block 2")
+        em_chunk(*args)
+
+    monkeypatch.setattr(sim, "em_chunk", fails_on_block_2)
+    with pytest.raises(RuntimeError, match="^block 2$"):
+        simulate_paths(sp, payoff=_bump, drift_sign=+1.0)
+    assert calls == [0, 1, 2]
+    monkeypatch.setattr(sim, "em_chunk", em_chunk)
+    _assert_equals_one_draw_per_chunk(simulate_paths(sp, payoff=_bump, drift_sign=+1.0), sp, field, g16)
 
 
 def _coupled_em(field_arr, g, x0, t, dt_fine, n_paths, seed, levels=3):
