@@ -3,7 +3,7 @@
 Builds the resolvent of -Laplacian + b.grad on a periodic torus from
 weighted spectral factors inverted by a guarded Neumann series, drives
 the semigroup by backward Euler through that resolvent, verifies the
-pointwise kernel estimates by grid-free quadrature, and cross-validates
+pointwise kernel estimates grid-free in closed form, and cross-validates
 the induced diffusion by Monte Carlo.
 """
 

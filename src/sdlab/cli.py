@@ -236,8 +236,11 @@ def _resolvent_setup(cfg, grid, seed):
 @experiment("constants", optional=("d", "deltas"))
 def run_constants(cfg, out, seed):
     ds = cfg.get("d", [3])
-    ds = [ds] if isinstance(ds, int) else list(ds)
+    ds = ds if isinstance(ds, list) else [ds]
     deltas = cfg.get("deltas", [0.1, 0.2, 0.3])
+    # check the entries but pass on the JSON values, so a delta of 1 prints as 1
+    _list_from({"d": ds}, "d", None, cast=lambda x: _count(x, "d"))
+    _list_from(cfg, "deltas", deltas)
     rows = Cmod.constants_table(ds, deltas)
     write_csv(out / "constants.csv",
               ["d", "m_d", "kappa_d", "feller_threshold", "delta", "I_lo", "I_hi"], rows)
@@ -394,6 +397,8 @@ def run_verify_kernels(cfg, out, seed):
     which = cfg.get("which", ["A1", "A2", "A3", "A4", "A5", "A0"])
     if isinstance(which, str):
         which = [w.strip() for w in which.split(",") if w.strip()]
+    elif not isinstance(which, list) or not all(isinstance(w, str) for w in which):
+        raise ConfigError(f"which: expected a string or a list of strings, got {json.dumps(which)}")
     d = _count_from(cfg, "d", 3)
     distances = np.logspace(-1, 1, 6)
     re_zetas = np.logspace(np.log10(0.2), np.log10(20.0), 5)

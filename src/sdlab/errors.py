@@ -55,7 +55,7 @@ class PowerIterationError(SdlabError):
 
 
 class QuadratureError(SdlabError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A quadrature did not settle to its tolerance under refinement."""
 
 
 class ConfigError(SdlabError):

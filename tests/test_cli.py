@@ -29,6 +29,39 @@ def test_constants_subcommand(tmp_path):
     assert manifest["peak_rss_mb"] > 0
 
 
+@pytest.mark.parametrize(
+    "experiment, cfg, key",
+    [
+        ("constants", {"d": None}, "d"),
+        ("constants", {"d": 3.5}, "d"),
+        ("constants", {"d": [3, None]}, "d"),
+        ("constants", {"d": []}, "d"),
+        ("constants", {"deltas": None}, "deltas"),
+        ("constants", {"deltas": []}, "deltas"),
+        ("constants", {"deltas": [0.1, "0.2"]}, "deltas"),
+        ("verify-kernels", {"which": 5}, "which"),
+        ("verify-kernels", {"which": None}, "which"),
+        ("verify-kernels", {"which": ["A1", 5]}, "which"),
+    ],
+    ids=["d-null", "d-3.5", "d-null-entry", "d-empty", "deltas-null", "deltas-empty", "deltas-string-entry",
+         "which-5", "which-null", "which-number-entry"],
+)
+def test_constants_and_verify_kernels_reject_a_value_of_the_wrong_type(tmp_path, capsys, experiment, cfg, key):
+    # a JSON value of the wrong type is a config fault naming the key, not a TypeError traceback
+    path = write_cfg(tmp_path, cfg)
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: expected a " in capsys.readouterr().err
+
+
+def test_constants_prints_each_value_as_given(tmp_path):
+    # the entries are checked, not converted: a delta of 1 prints as 1, a single d as a list of one
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, {"d": 3, "deltas": [1, 0.5]})
+    assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "constants.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[4]) for row in rows] == [("3", "1"), ("3", "0.5")]
+
+
 def test_unknown_key_exits_2_and_names_key(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"field": {"kind": "hardy", "c": 0.2}, "grd": {"n": 8}})
     code = main(["resolvent", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracles import yukawa_gradient_magnitude
+from kernel_reference import _log_integral as reference_integral
 from sdlab.fields import DriftSpec
 from sdlab.grid import GridFunction
 from sdlab.kernels import (
+    UNDERFLOW_FLOOR,
     KernelProbe,
     _log_integral,
     check_complex_domination,
@@ -30,6 +34,16 @@ def test_probe_validation():
         probe(1.0, 1.0, gamma=2.5)
     with pytest.raises(ValueError):
         probe(0.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["zeta", "x", "y"])
+def test_probe_rejects_non_finite_fields(name, value):
+    # a NaN zeta passes the Re zeta > 0 check as False, and its kernel would be NaN
+    fields = {"d": 3, "x": (0.0, 0.0, 0.0), "y": (1.0, 0.0, 0.0), "zeta": 2.0, "gamma": 1.0}
+    fields[name] = value if name == "zeta" else (0.5, value, 0.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        KernelProbe(**fields)
 
 
 def test_yukawa_closed_form_sweep():
@@ -64,13 +78,39 @@ def test_kernel_decay_and_monotonicity():
 
 
 def test_quadrature_self_consistency():
-    # at gamma = 2 the kernel is the closed-form Yukawa one (Gamma(1) = 1), so the
-    # returned error estimate can be checked against the true error
+    # the frozen quadrature reference: at gamma = 2 the kernel is the closed-form
+    # Yukawa one (Gamma(1) = 1), so its error estimate can be checked against the true error
     r, z = 0.7, complex(1.0, 0.8)
-    val, err = _log_integral(3, r, z, 2.0)
+    val, err = reference_integral(3, r, z, 2.0)
     want = yukawa_value(r, z)
     assert 0.0 < err <= 1e-10 * abs(val)
     assert abs(val - want) <= max(err, 1e-12 * abs(want))
+
+
+@settings(max_examples=200)
+@given(
+    r=st.floats(0.1, 10.0),
+    re_zeta=st.floats(0.2, 20.0),
+    slope=st.floats(-1.0, 1.0),
+    gamma=st.floats(0.0, 2.0, exclude_min=True),
+    extra_inv_t=st.sampled_from([0, 1]),
+    d=st.sampled_from([3, 4]),
+)
+def test_closed_form_matches_the_quadrature_reference(r, re_zeta, slope, gamma, extra_inv_t, d):
+    zeta = complex(re_zeta, slope * re_zeta)
+    want, _ = reference_integral(d, r, zeta, gamma, extra_inv_t)
+    if abs(want) > UNDERFLOW_FLOOR:
+        got = _log_integral(d, r, zeta, gamma, extra_inv_t)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_closed_form_maps_an_array_of_zeta_elementwise():
+    zetas = np.array([0.3, complex(2.0, -1.5), 7.0 + 0.5j])
+    got = _log_integral(3, 1.3, zetas, 2.0)
+    assert got.shape == zetas.shape
+    # vectorized complex powers may differ from scalar ones in the last bit
+    np.testing.assert_allclose(got, [_log_integral(3, 1.3, z, 2.0) for z in zetas], rtol=1e-15)
+    np.testing.assert_allclose(got, [yukawa_value(1.3, z) for z in zetas], rtol=1e-13)
 
 
 def test_complex_kernel_continuation():

@@ -297,6 +297,24 @@ def test_pseudo_resolvent_bounded_field(grid16, rng):
         assert pseudo_resolvent_residual(pr, b, zeta, eta, f) < 1e-8
 
 
+@example(amp=0.0, holes=False, seed=0, p=2.0, pair=[0, 11])
+@given(amp=st.sampled_from([0.0, 0.1, 0.3]), holes=st.booleans(), seed=st.integers(0, 2**16),
+       p=st.sampled_from([2.0, 2.5]), pair=st.lists(st.integers(0, 11), min_size=2, max_size=2, unique=True))
+def test_pseudo_resolvent_identity_on_random_drifts(amp, holes, seed, p, pair):
+    # R(zeta) - R(eta) = (eta - zeta) R(zeta) R(eta) to criterion 3's gate, with zeta and eta
+    # among the ray and real sweep of zeta_ray_grid at the guarded lambda
+    grid = Grid(3, 8, 8.0)
+    b = random_drift(grid, amp, holes, seed)
+    est = estimate_class_F_half(b, lambda_grid=np.logspace(-1, 2, 5), seed=seed)
+    delta, lam = guarded_pair(est, p=p, d=3)
+    zetas = zeta_ray_grid(lam, 3)
+    zeta, eta = (zetas[i] for i in pair)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    params = ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam)
+    assert pseudo_resolvent_residual(params, b, zeta, eta, f) <= 1e-8
+
+
 def test_estimate_op_norm_sanity(grid16):
     zero = LinearOp(grid16, lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))
     assert estimate_op_norm(zero, 2.0, n_starts=2) == 0.0
