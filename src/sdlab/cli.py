@@ -48,6 +48,7 @@ from .kernels import (
 from .regularity import (
     bessel_smoothing_study,
     holder_probe,
+    holder_separations,
     make_test_functions,
     weak_identity_residual,
 )
@@ -71,7 +72,7 @@ def experiment(name, required=(), optional=()):
         EXPERIMENTS[name] = {
             "fn": fn,
             "required": set(required),
-            "optional": set(optional) | {"schema", "experiment", "seed"},
+            "optional": set(optional) | {"schema", "experiment"},
         }
         return fn
 
@@ -146,6 +147,14 @@ def _count(value, key, least=1):
 def _count_from(cfg, key, default):
     """cfg[key] (``default`` if absent) as an int, which must be a whole number of at least 1."""
     return _count(cfg.get(key, default), key)
+
+
+def _flag_from(cfg, key):
+    """cfg[key] (false if absent), which must be JSON true or false."""
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected true or false, got {json.dumps(value)}")
+    return value
 
 
 def _list_from(cfg, key, default, cast=None):
@@ -358,9 +367,10 @@ def run_semigroup(cfg, out, seed):
     grid = _grid_from(cfg)
     steps = _count_from(cfg, "steps", 8)
     t = _number_from(cfg, "t", 0.1)
+    richardson = _flag_from(cfg, "richardson")
     b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
-    sp = SemigroupParams(t, steps, richardson=bool(cfg.get("richardson", False)))
+    sp = SemigroupParams(t, steps, richardson=richardson)
     u = evolve(sp, params, b, f)
     save_grid_function(u, out / "evolved")
     one = GridFunction(grid, np.ones(grid.shape))
@@ -392,13 +402,21 @@ def run_ultracontractivity(cfg, out, seed):
     return 0
 
 
-@experiment("verify-kernels", required=(), optional=("which", "d", "n_probes"))
+KERNEL_CHECKS = ("A0", "A1", "A2", "A3", "A4", "A5")
+
+
+@experiment("verify-kernels", required=(), optional=("which", "d"))
 def run_verify_kernels(cfg, out, seed):
     which = cfg.get("which", ["A1", "A2", "A3", "A4", "A5", "A0"])
     if isinstance(which, str):
         which = [w.strip() for w in which.split(",") if w.strip()]
     elif not isinstance(which, list) or not all(isinstance(w, str) for w in which):
         raise ConfigError(f"which: expected a string or a list of strings, got {json.dumps(which)}")
+    if not which:
+        raise ConfigError(f"which: expected at least one of {', '.join(KERNEL_CHECKS)}, got none")
+    for token in which:
+        if token not in KERNEL_CHECKS:
+            raise ConfigError(f"which: unknown token {token!r}")
     d = _count_from(cfg, "d", 3)
     distances = np.logspace(-1, 1, 6)
     re_zetas = np.logspace(np.log10(0.2), np.log10(20.0), 5)
@@ -446,7 +464,7 @@ def run_verify_kernels(cfg, out, seed):
                     rows.append((q, r, err, err <= 1e-6))
             write_csv(out / "kernels_A5.csv", ["q", "distance", "rel_error", "pass"], rows)
             status |= 0 if all(r[3] for r in rows) else 1
-        elif token == "A0":
+        else:  # A0
             grid = Grid(3, 64, 4.0)
             b = drift_from_config({"kind": "hardy", "c": 0.2}).on_grid(grid)
             c0 = grid.length / 2.0
@@ -459,8 +477,6 @@ def run_verify_kernels(cfg, out, seed):
             rows = list(zip(levels, curve))
             write_csv(out / "kernels_A0.csv", ["level", "l1_remainder"], rows)
             status |= 0 if all(b2 < a2 for a2, b2 in zip(curve, curve[1:])) else 1
-        else:
-            raise ConfigError(f"which: unknown token {token!r}")
     return status
 
 
@@ -472,6 +488,7 @@ def run_verify_kernels(cfg, out, seed):
 def run_holder_probe(cfg, out, seed):
     grid = _grid_from(cfg)
     pairs_per_bin = _count_from(cfg, "pairs_per_bin", 2048)
+    holder_separations(grid)  # the grid is checked before any estimate or solve
     b, params = _resolvent_setup(cfg, grid, seed)
     f = _input_from(cfg, grid, seed)
     u = ResolventAssembly(params, b).apply(f)
@@ -536,6 +553,7 @@ def run_simulate(cfg, out, seed):
     pde_steps = _count_from(cfg, "pde_steps", 64)
     t, dt = _number_from(cfg, "t", 0.2), _number_from(cfg, "dt", 1e-3)
     paths, drift_sign = _count_from(cfg, "paths", 20000), _number_from(cfg, "drift_sign", -1.0)
+    dump_terminal = _flag_from(cfg, "dump_terminal")
     b, params = _resolvent_setup(cfg, grid, seed)
     f, payoff_fn = _input_from(cfg, grid, seed, with_callable=True)
     rows, ok, results = mc_vs_semigroup(
@@ -548,7 +566,7 @@ def run_simulate(cfg, out, seed):
         ["start", "mc_mean", "mc_se", "pde_value", "diff", "budget", "pass", "flagged"],
         rows,
     )
-    if cfg.get("dump_terminal", False):
+    if dump_terminal:
         write_csv(out / "terminal.csv", ["x", "y", "z"], [tuple(p) for p in results[0].terminal])
     return 0 if ok else 1
 

@@ -32,7 +32,6 @@ __all__ = [
     "truncate",
     "mollify",
     "build_bn_tilde",
-    "build_bn_hat",
     "estimate_class_F_half",
     "estimate_class_F",
     "estimate_class_K",
@@ -401,33 +400,5 @@ def build_bn_tilde(b, level, delta_tilde, lambda_grid=None, eps=None):
     if eps is None:
         eps = _search_epsilon(b_n, delta_tilde, lams, eps_hi_cap=b.grid.length / 4.0)
     smoothed = mollify(b_n, eps)
-    est = estimate_class_F_half(smoothed, lambda_grid=lams)
-    return smoothed, eps, est
-
-
-def build_bn_hat(b, level, delta_tilde, m_level=None, lambda_grid=None, eps=None):
-    """Indicator-cutoff variant: zero b where |b| > m_level or outside the
-    ball of radius ``level`` about the box center, then mollify.
-
-    m_level defaults to level/2 (it must stay below ``level``).
-    """
-    if m_level is None:
-        m_level = level / 2.0
-    if not m_level < level:
-        raise ValueError(f"m_level {m_level} must be < level {level}")
-    grid = b.grid
-    lams = np.logspace(-1, 3, 6) if lambda_grid is None else lambda_grid
-    mag = b.magnitude()
-    center = np.full(grid.d, grid.length / 2.0)
-    r2 = np.zeros(grid.shape)
-    for j, c in enumerate(grid.coordinates()):
-        dist = np.abs(c - center[j])
-        dist = np.minimum(dist, grid.length - dist)
-        r2 += dist * dist
-    indicator = (mag <= m_level) & (r2 <= level * level)
-    cut = GridVectorField(grid, b.values * indicator)
-    if eps is None:
-        eps = _search_epsilon(cut, delta_tilde, lams, eps_hi_cap=grid.length / 4.0)
-    smoothed = mollify(cut, eps)
     est = estimate_class_F_half(smoothed, lambda_grid=lams)
     return smoothed, eps, est

@@ -157,29 +157,25 @@ def batch_limit(grid):
     return (THREADED_MIN_NODES - 1) // (grid.d * grid.node_count())
 
 
-def split_pass(kernel, *args, grid=None):
+def split_pass(kernel, *args, grid):
     """Run the elementwise ``kernel(*args)``, on slabs of the first grid axis from THREADED_MIN_NODES grid values.
 
     The array arguments carry the axes of ``grid`` last, and any leading
-    axes are a stack or a batch; by default the first argument is one grid
-    array, or its last-axis half spectrum, and its axes are the grid's.
-    The grid's n^d nodes pick the path: below THREADED_MIN_NODES, or with
-    one worker, the kernel runs once on the arguments as they are.
-    Otherwise it runs on min(fft_workers(), n) slabs of about n/count
-    planes each, the first on the calling thread and the rest on the pool,
-    and returns when all are done.  An array argument is cut along its
-    first grid axis (axis ``ndim - d``, so a ``(d,) + shape`` stack is cut
-    along axis 1 and a ``(d, s) + shape`` one along axis 2) when that axis
-    has the n planes; any other argument (an axis of length 1 that
-    broadcasts, a scalar, a ufunc, None) is passed whole.  The kernel must
-    write each output value from the inputs at the same position only:
-    then every value is computed by the same operations on any split.
+    axes are a stack or a batch.  The grid's n^d nodes pick the path:
+    below THREADED_MIN_NODES, or with one worker, the kernel runs once on
+    the arguments as they are.  Otherwise it runs on min(fft_workers(), n)
+    slabs of about n/count planes each, the first on the calling thread
+    and the rest on the pool, and returns when all are done.  An array
+    argument is cut along its first grid axis (axis ``ndim - d``, so a
+    ``(d,) + shape`` stack is cut along axis 1 and a ``(d, s) + shape`` one
+    along axis 2) when that axis has the n planes; any other argument (an
+    axis of length 1 that broadcasts, a scalar, a ufunc, None) is passed
+    whole.  The kernel must write each output value from the inputs at
+    the same position only: then every value is computed by the same
+    operations on any split.
     """
-    if grid is None:
-        n, grid_ndim = args[0].shape[0], args[0].ndim
-    else:
-        n, grid_ndim = grid.n, grid.d
-    count = min(_FFT_WORKERS, n) if n ** grid_ndim >= THREADED_MIN_NODES else 1
+    n = grid.n
+    count = min(_FFT_WORKERS, n) if grid.node_count() >= THREADED_MIN_NODES else 1
     if count == 1:
         kernel(*args)
         return
@@ -187,7 +183,7 @@ def split_pass(kernel, *args, grid=None):
     def run(lo, hi):
         cut = []
         for a in args:
-            axis = a.ndim - grid_ndim if isinstance(a, np.ndarray) else -1
+            axis = a.ndim - grid.d if isinstance(a, np.ndarray) else -1
             if axis >= 0 and a.shape[axis] == n:
                 a = a[(slice(None),) * axis + (slice(lo, hi),)]
             cut.append(a)
@@ -236,8 +232,8 @@ class Grid:
             self.k_components.append(k1.reshape(shape))
         self.k_squared = sum(kc ** 2 for kc in self.k_components)
         # the odd symbols 1j*k_j of d/dx_j; they keep the unpaired Nyquist entry, so
-        # they map real data to complex data.  Every path reads them except the
-        # real lane of ``evolve``, which reads ik_half_components
+        # they map real data to complex data.  Every path reads them except
+        # ``evolve``'s steps, which read ik_half_components
         self.ik_components = [1j * kc for kc in self.k_components]
         # the real lane's odd symbols: the Nyquist entry of each axis is zeroed, so
         # they map real data to real data (the derivative of the real
@@ -325,9 +321,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
     def __repr__(self):
         return f"GridFunction({self.grid}, |f|_max={np.abs(self.values).max():.4g})"
 
@@ -363,11 +356,6 @@ class GridVectorField:
     def magnitude(self):
         """Pointwise Euclidean magnitude |b|."""
         return np.sqrt(np.sum(self.values ** 2, axis=0))
-
-    def __add__(self, other):
-        if self.grid != other.grid:
-            raise GridMismatchError("grids differ")
-        return GridVectorField(self.grid, self.values + other.values)
 
     def __mul__(self, scalar):
         return GridVectorField(self.grid, self.values * scalar)
@@ -457,11 +445,9 @@ def pairing(u, v):
 def bessel_norm(f, alpha, p):
     """Smoothness-weighted norm |(1 - Laplacian)^(alpha/2) f|_p.
 
-    alpha = 0 reduces to lp_norm.  Realized by the multiplier
-    (1 + |k|^2)^(alpha/2).
+    Realized by the multiplier (1 + |k|^2)^(alpha/2), so alpha = 0 gives
+    lp_norm up to transform rounding.
     """
-    if alpha == 0:
-        return lp_norm(f, p)
     sym = np.power(1.0 + f.grid.k_squared, alpha / 2.0).astype(np.complex128)
     return lp_norm(apply_symbol_array(sym, f), p)
 

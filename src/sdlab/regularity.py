@@ -22,6 +22,7 @@ from .resolvent import ResolventAssembly
 
 __all__ = [
     "holder_probe",
+    "holder_separations",
     "bessel_smoothing_study",
     "weak_identity_residual",
     "make_test_functions",
@@ -30,13 +31,30 @@ __all__ = [
 HOLDER_INF = float("inf")
 
 
+def holder_separations(grid):
+    """The probe's dyadic separations: from 4h (below which spectral
+    interpolation artifacts dominate) up to L/2, the largest axis-aligned
+    separation the torus supports, at most 6 of them.
+
+    Fewer than 4 fit when n < 64, at any L: ValueError naming ``grid``.
+    """
+    seps = []
+    s = 4 * grid.h
+    while s <= grid.length / 2.0 and len(seps) < 6:
+        seps.append(s)
+        s *= 2.0
+    if len(seps) < 4:
+        raise ValueError(f"grid: n = {grid.n} gives {len(seps)} dyadic distance bins from 4h to L/2; "
+                         "the probe needs at least 4 (n >= 64)")
+    return seps
+
+
 def holder_probe(u, pairs_per_bin=2048, seed=0):
     """Estimate a Hölder exponent from max increments over distance bins.
 
-    For up to 6 dyadic separations s (starting at 4h, below which
-    spectral interpolation artifacts dominate) the probe samples node
-    pairs at distance ~ s, records M(s) = max |u(x) - u(y)|, and fits
-    the slope of log M against log s.
+    For each separation s of ``holder_separations(u.grid)`` the probe
+    samples node pairs at distance ~ s, records M(s) = max |u(x) - u(y)|,
+    and fits the slope of log M against log s.
 
     Returns (slope, fit_residual, separations, M).  A constant input
     gives M = 0 and the +inf sentinel slope.
@@ -45,14 +63,7 @@ def holder_probe(u, pairs_per_bin=2048, seed=0):
     vals = u.values
     rng = np.random.default_rng(seed)
     h = grid.h
-    seps = []
-    s = 4 * h
-    # L/2 is the largest axis-aligned separation the torus supports
-    while s <= grid.length / 2.0 and len(seps) < 6:
-        seps.append(s)
-        s *= 2.0
-    if len(seps) < 4:
-        raise ValueError("region too small for at least 4 distance bins")
+    seps = holder_separations(grid)
 
     maxima = []
     n_total = grid.node_count()

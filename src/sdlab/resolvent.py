@@ -44,13 +44,15 @@ and one forward transform.  A solve of k terms costs, in d = 3:
   scipy calls (an ``evolve`` step, 4k + 4 in 2k + 2);
 * ``symmetric`` -- 4k + 2 transforms in 2k + 2 calls.
 
-``apply_spectral_real``, the real lane of ``evolve`` (real data and
-zeta; drifts are always real), makes the same 4k + 4 transforms in
-2k + 2 calls: k + 1 ``fftn`` calls on float64 arrays and k + 1
-``irfftn`` calls, each on a stack of the gradient's d components over
-the last-axis half of the spectrum.  Its grid arrays are float64, and its odd symbols are
+``apply`` takes its step on complex grid arrays (``_apply_spectral``),
+with the odd symbols ``Grid.ik_components``.  ``apply_spectral_real``,
+the step of ``evolve`` (real data and zeta; drifts are always real),
+makes the same 4k + 4 transforms in 2k + 2 calls: k + 1 ``fftn`` calls
+on float64 arrays and k + 1 ``irfftn`` calls, each on a stack of the
+gradient's d components over the last-axis half of the spectrum.  Its
+grid arrays are float64, and its odd symbols are
 ``Grid.ik_half_components``, with the Nyquist entry zeroed, so it
-applies the real operator; every other path reads ``Grid.ik_components``.
+applies the real operator.
 
 A symbol S^alpha takes one value per distinct |k|^2 of the grid (827 at
 32^3, 4,051 at 64^3), so it is built as a level table over those values
@@ -66,13 +68,12 @@ A product of a symbol with a fresh transform is written transform first
 
 The elementwise passes of a series (the weight and symbol products, the
 gradient's ik_j products, the weighted sum, the p-norm powers and the
-update of the sum) go through ``grid.split_pass``: from 64^3 values on,
-each runs on slabs of the first grid axis across ``fft_workers()``
-threads, and below that it is one numpy call on the whole arrays.  A
-pass computes each value by the same operations on any split, so the
-worker count never changes a result.  The passes of the factor views name
-the grid (``split_pass(..., grid=grid)``), since their arrays may carry a
-batch axis in front of the grid's.
+update of the sum) go through ``grid.split_pass``, which takes the
+assembly's grid on every call: from 64^3 values on, each runs on slabs
+of the first grid axis across ``fft_workers()`` threads, and below that
+it is one numpy call on the whole arrays.  A pass computes each value by
+the same operations on any split, so the worker count never changes a
+result.
 
 ``estimate_op_norm`` at p != 2 runs Boyd's random starts in groups, each
 group one batch through a view, on the calling thread and the slab pool
@@ -331,7 +332,7 @@ class ResolventAssembly:
         # the exponents a series applies at every term keep their gathered symbol
         self._series_exponents = (1.0, 0.25, 0.75) if representation == "symmetric" else (1.0,)
         self._held = {}
-        # b = 0: the resolvent is the free one, and apply_spectral skips the series
+        # b = 0: the resolvent is the free one, and _apply_spectral skips the series
         self.zero_drift = not np.any(self.weight_vec)
         self.weight_out  # held from here on too, so no solve builds it after its workspace
 
@@ -493,9 +494,9 @@ class ResolventAssembly:
         exact identity for complex zeta).
         """
         inner = self._weighted_gradient(vhat, stack, stack[0], self._sym(0.75))
-        split_pass(np.multiply, inner, self.weight_out, inner)
+        split_pass(np.multiply, inner, self.weight_out, inner, grid=self.grid)
         ihat = fftn(inner, axes=self.grid.axes, overwrite_x=True)
-        split_pass(np.multiply, ihat, self._sym(0.25), ihat)
+        split_pass(np.multiply, ihat, self._sym(0.25), ihat, grid=self.grid)
         return ihat
 
     # -- public operator views ------------------------------------------
@@ -580,7 +581,7 @@ class ResolventAssembly:
         hd = self.grid.cell_volume() if cell_volume is None else cell_volume
         p = self.params.p
         powers = _real_view(stack[-1], self.grid.shape)
-        split_pass(_powers_and_update, total, powers, p)
+        split_pass(_powers_and_update, total, powers, p, grid=self.grid)
         norm_g = lp_norm_of_powers(powers, p, hd)
         history = []
         if norm_g == 0.0:
@@ -589,7 +590,7 @@ class ResolventAssembly:
         grow = 0
         for k in range(kmax):
             term = loop(term, stack)
-            split_pass(_powers_and_update, term, powers, p, total, k % 2 == 0)
+            split_pass(_powers_and_update, term, powers, p, total, k % 2 == 0, grid=self.grid)
             inc = lp_norm_of_powers(powers, p, hd)
             history.append(inc)
             if inc <= tol * norm_g:
@@ -648,7 +649,27 @@ class ResolventAssembly:
             None if loop is None else self._sym(1.0) / (1.0 + loop),
         )
 
-    def apply_spectral(self, vhat, tol=None, kmax=None):
+    def apply_spectral_real(self, vhat, tol=None, kmax=None):
+        """Transform of R(zeta) v from the transform vhat of real v, written into vhat and returned:
+        the step of ``evolve``.
+
+        zeta must be real, and the factorization one of the (pre, post)
+        chains (``_apply_spectral``).  The step applies the real operator:
+        its odd symbols are ``Grid.ik_half_components``, with the Nyquist
+        entry zeroed, so R(zeta) v is real.  vhat and the step's value stay
+        full transforms, so a chain of resolvents leaves Fourier space only
+        at its ends, but every grid array between them is float64: the
+        gradients, the series terms, their sum and |v|^p.  The forward
+        transforms are ``fftn`` calls on real arrays, and each gradient is
+        one ``irfftn`` call on the last-axis half of the spectrum, so a
+        step costs 4k + 4 transforms for k series terms in 2k + 2 calls.
+        vhat is overwritten: pass a transform the caller no longer needs.
+        """
+        if self.params.zeta.imag or self.representation == "symmetric":
+            raise ValueError("the real lane needs a real zeta and a (pre, post) chain")
+        return self._apply_spectral(vhat, tol, kmax, real=True)
+
+    def _apply_spectral(self, vhat, tol, kmax, real):
         """Transform of R(zeta) v from the transform vhat of v, written into vhat and returned.
 
         By the assembly's (pre, post) chains: S vhat - S^post fftn(weight_out
@@ -656,72 +677,49 @@ class ResolventAssembly:
         vhat); on a zero drift, S vhat.  ``symmetric`` sums its series on
         transforms: S^(3/4) w with w = (1 + loop)^(-1) S^(1/4) vhat.  A
         step costs 4k + 4 transforms for k series terms in 2k + 2 calls
-        (``symmetric`` 4k in 2k), so a chain of resolvents (``evolve``)
-        leaves Fourier space only at its ends.  vhat is overwritten: pass a
-        transform the caller no longer needs.  The step runs on complex
-        grid arrays with ``Grid.ik_components``; ``apply_spectral_real`` is
-        its real lane.
+        (``symmetric`` 4k in 2k).  With ``real`` the step runs on the real
+        lane (``apply_spectral_real``); otherwise on complex grid arrays
+        with ``Grid.ik_components``.
         """
-        return self._apply_spectral(vhat, tol, kmax, real=False)
-
-    def apply_spectral_real(self, vhat, tol=None, kmax=None):
-        """``apply_spectral`` on the real lane, for vhat the transform of real data.
-
-        zeta must be real, and the factorization one of the (pre, post)
-        chains.  The step applies the real operator: its odd symbols are
-        ``Grid.ik_half_components``, with the Nyquist entry zeroed, so
-        R(zeta) v is real.  vhat and the step's value stay full
-        transforms, but every grid array between them is float64: the
-        gradients, the series terms, their sum and |v|^p.  The forward
-        transforms are ``fftn`` calls on real arrays, and each gradient is
-        one ``irfftn`` call on the last-axis half of the spectrum, so a
-        step costs the 4k + 4 transforms in 2k + 2 calls of
-        ``apply_spectral``.
-        """
-        if self.params.zeta.imag or self.representation == "symmetric":
-            raise ValueError("the real lane needs a real zeta and a (pre, post) chain")
-        return self._apply_spectral(vhat, tol, kmax, real=True)
-
-    def _apply_spectral(self, vhat, tol, kmax, real):
         if self.zero_drift:
-            split_pass(np.multiply, vhat, self._sym(1.0), vhat)
+            split_pass(np.multiply, vhat, self._sym(1.0), vhat, grid=self.grid)
             return vhat
         # the kept symbols are looked up before the stack is allocated: one
         # gathered on first use is held for good, and placed after the stack
         # it would pin the heap above the stack's freed block
         if self.representation == "symmetric":
             quarter, three_quarters = self._sym(0.25), self._sym(0.75)
-            split_pass(np.multiply, vhat, quarter, vhat)
+            split_pass(np.multiply, vhat, quarter, vhat, grid=self.grid)
             volume = self.grid.cell_volume() / self.grid.node_count()
             w, _ = self._neumann(vhat, self._symmetric_loop, self._stack(self.grid.shape), tol=tol, kmax=kmax,
                                  cell_volume=volume)
-            split_pass(np.multiply, w, three_quarters, w)
+            split_pass(np.multiply, w, three_quarters, w, grid=self.grid)
             return w
         sym, (pre, post) = self._sym(1.0), self.chains
         stack = self._stack(self.grid.half_shape if real else self.grid.shape)
         g = stack[0]
         cut = (..., slice(g.shape[-1]))  # the real lane's half spectrum, else all of it
-        split_pass(np.multiply, self._sym(pre[0])[cut], vhat[cut], g)
-        split_pass(np.multiply, sym, vhat, vhat)
+        split_pass(np.multiply, self._sym(pre[0])[cut], vhat[cut], g, grid=self.grid)
+        split_pass(np.multiply, sym, vhat, vhat, grid=self.grid)
         for alpha in pre[1:]:
-            split_pass(np.multiply, self._sym(alpha)[cut], g, g)
+            split_pass(np.multiply, self._sym(alpha)[cut], g, g, grid=self.grid)
         g = self._weighted_gradient(g, stack, np.empty(self.grid.shape, np.float64 if real else np.complex128))
         w, _ = self._neumann(g, self._loop, stack, tol=tol, kmax=kmax)  # summed in place: w is g
         del stack  # frees the workspace before the post chain gathers its symbols
-        split_pass(np.multiply, w, self.weight_out, w)
+        split_pass(np.multiply, w, self.weight_out, w, grid=self.grid)
         corr = fftn(w, axes=self.grid.axes, overwrite_x=True)
         # a repeated exponent (split's 1/2, 1/2) is gathered once
         for alpha, repeats in groupby(post):
             power = self._sym(alpha)
             for _ in repeats:
-                split_pass(np.multiply, corr, power, corr)
+                split_pass(np.multiply, corr, power, corr, grid=self.grid)
             del power
-        split_pass(np.subtract, vhat, corr, vhat)
+        split_pass(np.subtract, vhat, corr, vhat, grid=self.grid)
         return vhat
 
     def apply(self, f, tol=None, kmax=None):
         """Apply the resolvent of (zeta + generator) to f."""
-        uhat = self.apply_spectral(fftn(f.values), tol=tol, kmax=kmax)
+        uhat = self._apply_spectral(fftn(f.values), tol, kmax, real=False)
         return GridFunction(self.grid, ifftn(uhat, overwrite_x=True))
 
 

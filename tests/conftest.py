@@ -88,7 +88,8 @@ def count_transforms(monkeypatch):
     def start():
         for module in (resolvent, semigroup):
             for name in ("fftn", "ifftn", "irfftn"):
-                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+                if hasattr(module, name):  # semigroup imports no ifftn
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
         return counts
 
     return start

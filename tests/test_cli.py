@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdlab import cli as sdlab_cli
 from sdlab.cli import main
 from sdlab.grid import fft_workers
 
@@ -246,6 +247,15 @@ def test_verify_kernels_unknown_token(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"which": "A9"})
     assert main(["verify-kernels", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "A9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", [[], "", ",", "A1,A9"], ids=["empty-list", "empty-string", "comma", "A1-A9"])
+def test_verify_kernels_checks_which_before_any_check(tmp_path, capsys, which):
+    # no token, or an unknown one after a known one, exits 2 before any check writes its CSV
+    out = tmp_path / "o"
+    assert main(["verify-kernels", "--config", write_cfg(tmp_path, {"which": which}), "--out", str(out)]) == 2
+    assert "config error: which: " in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_weak_identity_subcommand(tmp_path):
@@ -558,3 +568,58 @@ def test_nonpositive_lambda_exits_2_and_names_key(tmp_path, capsys, experiment, 
     path = write_cfg(tmp_path, {**cfg, "grid": {"n": 8}})
     assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, cfg, key",
+    [
+        ("semigroup", {"richardson": "false"}, "richardson"),
+        ("semigroup", {"richardson": 1}, "richardson"),
+        ("semigroup", {"richardson": None}, "richardson"),
+        ("simulate", {"dump_terminal": "no"}, "dump_terminal"),
+        ("simulate", {"dump_terminal": 0}, "dump_terminal"),
+    ],
+    ids=["richardson-string", "richardson-1", "richardson-null", "dump-string", "dump-0"],
+)
+def test_boolean_key_takes_only_true_or_false(tmp_path, capsys, monkeypatch, experiment, cfg, key):
+    # read by truthiness, "false" would run Richardson and "no" would dump the terminal points
+    import sdlab.cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the config was checked")
+
+    monkeypatch.setattr(sdlab.cli, "estimate_class_F_half", no_estimate)
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, {"field": HARDY, "grid": {"n": 8}, **cfg})
+    assert main([experiment, "--config", path, "--out", str(out)]) == 2
+    assert f"config error: {key}: expected true or false, got " in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment", sorted(sdlab_cli.EXPERIMENTS))
+def test_top_level_seed_is_an_unknown_key(tmp_path, capsys, experiment):
+    # the seed comes from --seed alone; a config seed was let through and never read
+    path = write_cfg(tmp_path, {"seed": 7})
+    assert main([experiment, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: seed: unknown key" in capsys.readouterr().err
+
+
+def test_verify_kernels_n_probes_is_an_unknown_key(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"which": "A5", "n_probes": 4})
+    assert main(["verify-kernels", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: n_probes: unknown key" in capsys.readouterr().err
+
+
+def test_holder_probe_rejects_the_grid_before_any_estimate(tmp_path, capsys, monkeypatch):
+    # 4 dyadic bins from 4h up to L/2 need n >= 64 at any L; the default grid has n = 32
+    import sdlab.cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate or a solve ran before the grid was checked")
+
+    for name in ("estimate_class_F_half", "ResolventAssembly"):
+        monkeypatch.setattr(sdlab.cli, name, no_estimate)
+    out = tmp_path / "o"
+    assert main(["holder-probe", "--config", write_cfg(tmp_path, {"field": HARDY}), "--out", str(out)]) == 2
+    assert "config error: grid: n = 32 gives 3 dyadic distance bins" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))

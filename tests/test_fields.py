@@ -6,7 +6,6 @@ from dense_oracles import dense_class_delta, kato_column_norm
 from sdlab.errors import GuardViolationError, PowerIterationError
 from sdlab.fields import (
     DriftSpec,
-    build_bn_hat,
     build_bn_tilde,
     drift_from_config,
     estimate_class_F,
@@ -320,17 +319,3 @@ def test_build_bn_tilde_hardy_meets_target():
     smoothed, eps, est = build_bn_tilde(b, level=2.0, delta_tilde=target)
     assert est.delta <= target
     assert smoothed.magnitude().max() <= b.magnitude().max() * (1 + 1e-9)
-
-
-def test_build_bn_hat_indicator_trivial():
-    g = Grid(3, 16, 8.0)
-    b = DriftSpec("smooth-random", amp=0.1, kmax=1, seed=2).on_grid(g)
-    sup = b.magnitude().max()
-    # indicator covers everything: same as plain mollification at the same width
-    smoothed, eps, _ = build_bn_hat(
-        b, level=100.0, delta_tilde=1.0, m_level=sup * 2, eps=3 * g.h
-    )
-    plain = mollify(b, 3 * g.h)
-    np.testing.assert_allclose(smoothed.values, plain.values, atol=1e-12)
-    with pytest.raises(ValueError):
-        build_bn_hat(b, level=1.0, delta_tilde=1.0, m_level=2.0)

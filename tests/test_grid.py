@@ -345,19 +345,22 @@ def recording_kernel(seen):
 def test_split_pass_with_one_worker_starts_no_thread(monkeypatch, restore_fft_workers):
     monkeypatch.setattr(grid_module, "THREADED_MIN_NODES", 1)
     set_fft_workers(1)
+    grid = Grid(3, 8, 16.0)
     threads, seen = threading.active_count(), []
-    split_pass(recording_kernel(seen), np.zeros((8, 4, 4)))
-    assert seen == [(threading.get_ident(), (8, 4, 4))]
+    split_pass(recording_kernel(seen), np.zeros(grid.shape), grid=grid)
+    assert seen == [(threading.get_ident(), grid.shape)]
     assert threading.active_count() == threads
 
 
 def test_split_pass_below_the_threshold_is_one_call(restore_fft_workers):
+    # 62^3 nodes are below THREADED_MIN_NODES, 64^3 reach it
     set_fft_workers(2)
+    below, at = Grid(3, 62, 16.0), Grid(3, 64, 16.0)
     threads, seen = threading.active_count(), []
-    split_pass(recording_kernel(seen), np.zeros((63, 64, 64)))
-    assert seen == [(threading.get_ident(), (63, 64, 64))]
+    split_pass(recording_kernel(seen), np.zeros(below.shape), grid=below)
+    assert seen == [(threading.get_ident(), below.shape)]
     assert threading.active_count() == threads
-    split_pass(recording_kernel(seen), np.zeros((64, 64, 64)))
+    split_pass(recording_kernel(seen), np.zeros(at.shape), grid=at)
     assert sorted(shape for _, shape in seen[1:]) == [(32, 64, 64)] * 2
 
 
@@ -367,10 +370,11 @@ def test_split_pass_makes_min_of_workers_and_planes_slabs(monkeypatch, restore_f
                                                           workers, n, planes):
     monkeypatch.setattr(grid_module, "THREADED_MIN_NODES", 1)
     set_fft_workers(workers)
+    grid = Grid(3, n, 16.0)
     seen = []
-    split_pass(recording_kernel(seen), np.zeros((n, 5, 5)))
+    split_pass(recording_kernel(seen), np.zeros(grid.shape), grid=grid)
     assert sorted(shape[0] for _, shape in seen) == planes
-    assert all(shape[1:] == (5, 5) for _, shape in seen)
+    assert all(shape[1:] == grid.shape[1:] for _, shape in seen)
     assert len({ident for ident, _ in seen}) <= len(planes)
     assert threading.get_ident() in {ident for ident, _ in seen}
 
@@ -388,14 +392,14 @@ def test_split_pass_cuts_each_argument_along_its_first_grid_axis(monkeypatch, re
         np.multiply(stack[1] * ik0 + ik1, scale, out=out)
 
     out = np.empty(grid.shape, dtype=np.complex128)
-    split_pass(kernel, out, stack, ik0, ik1, 0.5)
+    split_pass(kernel, out, stack, ik0, ik1, 0.5, grid=grid)
     want = np.empty_like(out)
     kernel(want, stack, ik0, ik1, 0.5)
     assert out.tobytes() == want.tobytes()
 
 
 def test_split_pass_cuts_a_batch_along_its_first_grid_axis(monkeypatch, restore_fft_workers, rng):
-    # with the grid named, an (s,) + shape batch is cut along axis 1 and a (d, s) + shape
+    # an (s,) + shape batch is cut along axis 1 and a (d, s) + shape
     # stack along axis 2, here with s = n; a grid-shaped argument is cut along axis 0
     monkeypatch.setattr(grid_module, "THREADED_MIN_NODES", 1)
     set_fft_workers(3)
@@ -464,7 +468,8 @@ def test_split_pass_under_fast_thread_switching(monkeypatch, restore_fft_workers
     # over each other or a slab left out would change the in-place sum
     monkeypatch.setattr(grid_module, "THREADED_MIN_NODES", 1)
     set_fft_workers(4)
-    term = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
+    grid = Grid(3, 16, 16.0)
+    term = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     total, want = np.zeros_like(term), np.zeros_like(term)
 
     def accumulate(total, term, scale):
@@ -474,7 +479,7 @@ def test_split_pass_under_fast_thread_switching(monkeypatch, restore_fft_workers
     sys.setswitchinterval(1e-6)
     try:
         for k in range(50):
-            split_pass(accumulate, total, term, 1.0 + k)
+            split_pass(accumulate, total, term, 1.0 + k, grid=grid)
             accumulate(want, term, 1.0 + k)
     finally:
         sys.setswitchinterval(saved)

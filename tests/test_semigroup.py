@@ -225,6 +225,32 @@ def test_real_lane_is_real_zeroed_and_worker_independent(d, n, p):
     assert np.linalg.norm(u - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@given(d=st.sampled_from([3, 4]), n=st.sampled_from([6, 8, 10]), p=st.sampled_from([2.0, 2.5]),
+       richardson=st.booleans())
+def test_complex_evolve_is_the_real_lane_on_each_part_bit_for_bit(d, n, p, richardson):
+    # complex data is evolved by linearity: its real and imaginary parts each take
+    # the real lane; every grid size takes the slab path and threaded transforms here
+    grid = Grid(d, n, 16.0)
+    b = DriftSpec("hardy", c=0.2).on_grid(grid)
+    params = ResolventParams(p=p, zeta=40.0, delta=0.05, lam=0.5)
+    rng = np.random.default_rng(n + d)
+    re, im = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    sp = SemigroupParams(0.1, 2, richardson=richardson)
+
+    def run(values):
+        return evolve(sp, params, b, GridFunction(grid, values), neumann_tol=1e-9).values
+
+    saved = fft_workers()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "THREADED_MIN_NODES", 1)
+        try:
+            for workers in (1, 2, 3):
+                set_fft_workers(workers)
+                assert run(re + 1j * im).tobytes() == (run(re) + 1j * run(im)).tobytes()
+        finally:
+            set_fft_workers(saved)
+
+
 def test_semigroup_law(grid16, hardy16):
     est = estimate_class_F_half(hardy16, lambda_grid=np.logspace(-1, 2, 5))
     delta, lam = guarded_pair(est, p=2.0, d=3)
