@@ -165,6 +165,13 @@ def _list_from(cfg, key, default, cast=None):
     return [_number(x, key) if cast is None else cast(x) for x in values]
 
 
+def _point(value, key, d):
+    """A config value as a point: a list of exactly d finite JSON numbers."""
+    if not isinstance(value, list) or len(value) != d or not np.isfinite([_number(x, key) for x in value]).all():
+        raise ConfigError(f"{key}: expected {d} coordinates, got {json.dumps(value)}")
+    return np.array(value, dtype=float)
+
+
 def _grid_from(cfg):
     g = _object_from(cfg, "grid", {})
     for key in g:
@@ -205,9 +212,7 @@ def _input_from(cfg, grid, seed, with_callable=False):
         sigma2 = _number(fc.get("sigma2", (grid.length / 8.0) ** 2), "f.sigma2")
         if not sigma2 > 0:
             raise ConfigError(f"f.sigma2: expected a positive width, got {sigma2!r}")
-        c = np.asarray(fc.get("center", [grid.length / 2.0] * grid.d), dtype=float)
-        if c.shape != (grid.d,):
-            raise ConfigError(f"f.center: expected {grid.d} coordinates, got {fc['center']!r}")
+        c = _point(fc.get("center", [grid.length / 2.0] * grid.d), "f.center", grid.d)
         coords = grid.coordinates()
         r2 = sum((x - ci) ** 2 for x, ci in zip(coords, c))
         f = GridFunction(grid, np.exp(-r2 / sigma2).astype(np.complex128))
@@ -548,11 +553,13 @@ def run_weak_identity(cfg, out, seed):
 def run_simulate(cfg, out, seed):
     grid = _grid_from(cfg)
     c0 = grid.length / 2.0
-    starts = _list_from(cfg, "starts", [[c0 + 1.0, c0, c0], [c0, c0 - 1.2, c0], [c0, c0, c0 + 1.4]],
-                        cast=lambda s: np.asarray(s, dtype=float))
+    starts = _list_from(cfg, "starts", [[c0 + 1.0, c0, c0], [c0, c0 - 1.2, c0], [c0, c0, c0 + 1.4]], cast=lambda s: s)
+    starts = [_point(s, f"starts[{i}]", grid.d) for i, s in enumerate(starts)]
     pde_steps = _count_from(cfg, "pde_steps", 64)
     t, dt = _number_from(cfg, "t", 0.2), _number_from(cfg, "dt", 1e-3)
     paths, drift_sign = _count_from(cfg, "paths", 20000), _number_from(cfg, "drift_sign", -1.0)
+    if drift_sign not in (-1.0, 1.0):
+        raise ConfigError(f"drift_sign: expected -1 or 1, got {json.dumps(cfg['drift_sign'])}")
     dump_terminal = _flag_from(cfg, "dump_terminal")
     b, params = _resolvent_setup(cfg, grid, seed)
     f, payoff_fn = _input_from(cfg, grid, seed, with_callable=True)

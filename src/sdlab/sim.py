@@ -6,20 +6,21 @@ du/dt = Lap u - b . grad u, so sample paths follow
 
     dX = -b(X) dt + sqrt(2) dW.
 
-The minus sign is stated here once and carried by ``drift_sign``; a
-sign-flip run is the designated mutation check and must fail the
-cross-validation.  Drift fields are grid fields read off-grid by
-trilinear torus interpolation (the semigroup side multiplies by node
-values); a grid-function payoff is read by its trigonometric
-interpolant, the function the semigroup side evolves.  Paths leaving
-the safety box are censored (frozen and counted); runs with a censored
-fraction >= 0.1% are flagged invalid.
+The minus sign is stated here once and carried by ``drift_sign`` (-1 or
++1: a step rounds b * drift_sign * dt once); a sign-flip run is the
+designated mutation check and must fail the cross-validation.  Drift
+fields are grid fields read off-grid by trilinear torus interpolation
+(the semigroup side multiplies by node values); a grid-function payoff
+is read by its trigonometric interpolant, the function the semigroup
+side evolves.  Paths leaving the safety box are censored (frozen and
+counted); runs with a censored fraction >= 0.1% are flagged invalid.
 
 Each chunk of CHUNK paths draws its noise from its own (seed, chunk)
 stream, in path blocks of at most NOISE_BLOCK_BYTES.  The calling thread
 steps one block while the slab pool draws the next, so the draw, one
 numpy call that releases the GIL, overlaps the step; the stepping itself
-stays on the calling thread, where the GIL keeps it anyway.
+stays on the calling thread, where the GIL keeps it anyway.  A step is
+one gather of all 8 cell corners and 22 numpy calls (``_accel``).
 """
 
 from __future__ import annotations
@@ -142,13 +143,15 @@ def simulate_paths(sp, payoff=None, drift_sign=-1.0):
     next block is drawn into the other half on the slab pool
     (``run_on_workers``), and with one worker after it on the calling
     thread.  Each stream is still drawn block after block in order, so no
-    number depends on the worker count.
+    number depends on the worker count.  ``drift_sign`` must be -1.0 or +1.0.
     """
     grid = sp.drift.grid
     if grid.d != 3:
         raise ValueError("the path simulator is implemented for d = 3")
     if payoff is not None and sp.paths < 2:
         raise ValueError(f"paths: a payoff's standard error needs at least 2 paths, got {sp.paths}")
+    if drift_sign not in (-1.0, 1.0):
+        raise ValueError(f"drift_sign must be -1.0 or 1.0, got {drift_sign!r}")
     n, h = grid.n, grid.h
     steps = sp.steps
     dt = sp.dt_effective

@@ -112,6 +112,47 @@ def test_bad_bump_input_exits_2_and_names_key(tmp_path, capsys, bump, named):
     assert not (out / "semigroup.csv").exists()
 
 
+BAD_POINTS = [[None, 8, 8], [True, 8, 8], ["8", 8, 8], {}, [float("nan"), 8, 8], [8, 8], [8, 8, 8, 8]]
+BAD_POINT_IDS = ["null", "true", "string", "object", "nan", "short", "long"]
+
+
+def _no_estimate(monkeypatch):
+    import sdlab.cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the config was checked")
+
+    for name in ("estimate_class_F_half", "estimate_class_F", "estimate_class_K"):
+        monkeypatch.setattr(sdlab.cli, name, no_estimate)
+
+
+@pytest.mark.parametrize("center", BAD_POINTS, ids=BAD_POINT_IDS)
+def test_bump_center_takes_only_d_finite_numbers(tmp_path, capsys, center):
+    # a null entry became NaN (exit 1), true became 1.0 (exit 0), and a string failed
+    # without the key's name; a NaN is caught by validate_config's non-finite check
+    path = write_cfg(tmp_path, {"field": None, "grid": {"n": 8}, "f": {"kind": "bump", "center": center}})
+    assert main(["resolvent", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: f.center" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", BAD_POINTS, ids=BAD_POINT_IDS)
+def test_simulate_start_exits_2_naming_the_entry(tmp_path, capsys, monkeypatch, start):
+    # {} was a TypeError traceback, and a null entry a NaN start
+    _no_estimate(monkeypatch)
+    path = write_cfg(tmp_path, {"field": HARDY, "grid": {"n": 8}, "starts": [[8, 8, 8], start]})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: starts[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sign", [0.5, 0, -2, "-1", None, True])
+def test_simulate_drift_sign_takes_only_plus_or_minus_one(tmp_path, capsys, monkeypatch, sign):
+    # the Monte Carlo step assumes |drift_sign| = 1, and the PDE side never sees the sign
+    _no_estimate(monkeypatch)
+    path = write_cfg(tmp_path, {"field": HARDY, "grid": {"n": 8}, "drift_sign": sign})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: drift_sign: expected " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "cfg, named",
     [

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import sys
 from collections import Counter
 
@@ -230,6 +231,61 @@ def test_em_chunk_equals_frozen_reference_bit_for_bit(n, m, steps, drift_sign, z
     np.testing.assert_array_equal(censored, want_censored)
     np.testing.assert_array_equal(pos, want_pos)
     assert (pos < 0).any() and (pos > L).any()
+
+
+def test_trilinear_equals_frozen_reference_on_a_32_cube():
+    # feller's grid; points far off the base period on both sides, on its faces, and on
+    # it only (where the wrap is skipped), in runs from one point up.  Corner values
+    # spread over many orders of magnitude, so that a sum out of corner order (numpy's
+    # pairwise one, say) shows at most single points; the bytes also compare -0.0
+    g = Grid(3, 32, 16.0)
+    rng = np.random.default_rng(26)
+    field = rng.standard_normal((3,) + g.shape) * np.exp(rng.uniform(-10, 10, (3,) + g.shape))
+    L = g.length
+    pts = rng.uniform(-2 * L, 3 * L, size=(2048, 3))
+    pts[:6] = np.array([0.0, 1e-13, g.h, L - 1e-13, L, -L])[:, None]
+    inside = rng.uniform(0, L, size=(1366, 3))
+    assert (pts < 0).any() and (pts >= L).any()
+    runs = [pts[:m] for m in (0, 2, 7, 8, 9, 848, 1366, 2048)] + [inside] + [pts[i : i + 1] for i in range(64)]
+    for f in (field, field[2], -np.zeros(g.shape)):
+        for at in runs:
+            got, want = trilinear_at(f, at, g.n, g.h), em_reference.trilinear_at(f, at, g.n, g.h)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# feller's Monte Carlo run, as recorded before the fused corner gather:
+# drift sign -> (payoff mean, payoff SE, censored paths, sha256 of the terminal points)
+FELLER_PINNED = {
+    -1.0: ("0x1.1e7058294c3a7p-1", "0x1.430ef9db471d5p-9", 0,
+           "810d353f30e360b2fa3b1a978228dcd16ec6ba26e1cf495b05d81b22fae7048f"),
+    +1.0: ("0x1.1412553258fa6p-1", "0x1.42e2c93377bdep-9", 0,
+           "815b4bf90658e4e9f060e40b47131a7351aca70ec3892a96727bfdcf8e89ce0c"),
+}
+
+
+@pytest.fixture(scope="module")
+def feller_drift():
+    g = Grid(3, 32, 16.0)
+    return mollify(truncate(DriftSpec("hardy", c=0.2).on_grid(g), 8.0), 1.25)
+
+
+@pytest.mark.parametrize("drift_sign", [-1.0, +1.0])
+def test_feller_paths_are_pinned_bit_for_bit(feller_drift, drift_sign):
+    # the sdbench feller configuration: 32^3, t = 0.3, dt = 1e-3, 8192 paths, a 2h margin
+    sp = SimParams(drift=feller_drift, t=0.3, dt=1e-3, paths=8192, seed=2611, x0=[9.2, 8.0, 8.0],
+                   safety_margin=2 * feller_drift.grid.h)
+    res = simulate_paths(sp, payoff=_bump, drift_sign=drift_sign)
+    mean, se, censored, digest = FELLER_PINNED[drift_sign]
+    assert (res.payoff_mean.hex(), res.payoff_se.hex(), res.censored) == (mean, se, censored)
+    assert hashlib.sha256(np.ascontiguousarray(res.terminal).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("drift_sign", [0.5, 0.0, -2.0, np.nan])
+def test_simulate_paths_takes_only_a_unit_drift_sign(g16, drift_sign):
+    # em_chunk rounds b * drift_sign * dt once, which is the product only for +-1
+    sp = SimParams(drift=zero_drift(g16), t=0.01, dt=1e-3, paths=10, seed=0, x0=center(g16))
+    with pytest.raises(ValueError, match="^drift_sign must be -1.0 or 1.0, got "):
+        simulate_paths(sp, drift_sign=drift_sign)
 
 
 def test_block_paths_split_a_chunk_into_fewest_near_equal_blocks(monkeypatch):
