@@ -1,31 +1,57 @@
-"""Rewrite ``acceptance.txt``: the summary line of every acceptance criterion.
+"""Rewrite the golden records: ``acceptance.txt`` and ``cli.txt``.
 
 Run from the repository root after a change that moves a printed number:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-then list the diff of ``acceptance.txt`` with the change.  The header
-records the Python, numpy and scipy versions the lines were computed
-with; ``tests/test_acceptance.py`` compares each criterion's line to
-its record.
+then list the diff of both records with the change.  Each header
+records the Python, numpy and scipy versions the record was computed
+with.  ``acceptance.txt`` holds the summary line of every acceptance
+criterion, which ``tests/test_acceptance.py`` compares.  ``cli.txt``
+holds the exit code of every experiment run on its config in ``cli/``
+and the sha256 of every file those runs and a final ``report`` write
+(the manifest aside, which holds timestamps); ``tests/test_golden_cli.py``
+compares it.
 """
 
+import hashlib
 import pathlib
 import platform
+import tempfile
 
 import numpy as np
 import scipy
 
 from sdlab import acceptance
+from sdlab.cli import main as sdlab_main
 
 GOLDEN = pathlib.Path(__file__).with_name("acceptance.txt")
+CLI_GOLDEN = pathlib.Path(__file__).with_name("cli.txt")
+CLI_CONFIGS = pathlib.Path(__file__).with_name("cli")
 
 
 def versions():
     return f"python {platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}"
 
 
+def cli_record(out):
+    """Record lines of every CLI config run into the one directory ``out``, at seed 0."""
+    lines = []
+    for cfg in sorted(CLI_CONFIGS.glob("*.json")):
+        status = sdlab_main([cfg.stem, "--config", str(cfg), "--out", str(out), "--seed", "0"])
+        lines.append(f"exit {cfg.stem} {status}")
+    lines.append(f"exit report {sdlab_main(['report', '--out', str(out)])}")
+    for path in sorted(out.iterdir()):
+        if path.name != "manifest.json":
+            lines.append(f"sha256 {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return lines
+
+
 def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_lines = cli_record(pathlib.Path(tmp))
+    CLI_GOLDEN.write_text(f"# {versions()}\n" + "".join(line + "\n" for line in cli_lines))
+    print(f"wrote {len(cli_lines)} lines to {CLI_GOLDEN}")
     lines = [r.line() for r in acceptance.run_all()]
     GOLDEN.write_text(f"# {versions()}\n" + "".join(line + "\n" for line in lines))
     print(f"wrote {len(lines)} lines to {GOLDEN}")
