@@ -1,8 +1,10 @@
 """Configuration-driven experiment runner.
 
-Subcommands mirror the experiment catalog; each consumes a JSON config
-(validated against a per-experiment key schema, offending keys named),
-writes deterministic CSV bodies plus a manifest into --out, and returns:
+Subcommands mirror the experiment catalog.  Each experiment declares its
+config keys once: kind, default and bound.  ``validate_config`` reads a
+JSON config against that declaration into typed values, naming the
+first offending key, before the experiment runs.  A run writes
+deterministic CSV bodies plus a manifest into --out, and returns:
 
 * exit 0 on success,
 * exit 1 on a failed check or missing artifacts,
@@ -19,6 +21,8 @@ import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +30,8 @@ from . import constants as Cmod
 from .acceptance import CRITERIA, run_all
 from .errors import ConfigError, GuardViolationError, SpectralDomainError
 from .fields import (
+    PARAM_KINDS,
+    DriftSpec,
     default_lambda_grid,
     drift_from_config,
     estimate_class_F,
@@ -53,6 +59,7 @@ from .regularity import (
     weak_identity_residual,
 )
 from .resolvent import (
+    REPRESENTATIONS,
     ResolventAssembly,
     ResolventParams,
     apply_generator,
@@ -64,216 +71,250 @@ from .resolvent import (
 from .semigroup import SemigroupParams, evolve, semigroup_convergence_study, ultracontractivity_study
 from .sim import mc_vs_semigroup
 
+# -- the config schema ---------------------------------------------------
+
+REQUIRED = object()
+_finite = PARAM_KINDS["number"][1]
+
+
+class Key(NamedTuple):
+    """One config key.  ``read(value, path, ctx)`` returns its typed value or raises
+    ConfigError naming ``path``; ``ctx`` holds the run's seed and experiment name and
+    the keys read before this one.  The default is REQUIRED, a JSON value, or a
+    function of ``ctx``, and is read like a given value."""
+
+    kind: str
+    bound: str
+    default: Any
+    read: Callable
+
+
+def _fail(path, expected, value):
+    raise ConfigError(f"{path}: expected {expected}, got {json.dumps(value)}")
+
+
+def _as_given(value):
+    return value
+
+
+def number(default=REQUIRED, bound="", test=None, convert=float):
+    """A finite JSON number (not a bool) within ``bound``, as a float unless ``convert`` says otherwise."""
+    def read(value, path, ctx):
+        if not _finite(value):
+            _fail(path, "a finite number", value)
+        if test is not None and not test(value):
+            _fail(path, bound, convert(value))
+        return convert(value)
+    return Key("number", bound, default, read)
+
+
+POSITIVE = ("a number > 0", lambda x: x > 0)
+
+
+def count(default=REQUIRED, least=1, most=None):
+    """A whole JSON number (3.0 is taken as 3, 2.5 is not) from ``least`` to ``most``, as an int."""
+    bound = f"of at least {least}" if most is None else f"in {least}..{most}"
+
+    def read(value, path, ctx):
+        if not (_finite(value) and value == int(value) and least <= value <= (most or value)):
+            _fail(path, f"a whole number {bound}", value)
+        return int(value)
+    return Key("whole number", bound, default, read)
+
+
+def flag(default=False):
+    """JSON true or false; any other value (0, "false", null) is refused."""
+    def read(value, path, ctx):
+        if not isinstance(value, bool):
+            _fail(path, "true or false", value)
+        return value
+    return Key("true or false", "", default, read)
+
+
+def choice(default, options):
+    """One of the strings ``options``."""
+    bound = f"one of {', '.join(options)}"
+
+    def read(value, path, ctx):
+        if not isinstance(value, str) or value not in options:
+            _fail(path, f"a string, {bound}", value)
+        return value
+    return Key("string", bound, default, read)
+
+
+def listof(entry, default=REQUIRED, indexed=False):
+    """A nonempty JSON list of ``entry`` values, each read under the list's path (with [i] if ``indexed``)."""
+    def read(value, path, ctx):
+        if not isinstance(value, list) or not value:
+            _fail(path, "a nonempty list", value)
+        return [entry.read(x, f"{path}[{i}]" if indexed else path, ctx) for i, x in enumerate(value)]
+    return Key(f"list of {entry.kind}s", entry.bound, default, read)
+
+
+def _read_object(keys, value, path, ctx):
+    """The typed values of the declared ``keys`` from the JSON object ``value`` at ``path``."""
+    if not isinstance(value, dict):
+        _fail(path or "config", "a JSON object", value)
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{prefix}{key}: unknown key; this object takes {', '.join(keys)}")
+    typed = {}
+    for key, spec in keys.items():
+        sub = prefix + key
+        if key in value:
+            raw = value[key]
+        elif spec.default is REQUIRED:
+            raise ConfigError(f"{sub}: required key missing")
+        else:
+            raw = spec.default({**ctx, **typed}) if callable(spec.default) else spec.default
+        try:
+            typed[key] = spec.read(raw, sub, {**ctx, **typed})
+        except (KeyError, ValueError) as exc:  # an sdlab constructor refused the value
+            raise ConfigError(f"{sub}: {exc}") from exc
+    return typed
+
+
+def _point(value, path, ctx):
+    """Exactly one finite JSON number per grid axis, as an array."""
+    d = ctx["grid"].d
+    if not isinstance(value, list) or len(value) != d or not all(map(_finite, value)):
+        _fail(path, f"{d} coordinates", value)
+    return np.array(value, dtype=float)
+
+
+POINT = Key("point", "one finite number per grid axis", REQUIRED, _point)
+
+
+GRID = {"d": count(3), "n": count(32), "L": number(16.0, *POSITIVE)}
+
+
+def _grid(value, path, ctx):
+    g = _read_object(GRID, value, path, ctx)
+    return Grid(g["d"], g["n"], g["L"])
+
+
+def _drift(value, path, ctx):
+    """A field object (null: the zero field) as a function of the grid.
+
+    ``truncate`` and ``mollify`` post-process the sampled field; every
+    other key is the drift's, checked by ``drift_from_config``.  Its
+    readers build the field while the config is read, so that a grid it
+    does not fit is a config error too.
+    """
+    if value is None:
+        return GridVectorField.zeros
+    if not isinstance(value, dict):
+        _fail(path, "a JSON object", value)
+    post = [(fn, number(REQUIRED, *POSITIVE).read(value[key], f"{path}.{key}", ctx))
+            for key, fn in (("truncate", truncate), ("mollify", mollify)) if key in value]
+    spec = drift_from_config({k: v for k, v in value.items() if k not in ("truncate", "mollify")})
+
+    def on(grid):
+        b = spec.on_grid(grid)
+        for fn, x in post:
+            b = fn(b, x)
+        return b
+    return on
+
+
+INPUT_KIND = choice("bump", ("bump", "noise"))
+INPUTS = {
+    "bump": {
+        "kind": INPUT_KIND,
+        "sigma2": number(lambda ctx: (ctx["grid"].length / 8.0) ** 2, "a positive width", lambda x: x > 0),
+        "center": POINT._replace(default=lambda ctx: [ctx["grid"].length / 2.0] * ctx["grid"].d),
+    },
+    "noise": {"kind": INPUT_KIND, "seed": count(lambda ctx: ctx["seed"], least=0)},
+}
+
+
+def _input(value, path, ctx):
+    """The input f on the grid, and the bump's closed form for the Monte Carlo payoff (None for noise)."""
+    kind = INPUT_KIND.read(value.get("kind", "bump"), f"{path}.kind", ctx) if isinstance(value, dict) else "bump"
+    f = SimpleNamespace(**_read_object(INPUTS[kind], value, path, ctx))
+    grid = ctx["grid"]
+    if kind == "noise":
+        return GridFunction(grid, np.random.default_rng(f.seed).standard_normal(grid.shape).astype(np.complex128)), None
+    r2 = sum((x - ci) ** 2 for x, ci in zip(grid.coordinates(), f.center))
+    return (GridFunction(grid, np.exp(-r2 / f.sigma2).astype(np.complex128)),
+            lambda pts: np.exp(-np.sum((pts - f.center) ** 2, axis=1) / f.sigma2))
+
+
+def _zeta(value, path, ctx):
+    if value is not None and not (isinstance(value, list) and len(value) == 2 and all(map(_finite, value))):
+        _fail(path, "a number pair [re, im]", value)
+    return None if value is None else complex(*value)
+
+
+# the resolvent set-up keys; an experiment takes those it names
+SETUP = {
+    "grid": Key("object", "", {}, _grid),
+    "field": Key("field object or null", "", REQUIRED, lambda v, path, ctx: _drift(v, path, ctx)(ctx["grid"])),
+    "p": number(2.0, "a number > 1", lambda x: x > 1),
+    "lambda_grid": listof(number(REQUIRED, *POSITIVE), np.logspace(-1, 2, 5).tolist()),
+    "guard_margin": number(0.7, "0 < margin < 1", lambda x: 0 < x < 1),
+    "zeta": Key("[re, im] or null", "", None, _zeta),
+    "f": Key("input object", "", {"kind": "bump"}, _input),
+}
+COMMON = {
+    "schema": Key("1", "", 1, lambda v, path, ctx: v if v == 1 and not isinstance(v, bool) else _fail(path, 1, v)),
+    "experiment": Key("string", "the subcommand's name", lambda ctx: ctx["name"],
+                      lambda v, path, ctx: v if v == ctx["name"] else _fail(path, json.dumps(ctx["name"]), v)),
+}
 EXPERIMENTS = {}
 
 
-def experiment(name, required=(), optional=()):
+def experiment(name, *setup, **keys):
+    """Register a handler with the set-up keys it names and its own ``keys``."""
     def register(fn):
-        EXPERIMENTS[name] = {
-            "fn": fn,
-            "required": set(required),
-            "optional": set(optional) | {"schema", "experiment"},
-        }
+        EXPERIMENTS[name] = (fn, {**{k: SETUP[k] for k in setup}, **keys, **COMMON})
         return fn
 
     return register
 
 
-def _nonfinite_key(value, key=""):
-    """Key path of the first NaN or infinite number in a config value, else None."""
-    if isinstance(value, float) and not np.isfinite(value):
-        return key
-    if isinstance(value, dict):
-        items = ((f"{key}.{k}" if key else str(k), v) for k, v in value.items())
-    elif isinstance(value, list):
-        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
-    else:
-        return None
-    for sub_key, sub in items:
-        found = _nonfinite_key(sub, sub_key)
-        if found is not None:
-            return found
-    return None
+def validate_config(name, cfg, seed=0):
+    """The typed values of experiment ``name``'s JSON config; ConfigError names the first bad key."""
+    return SimpleNamespace(**_read_object(EXPERIMENTS[name][1], cfg, "", {"seed": seed, "name": name}))
 
 
-def validate_config(name, cfg):
-    spec = EXPERIMENTS[name]
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: top level must be an object")
-    if cfg.get("schema", 1) != 1:
-        raise ConfigError("schema: unsupported value, expected 1")
-    if "experiment" in cfg and cfg["experiment"] != name:
-        raise ConfigError(f"experiment: config names {cfg['experiment']!r}, subcommand is {name!r}")
-    allowed = spec["required"] | spec["optional"]
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"{key}: unknown key for experiment {name!r}")
-    for key in spec["required"]:
-        if key not in cfg:
-            raise ConfigError(f"{key}: required key missing for experiment {name!r}")
-    bad = _nonfinite_key(cfg)
-    if bad is not None:
-        raise ConfigError(f"{bad}: non-finite number; every config number must be finite")
-    return cfg
-
-
-def _object_from(cfg, key, default):
-    """cfg[key] (``default`` if absent), which must be a JSON object."""
-    value = cfg.get(key, default)
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected a JSON object, got {json.dumps(value)}")
-    return value
-
-
-def _number(value, key):
-    """A config value as a float; it must be a JSON number, not null, a bool, a string or a list."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _number_from(cfg, key, default):
-    """cfg[key] (``default`` if absent) as a float, which must be a JSON number."""
-    return _number(cfg.get(key, default), key)
-
-
-def _count(value, key, least=1):
-    """A config value as an int, which must be a whole JSON number (3.0 is taken, 2.5 is not) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value) or value < least:
-        raise ConfigError(f"{key}: expected a whole number of at least {least}, got {json.dumps(value)}")
-    return int(value)
-
-
-def _count_from(cfg, key, default):
-    """cfg[key] (``default`` if absent) as an int, which must be a whole number of at least 1."""
-    return _count(cfg.get(key, default), key)
-
-
-def _flag_from(cfg, key):
-    """cfg[key] (false if absent), which must be JSON true or false."""
-    value = cfg.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key}: expected true or false, got {json.dumps(value)}")
-    return value
-
-
-def _list_from(cfg, key, default, cast=None):
-    """cfg[key] (``default`` if absent), a nonempty JSON list of numbers, or of entries through ``cast``."""
-    values = cfg.get(key, default)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{key}: expected a nonempty list, got {json.dumps(values)}")
-    return [_number(x, key) if cast is None else cast(x) for x in values]
-
-
-def _point(value, key, d):
-    """A config value as a point: a list of exactly d finite JSON numbers."""
-    if not isinstance(value, list) or len(value) != d or not np.isfinite([_number(x, key) for x in value]).all():
-        raise ConfigError(f"{key}: expected {d} coordinates, got {json.dumps(value)}")
-    return np.array(value, dtype=float)
-
-
-def _grid_from(cfg):
-    g = _object_from(cfg, "grid", {})
-    for key in g:
-        if key not in {"n", "L", "d"}:
-            raise ConfigError(f"grid.{key}: unknown key")
-    return Grid(_count(g.get("d", 3), "grid.d"), _count(g.get("n", 32), "grid.n"), _number(g.get("L", 16.0), "grid.L"))
-
-
-def _field_from(cfg, grid):
-    if cfg.get("field") is None:
-        return GridVectorField.zeros(grid)
-    fc = dict(_object_from(cfg, "field", None))
-    level = fc.pop("truncate", None)
-    eps = fc.pop("mollify", None)
-    try:
-        b = drift_from_config(fc).on_grid(grid)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"field: {exc}") from exc
-    if level is not None:
-        b = truncate(b, _number(level, "field.truncate"))
-    if eps is not None:
-        b = mollify(b, _number(eps, "field.mollify"))
-    return b
-
-
-INPUT_KEYS = {"bump": {"kind", "sigma2", "center"}, "noise": {"kind", "seed"}}
-
-
-def _input_from(cfg, grid, seed, with_callable=False):
-    fc = _object_from(cfg, "f", {"kind": "bump"})
-    kind = fc.get("kind", "bump")
-    if kind not in INPUT_KEYS:
-        raise ConfigError(f"f.kind: unknown input kind {kind!r}")
-    for key in fc:
-        if key not in INPUT_KEYS[kind]:
-            raise ConfigError(f"f.{key}: unknown key for input kind {kind!r}")
-    if kind == "bump":
-        sigma2 = _number(fc.get("sigma2", (grid.length / 8.0) ** 2), "f.sigma2")
-        if not sigma2 > 0:
-            raise ConfigError(f"f.sigma2: expected a positive width, got {sigma2!r}")
-        c = _point(fc.get("center", [grid.length / 2.0] * grid.d), "f.center", grid.d)
-        coords = grid.coordinates()
-        r2 = sum((x - ci) ** 2 for x, ci in zip(coords, c))
-        f = GridFunction(grid, np.exp(-r2 / sigma2).astype(np.complex128))
-        if with_callable:
-            return f, lambda pts: np.exp(-np.sum((pts - c) ** 2, axis=1) / sigma2)
-        return f
-    rng = np.random.default_rng(_count(fc.get("seed", seed), "f.seed", least=0))
-    f = GridFunction(grid, rng.standard_normal(grid.shape).astype(np.complex128))
-    return (f, None) if with_callable else f
-
-
-def _resolvent_setup(cfg, grid, seed):
-    b = _field_from(cfg, grid)
-    p = _number_from(cfg, "p", 2.0)
-    lams = np.asarray(_list_from(cfg, "lambda_grid", np.logspace(-1, 2, 5).tolist()))
-    margin = _number_from(cfg, "guard_margin", 0.7)
-    if not 0.0 < margin < 1.0:
-        raise ConfigError(f"guard_margin: expected 0 < margin < 1, got {margin}")
-    zeta = cfg.get("zeta")
-    if zeta is not None:
-        if not isinstance(zeta, list) or len(zeta) != 2:
-            raise ConfigError(f"zeta: expected a number pair [re, im], got {json.dumps(zeta)}")
-        zeta = complex(_number(zeta[0], "zeta"), _number(zeta[1], "zeta"))
-    est = estimate_class_F_half(b, lambda_grid=lams, seed=seed)
-    delta, lam = guarded_pair(est, p=p, d=grid.d, margin=margin)
+def _resolvent_setup(c, seed, zeta=None):
+    """ResolventParams from the guarded F_half estimate of the config's field."""
+    est = estimate_class_F_half(c.field, lambda_grid=np.asarray(c.lambda_grid), seed=seed)
+    delta, lam = guarded_pair(est, p=c.p, d=c.grid.d, margin=c.guard_margin)
     if zeta is None:
-        zeta = complex(2.0 * Cmod.kappa_d(grid.d) * lam, 0.0)
-    params = ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam)
-    return b, params
+        zeta = complex(2.0 * Cmod.kappa_d(c.grid.d) * lam, 0.0)
+    return ResolventParams(p=c.p, zeta=zeta, delta=delta, lam=lam)
 
 
 # -- experiment handlers -------------------------------------------------
 
 
-@experiment("constants", optional=("d", "deltas"))
-def run_constants(cfg, out, seed):
-    ds = cfg.get("d", [3])
-    ds = ds if isinstance(ds, list) else [ds]
-    deltas = cfg.get("deltas", [0.1, 0.2, 0.3])
-    # check the entries but pass on the JSON values, so a delta of 1 prints as 1
-    _list_from({"d": ds}, "d", None, cast=lambda x: _count(x, "d"))
-    _list_from(cfg, "deltas", deltas)
-    rows = Cmod.constants_table(ds, deltas)
+@experiment(
+    "constants",
+    d=Key("whole number or list of them", "of at least 1", [3],
+          lambda v, path, ctx: listof(count()).read(v if isinstance(v, list) else [v], path, ctx)),
+    deltas=listof(number(convert=_as_given), [0.1, 0.2, 0.3]),  # a delta of 1 prints as 1
+)
+def run_constants(c, out, seed):
+    rows = Cmod.constants_table(c.d, c.deltas)
     write_csv(out / "constants.csv",
               ["d", "m_d", "kappa_d", "feller_threshold", "delta", "I_lo", "I_hi"], rows)
     return 0
 
 
-@experiment("estimate-class", required=("field",), optional=("grid", "classes", "lambda_grid"))
-def run_estimate_class(cfg, out, seed):
-    grid = _grid_from(cfg)
-    b = _field_from(cfg, grid)
-    lams = np.asarray(_list_from(cfg, "lambda_grid", default_lambda_grid().tolist()))
-    classes = _list_from(cfg, "classes", ["F_half", "F", "K"], cast=str)
+@experiment(
+    "estimate-class", "grid", "field",
+    classes=listof(choice(None, ("F_half", "F", "K")), ["F_half", "F", "K"]),
+    lambda_grid=listof(number(REQUIRED, *POSITIVE), default_lambda_grid().tolist()),
+)
+def run_estimate_class(c, out, seed):
     est_fns = {"F_half": estimate_class_F_half, "F": estimate_class_F, "K": estimate_class_K}
     rows = []
-    for cls in classes:
-        if cls not in est_fns:
-            raise ConfigError(f"classes: unknown class {cls!r}")
+    for cls in c.classes:
         kwargs = {} if cls == "K" else {"seed": seed}
-        est = est_fns[cls](b, lambda_grid=lams, **kwargs)
+        est = est_fns[cls](c.field, lambda_grid=np.asarray(c.lambda_grid), **kwargs)
         for lam, dv in zip(est.lambda_grid, est.delta_curve):
             rows.append((cls, lam, dv, ""))
         rows.append((cls, est.lam, est.delta, "min"))
@@ -281,126 +322,83 @@ def run_estimate_class(cfg, out, seed):
     return 0
 
 
-@experiment(
-    "resolvent",
-    required=("field",),
-    optional=("grid", "p", "zeta", "f", "representation", "lambda_grid", "guard_margin"),
-)
-def run_resolvent(cfg, out, seed):
-    grid = _grid_from(cfg)
-    b, params = _resolvent_setup(cfg, grid, seed)
-    f = _input_from(cfg, grid, seed)
-    rep = cfg.get("representation", "direct")
-    a = ResolventAssembly(params, b, rep)
-    u = a.apply(f)
-    resid = params.zeta * u + apply_generator(b, u) - f
+@experiment("resolvent", "grid", "field", "p", "zeta", "f", "lambda_grid", "guard_margin",
+            representation=choice("direct", REPRESENTATIONS))
+def run_resolvent(c, out, seed):
+    params = _resolvent_setup(c, seed, c.zeta)
+    f = c.f[0]
+    u = ResolventAssembly(params, c.field, c.representation).apply(f)
+    resid = params.zeta * u + apply_generator(c.field, u) - f
     rel = lp_norm(resid, params.p) / lp_norm(f, params.p)
     save_grid_function(u, out / "resolvent_output")
-    write_csv(
-        out / "residual_report.csv",
-        ["quantity", "lhs", "rhs_bound", "pass"],
-        [("generator_equation_residual", rel, 1e-8, rel <= 1e-8)],
-    )
+    write_csv(out / "residual_report.csv", ["quantity", "lhs", "rhs_bound", "pass"],
+              [("generator_equation_residual", rel, 1e-8, rel <= 1e-8)])
     return 0 if rel <= 1e-8 else 1
 
 
-@experiment("pseudo-resolvent", required=("field",), optional=("grid", "p", "n_pairs", "lambda_grid", "guard_margin"))
-def run_pseudo_resolvent(cfg, out, seed):
-    grid = _grid_from(cfg)
-    n_pairs = _count_from(cfg, "n_pairs", 10)
-    b, params = _resolvent_setup(cfg, grid, seed)
-    rng = np.random.default_rng(seed)
-    f = GridFunction(grid, rng.standard_normal(grid.shape) + 0j)
-    zetas = zeta_ray_grid(params.lam, grid.d, n_ray=4, n_real=3)
-    pairs = [(zetas[i], zetas[j]) for i in range(len(zetas)) for j in range(i + 1, len(zetas))][:n_pairs]
+@experiment("pseudo-resolvent", "grid", "field", "p", "lambda_grid", "guard_margin", n_pairs=count(10))
+def run_pseudo_resolvent(c, out, seed):
+    params = _resolvent_setup(c, seed)
+    f = GridFunction(c.grid, np.random.default_rng(seed).standard_normal(c.grid.shape) + 0j)
+    zetas = zeta_ray_grid(params.lam, c.grid.d, n_ray=4, n_real=3)
+    pairs = [(zetas[i], zetas[j]) for i in range(len(zetas)) for j in range(i + 1, len(zetas))][:c.n_pairs]
     rows = []
     ok = True
     for zeta, eta in pairs:
-        r = pseudo_resolvent_residual(params, b, zeta, eta, f)
+        r = pseudo_resolvent_residual(params, c.field, zeta, eta, f)
         rows.append((zeta, eta, r, r <= 1e-8))
         ok = ok and r <= 1e-8
     write_csv(out / "pseudo_resolvent.csv", ["zeta", "eta", "residual", "pass"], rows)
     return 0 if ok else 1
 
 
-@experiment("norm-bounds", required=("field",), optional=("grid", "p", "n_starts", "lambda_grid", "guard_margin"))
-def run_norm_bounds(cfg, out, seed):
-    grid = _grid_from(cfg)
-    n_starts = _count_from(cfg, "n_starts", 8)
-    b, params = _resolvent_setup(cfg, grid, seed)
-    rows = norm_bound_report(params, b, n_starts=n_starts, seed=seed)
-    write_csv(
-        out / "norm_bounds.csv",
-        ["quantity", "zeta", "measured", "bound", "pass"],
-        rows,
-    )
+@experiment("norm-bounds", "grid", "field", "p", "lambda_grid", "guard_margin", n_starts=count(8))
+def run_norm_bounds(c, out, seed):
+    params = _resolvent_setup(c, seed)
+    rows = norm_bound_report(params, c.field, n_starts=c.n_starts, seed=seed)
+    write_csv(out / "norm_bounds.csv", ["quantity", "zeta", "measured", "bound", "pass"], rows)
     return 0
 
 
 @experiment(
-    "convergence-study",
-    required=("field",),
-    optional=("grid", "p", "levels", "t", "steps", "f", "lambda_grid", "guard_margin"),
+    "convergence-study", "grid", "field", "p", "f", "lambda_grid", "guard_margin",
+    levels=listof(number(REQUIRED, *POSITIVE), [2, 4, 8, 16, 32]), t=number(0.1, *POSITIVE), steps=count(5),
 )
-def run_convergence_study(cfg, out, seed):
-    grid = _grid_from(cfg)
-    levels = _list_from(cfg, "levels", [2, 4, 8, 16, 32])
-    steps = _count_from(cfg, "steps", 5)
-    t = _number_from(cfg, "t", 0.1)
-    b, params = _resolvent_setup(cfg, grid, seed)
-    f = _input_from(cfg, grid, seed)
-    res_curve = strong_convergence_study(params, b, levels, f)
-    sg_p, sg_sup = semigroup_convergence_study(params, b, levels, t, steps, f)
-    rows = [
-        (lev, r, sp_, ss)
-        for lev, r, sp_, ss in zip(levels, res_curve, sg_p, sg_sup)
-    ]
-    write_csv(
-        out / "convergence.csv",
-        ["level", "resolvent_err", "semigroup_err_p", "semigroup_err_sup"],
-        rows,
-    )
+def run_convergence_study(c, out, seed):
+    params = _resolvent_setup(c, seed)
+    res_curve = strong_convergence_study(params, c.field, c.levels, c.f[0])
+    sg_p, sg_sup = semigroup_convergence_study(params, c.field, c.levels, c.t, c.steps, c.f[0])
+    write_csv(out / "convergence.csv", ["level", "resolvent_err", "semigroup_err_p", "semigroup_err_sup"],
+              zip(c.levels, res_curve, sg_p, sg_sup))
     return 0
 
 
-@experiment(
-    "semigroup",
-    required=("field",),
-    optional=("grid", "p", "t", "steps", "richardson", "f", "lambda_grid", "guard_margin"),
-)
-def run_semigroup(cfg, out, seed):
-    grid = _grid_from(cfg)
-    steps = _count_from(cfg, "steps", 8)
-    t = _number_from(cfg, "t", 0.1)
-    richardson = _flag_from(cfg, "richardson")
-    b, params = _resolvent_setup(cfg, grid, seed)
-    f = _input_from(cfg, grid, seed)
-    sp = SemigroupParams(t, steps, richardson=richardson)
-    u = evolve(sp, params, b, f)
+@experiment("semigroup", "grid", "field", "p", "f", "lambda_grid", "guard_margin",
+            t=number(0.1, *POSITIVE), steps=count(8), richardson=flag())
+def run_semigroup(c, out, seed):
+    params = _resolvent_setup(c, seed)
+    u = evolve(SemigroupParams(c.t, c.steps, richardson=c.richardson), params, c.field, c.f[0])
     save_grid_function(u, out / "evolved")
-    one = GridFunction(grid, np.ones(grid.shape))
-    rows = [
-        (t, steps, float(np.min(u.values.real)), lp_norm(u, np.inf), pairing(u, one).real)
-    ]
+    one = GridFunction(c.grid, np.ones(c.grid.shape))
+    rows = [(c.t, c.steps, float(np.min(u.values.real)), lp_norm(u, np.inf), pairing(u, one).real)]
     write_csv(out / "semigroup.csv", ["t", "steps", "min", "sup", "mass"], rows)
     return 0
 
 
 @experiment(
-    "ultracontractivity",
-    required=(),
-    optional=("field", "grid", "p_from", "r_to", "t_grid", "steps", "n_sources", "lambda_grid", "guard_margin", "p"),
+    "ultracontractivity", "grid", "p", "lambda_grid", "guard_margin",
+    field=SETUP["field"]._replace(default=None),
+    p_from=number(1.0),
+    r_to=Key("number or \"inf\"", "", "inf",
+             lambda v, path, ctx: np.inf if v in ("inf", None) else number().read(v, path, ctx)),
+    t_grid=listof(number(REQUIRED, *POSITIVE), np.logspace(np.log10(0.02), np.log10(0.1), 6).tolist()),
+    steps=count(16), n_sources=count(2),
 )
-def run_ultracontractivity(cfg, out, seed):
-    grid = _grid_from(cfg)
-    t_grid = np.asarray(_list_from(cfg, "t_grid", np.logspace(np.log10(0.02), np.log10(0.1), 6).tolist()))
-    steps, n_sources = _count_from(cfg, "steps", 16), _count_from(cfg, "n_sources", 2)
-    p_from = _number_from(cfg, "p_from", 1.0)
-    r_to = cfg.get("r_to", "inf")
-    r_to = np.inf if r_to in ("inf", None) else _number(r_to, "r_to")
-    b, params = _resolvent_setup(cfg, grid, seed)
+def run_ultracontractivity(c, out, seed):
+    params = _resolvent_setup(c, seed)
     slope, ts, norms = ultracontractivity_study(
-        params, b, p_from, r_to, t_grid, steps=steps, n_sources=n_sources, seed=seed, neumann_tol=1e-7,
+        params, c.field, c.p_from, c.r_to, np.asarray(c.t_grid), steps=c.steps, n_sources=c.n_sources, seed=seed,
+        neumann_tol=1e-7,
     )
     rows = [(t, nv, "") for t, nv in zip(ts, norms)] + [(float("nan"), slope, "fitted_slope")]
     write_csv(out / "ultracontractivity.csv", ["t", "value", "tag"], rows)
@@ -410,19 +408,16 @@ def run_ultracontractivity(cfg, out, seed):
 KERNEL_CHECKS = ("A0", "A1", "A2", "A3", "A4", "A5")
 
 
-@experiment("verify-kernels", required=(), optional=("which", "d"))
-def run_verify_kernels(cfg, out, seed):
-    which = cfg.get("which", ["A1", "A2", "A3", "A4", "A5", "A0"])
-    if isinstance(which, str):
-        which = [w.strip() for w in which.split(",") if w.strip()]
-    elif not isinstance(which, list) or not all(isinstance(w, str) for w in which):
-        raise ConfigError(f"which: expected a string or a list of strings, got {json.dumps(which)}")
-    if not which:
-        raise ConfigError(f"which: expected at least one of {', '.join(KERNEL_CHECKS)}, got none")
-    for token in which:
-        if token not in KERNEL_CHECKS:
-            raise ConfigError(f"which: unknown token {token!r}")
-    d = _count_from(cfg, "d", 3)
+@experiment(
+    "verify-kernels",
+    which=Key("comma-separated string or list of strings", f"tokens among {', '.join(KERNEL_CHECKS)}",
+              ["A1", "A2", "A3", "A4", "A5", "A0"],
+              lambda v, path, ctx: listof(choice(None, KERNEL_CHECKS)).read(
+                  [w.strip() for w in v.split(",") if w.strip()] if isinstance(v, str) else v, path, ctx)),
+    d=count(3),
+)
+def run_verify_kernels(c, out, seed):
+    d = c.d
     distances = np.logspace(-1, 1, 6)
     re_zetas = np.logspace(np.log10(0.2), np.log10(20.0), 5)
 
@@ -438,7 +433,7 @@ def run_verify_kernels(cfg, out, seed):
         return 0 if all(r[5] for r in rows) else 1
 
     status = 0
-    for token in which:
+    for token in c.which:
         if token == "A1":
             status |= domination_csv(token, check_gradient_domination(complex_probes((-1.0, -0.5, 0.0))))
         elif token == "A2":
@@ -471,7 +466,7 @@ def run_verify_kernels(cfg, out, seed):
             status |= 0 if all(r[3] for r in rows) else 1
         else:  # A0
             grid = Grid(3, 64, 4.0)
-            b = drift_from_config({"kind": "hardy", "c": 0.2}).on_grid(grid)
+            b = DriftSpec("hardy", c=0.2).on_grid(grid)
             c0 = grid.length / 2.0
             f = GridFunction.from_callable(
                 grid,
@@ -485,35 +480,32 @@ def run_verify_kernels(cfg, out, seed):
     return status
 
 
-@experiment(
-    "holder-probe",
-    required=("field",),
-    optional=("grid", "p", "f", "pairs_per_bin", "lambda_grid", "guard_margin"),
-)
-def run_holder_probe(cfg, out, seed):
-    grid = _grid_from(cfg)
-    pairs_per_bin = _count_from(cfg, "pairs_per_bin", 2048)
-    holder_separations(grid)  # the grid is checked before any estimate or solve
-    b, params = _resolvent_setup(cfg, grid, seed)
-    f = _input_from(cfg, grid, seed)
-    u = ResolventAssembly(params, b).apply(f)
-    slope, resid, seps, maxima = holder_probe(GridFunction(grid, u.values.real), pairs_per_bin, seed=seed)
+@experiment("holder-probe", "grid", "field", "p", "f", "lambda_grid", "guard_margin", pairs_per_bin=count(2048))
+def run_holder_probe(c, out, seed):
+    holder_separations(c.grid)  # the grid is checked before any estimate or solve
+    params = _resolvent_setup(c, seed)
+    u = ResolventAssembly(params, c.field).apply(c.f[0])
+    slope, resid, seps, maxima = holder_probe(GridFunction(c.grid, u.values.real), c.pairs_per_bin, seed=seed)
     rows = [(s, m, "") for s, m in zip(seps, maxima)] + [(float("nan"), slope, "fitted_slope")]
     write_csv(out / "holder.csv", ["separation", "value", "tag"], rows)
     return 0
 
 
-@experiment("smoothing-study", required=("field",), optional=("grid", "p", "q", "sizes", "delta", "lam"))
-def run_smoothing_study(cfg, out, seed):
-    base = _grid_from(cfg)
-    p = _number_from(cfg, "p", 2.5)
-    q = _number_from(cfg, "q", 3.0)
-    sizes = _list_from(cfg, "sizes", [16, 32, 64], cast=lambda n: _count(n, "sizes"))
-    delta = _number_from(cfg, "delta", 0.25)
-    lam = _number_from(cfg, "lam", 1.0)
-    fields = [_field_from(cfg, Grid(base.d, n, base.length)) for n in sizes]
-    params = ResolventParams(p=p, zeta=complex(2 * Cmod.kappa_d(base.d) * lam, 0.0), delta=delta, lam=lam)
-    rows = bessel_smoothing_study(fields, params, q, seed=seed)
+SIZES = listof(count())
+
+
+@experiment(
+    "smoothing-study", "grid",
+    sizes=Key(SIZES.kind, SIZES.bound, [16, 32, 64],  # one grid per size, with the base grid's d and L
+              lambda v, path, ctx: [Grid(ctx["grid"].d, n, ctx["grid"].length) for n in SIZES.read(v, path, ctx)]),
+    field=Key("field object or null", "", REQUIRED,
+              lambda v, path, ctx: [_drift(v, path, ctx)(grid) for grid in ctx["sizes"]]),
+    p=SETUP["p"]._replace(default=2.5), q=number(3.0, *POSITIVE),
+    delta=number(0.25, "a number >= 0", lambda x: x >= 0), lam=number(1.0, *POSITIVE),
+)
+def run_smoothing_study(c, out, seed):
+    params = ResolventParams(p=c.p, zeta=complex(2 * Cmod.kappa_d(c.grid.d) * c.lam, 0.0), delta=c.delta, lam=c.lam)
+    rows = bessel_smoothing_study(c.field, params, c.q, seed=seed)
     out_rows = []
     prev = None
     ok = True
@@ -526,68 +518,48 @@ def run_smoothing_study(cfg, out, seed):
     return 0 if ok else 1
 
 
-@experiment("weak-identity", required=("field",), optional=("grid", "p", "count", "f", "lambda_grid", "guard_margin"))
-def run_weak_identity(cfg, out, seed):
-    grid = _grid_from(cfg)
-    count = _count_from(cfg, "count", 5)
-    b, params = _resolvent_setup(cfg, grid, seed)
-    f = _input_from(cfg, grid, seed)
-    vs = make_test_functions(grid, count=count, seed=seed)
-    worst = weak_identity_residual(params, b, f, vs)
-    write_csv(
-        out / "weak_identity.csv",
-        ["quantity", "lhs", "rhs_bound", "pass"],
-        [("max_residual", worst, 1e-6, worst <= 1e-6)],
-    )
+@experiment("weak-identity", "grid", "field", "p", "f", "lambda_grid", "guard_margin", count=count(5))
+def run_weak_identity(c, out, seed):
+    params = _resolvent_setup(c, seed)
+    vs = make_test_functions(c.grid, count=c.count, seed=seed)
+    worst = weak_identity_residual(params, c.field, c.f[0], vs)
+    write_csv(out / "weak_identity.csv", ["quantity", "lhs", "rhs_bound", "pass"],
+              [("max_residual", worst, 1e-6, worst <= 1e-6)])
     return 0 if worst <= 1e-6 else 1
 
 
 @experiment(
-    "simulate",
-    required=("field",),
-    optional=(
-        "grid", "p", "t", "dt", "paths", "starts", "pde_steps", "f",
-        "dump_terminal", "lambda_grid", "guard_margin", "drift_sign",
-    ),
+    "simulate", "grid", "field", "p", "f", "lambda_grid", "guard_margin",
+    t=number(0.2, *POSITIVE), dt=number(1e-3, *POSITIVE),
+    paths=count(20000, least=2),  # a payoff's standard error needs two paths
+    starts=listof(POINT,
+                  lambda ctx: [[ctx["grid"].length / 2.0 + dx, ctx["grid"].length / 2.0 + dy, ctx["grid"].length / 2.0 + dz]
+                               for dx, dy, dz in ((1.0, 0, 0), (0, -1.2, 0), (0, 0, 1.4))], indexed=True),
+    pde_steps=count(64), dump_terminal=flag(),
+    drift_sign=number(-1.0, "-1 or 1", lambda x: x in (-1, 1)),
 )
-def run_simulate(cfg, out, seed):
-    grid = _grid_from(cfg)
-    c0 = grid.length / 2.0
-    starts = _list_from(cfg, "starts", [[c0 + 1.0, c0, c0], [c0, c0 - 1.2, c0], [c0, c0, c0 + 1.4]], cast=lambda s: s)
-    starts = [_point(s, f"starts[{i}]", grid.d) for i, s in enumerate(starts)]
-    pde_steps = _count_from(cfg, "pde_steps", 64)
-    t, dt = _number_from(cfg, "t", 0.2), _number_from(cfg, "dt", 1e-3)
-    paths, drift_sign = _count_from(cfg, "paths", 20000), _number_from(cfg, "drift_sign", -1.0)
-    if drift_sign not in (-1.0, 1.0):
-        raise ConfigError(f"drift_sign: expected -1 or 1, got {json.dumps(cfg['drift_sign'])}")
-    dump_terminal = _flag_from(cfg, "dump_terminal")
-    b, params = _resolvent_setup(cfg, grid, seed)
-    f, payoff_fn = _input_from(cfg, grid, seed, with_callable=True)
+def run_simulate(c, out, seed):
+    params = _resolvent_setup(c, seed)
+    f, payoff_fn = c.f
     rows, ok, results = mc_vs_semigroup(
-        b, params, f, starts, t=t, dt=dt, paths=paths, pde_steps=pde_steps, seed=seed, drift_sign=drift_sign,
-        payoff_fn=payoff_fn,
+        c.field, params, f, c.starts, t=c.t, dt=c.dt, paths=c.paths, pde_steps=c.pde_steps, seed=seed,
+        drift_sign=c.drift_sign, payoff_fn=payoff_fn,
     )
     rows = [(";".join(f"{x:g}" for x in start),) + tuple(rest) for start, *rest in rows]
-    write_csv(
-        out / "simulate.csv",
-        ["start", "mc_mean", "mc_se", "pde_value", "diff", "budget", "pass", "flagged"],
-        rows,
-    )
-    if dump_terminal:
+    write_csv(out / "simulate.csv", ["start", "mc_mean", "mc_se", "pde_value", "diff", "budget", "pass", "flagged"],
+              rows)
+    if c.dump_terminal:
         write_csv(out / "terminal.csv", ["x", "y", "z"], [tuple(p) for p in results[0].terminal])
     return 0 if ok else 1
 
 
-@experiment("acceptance", required=(), optional=("only",))
-def run_acceptance(cfg, out, seed):
-    only = cfg.get("only")
-    if only is not None and not (
-        isinstance(only, list) and all(isinstance(i, int) and 1 <= i <= len(CRITERIA) for i in only)
-    ):
-        raise ConfigError(
-            f"only (--only): expected a list of criterion indices in 1..{len(CRITERIA)}, got {only!r}"
-        )
-    results = run_all(None if only is None else set(only))
+ONLY = listof(count(least=1, most=len(CRITERIA)))
+
+
+@experiment("acceptance", only=Key(ONLY.kind, ONLY.bound, None,
+                                   lambda v, path, ctx: None if v is None else ONLY.read(v, path, ctx)))
+def run_acceptance(c, out, seed):
+    results = run_all(None if c.only is None else set(c.only))
     rows = []
     ok = True
     for r in results:
@@ -598,8 +570,8 @@ def run_acceptance(cfg, out, seed):
     return 0 if ok else 1
 
 
-@experiment("report", required=(), optional=())
-def run_report(cfg, out, seed):
+@experiment("report")
+def run_report(c, out, seed):
     csvs = sorted(out.glob("*.csv"))
     if not csvs:
         print(f"report: no artifacts found in {out}", file=sys.stderr)
@@ -706,20 +678,17 @@ def main(argv=None):
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config: cannot read {args.config}: {exc}", file=sys.stderr)
             return 2
-    if name == "acceptance" and args.only:
-        cfg = dict(cfg)
-        try:
-            cfg["only"] = [int(x) for x in args.only.split(",")]
-        except ValueError:
-            print(f"config error: --only: expected comma-separated criterion indices, got {args.only!r}",
-                  file=sys.stderr)
-            return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        cfg = validate_config(name, cfg)
-        status = EXPERIMENTS[name]["fn"](cfg, out, args.seed)
+        if name == "acceptance" and args.only and isinstance(cfg, dict):
+            try:
+                only = json.loads(f"[{args.only}]")
+            except json.JSONDecodeError:
+                only = [args.only]
+            cfg = {**cfg, "only": ONLY.read(only, "--only", {})}
+        status = EXPERIMENTS[name][0](validate_config(name, cfg, args.seed), out, args.seed)
     except (ConfigError, ValueError) as exc:
         # sdlab constructors reject out-of-range config values with ValueError
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,6 +18,8 @@ grid kernel of (lam - Lap)^(-1/2) rings, so ``K`` can exceed it).
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,11 +68,11 @@ class DriftSpec:
     """
 
     PARAMS = {
-        "hardy": ("c",),
-        "sphere": ("beta", "radius", "amp"),
-        "constant": ("vector",),
-        "smooth-random": ("amp", "kmax", "seed"),
-        "sum": ("terms",),
+        "hardy": {"c": "number"},
+        "sphere": {"beta": "number", "radius": "number", "amp": "number"},
+        "constant": {"vector": "vector"},
+        "smooth-random": {"amp": "number", "kmax": "count", "seed": "count"},
+        "sum": {"terms": "terms"},
     }
 
     def __init__(self, kind, **params):
@@ -159,11 +161,37 @@ class DriftSpec:
         return f"DriftSpec({self.as_config()})"
 
 
+def _is_number(x):
+    """A JSON number, not a bool, that is finite as a float (a 400-digit integer is not)."""
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+
+
+# what each kind of DriftSpec.PARAMS takes from JSON: (description, test)
+PARAM_KINDS = {
+    "number": ("a finite number", _is_number),
+    "count": ("a whole number of at least 0", lambda x: _is_number(x) and x == int(x) and x >= 0),
+    "vector": ("a nonempty list of finite numbers", lambda x: isinstance(x, list) and x and all(map(_is_number, x))),
+    "terms": ("a nonempty list of field objects", lambda x: isinstance(x, list) and x),
+}
+
+
 def drift_from_config(cfg):
-    """Build a DriftSpec from its JSON-dict form, e.g. {"kind":"hardy","c":0.2}."""
-    cfg = dict(cfg)
-    kind = cfg.pop("kind")
-    return DriftSpec(kind, **cfg)
+    """Build a DriftSpec from its JSON-dict form, e.g. {"kind":"hardy","c":0.2}.
+
+    ``kind`` and every parameter are checked against ``DriftSpec.PARAMS``;
+    a bad one raises ``ValueError`` naming it.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"expected a JSON object, got {json.dumps(cfg)}")
+    params = dict(cfg)
+    kind = params.pop("kind", None)
+    if not isinstance(kind, str) or kind not in DriftSpec.PARAMS:
+        raise ValueError(f"kind: expected one of {', '.join(DriftSpec.PARAMS)}, got {json.dumps(kind)}")
+    for key, value in params.items():
+        what, test = PARAM_KINDS.get(DriftSpec.PARAMS[kind].get(key), (None, None))
+        if test is not None and not test(value):
+            raise ValueError(f"{key}: expected {what}, got {json.dumps(value)}")
+    return DriftSpec(kind, **params)
 
 
 @dataclass

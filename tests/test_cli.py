@@ -477,7 +477,8 @@ def test_nonfinite_field_exits_2_and_names_key(tmp_path, capsys):
         {"field": {"kind": "constant", "vector": [float("nan"), 0, 0]}, "grid": {"n": 8, "L": 8}},
     )
     assert main(["estimate-class", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "field.vector[0]" in capsys.readouterr().err
+    # the drift's own parameters are checked by drift_from_config and named "field: <parameter>"
+    assert "field: vector: expected a nonempty list of finite numbers, got [NaN, 0, 0]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_grid", [[0.0, 0.05, 0.1, 0.2], [-0.05, 0.05]], ids=["zero", "negative"])
