@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import sdlab.cli
-from sdlab.cli import COMMON, EXPERIMENTS, GRID, INPUTS, SETUP, main
+from sdlab.cli import COMMON, EXPERIMENTS, GRID, INPUTS, REQUIRED, main
 from sdlab.fields import DriftSpec
 
 VALUES = [None, True, "x", [], [None], {}, -1, 0, 2.5, [1, None], 10**400]  # the last overflows a float
@@ -48,6 +48,7 @@ PARENT_KEYS = {
     "acceptance": {"only"},
     "report": set(),
 }
+# the experiments whose field was a required key
 REQUIRED_FIELD = set(PARENT_KEYS) - {"constants", "ultracontractivity", "verify-kernels", "acceptance", "report"}
 
 
@@ -120,8 +121,8 @@ def _run(name, cfg, tmp_path, capsys):
 
 def test_each_experiment_takes_the_keys_it_took_before():
     assert {name: set(keys) - {"schema", "experiment"} for name, (_, keys) in EXPERIMENTS.items()} == PARENT_KEYS
-    for name in PARENT_KEYS:
-        assert (EXPERIMENTS[name][1].get("field") is SETUP["field"]) == (name in REQUIRED_FIELD - {"smoothing-study"})
+    for name, (_, keys) in EXPERIMENTS.items():
+        assert ("field" in keys and keys["field"].default is REQUIRED) == (name in REQUIRED_FIELD), name
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
