@@ -1,13 +1,15 @@
-"""Rewrite the golden records: ``acceptance.txt`` and ``cli.txt``.
+"""Rewrite the golden records: ``acceptance.txt``, ``acceptance_values.txt`` and ``cli.txt``.
 
 Run from the repository root after a change that moves a printed number:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-then list the diff of both records with the change.  Each header
+then list the diff of the records with the change.  Each header
 records the Python, numpy and scipy versions the record was computed
 with.  ``acceptance.txt`` holds the summary line of every acceptance
-criterion, which ``tests/test_acceptance.py`` compares.  ``cli.txt``
+criterion, and ``acceptance_values.txt`` the ``repr`` of each criterion's
+measured values, which sees a move below the summary's rounding;
+``tests/test_acceptance.py`` compares both.  ``cli.txt``
 holds the exit code of every experiment run on its config in ``cli/``
 and the sha256 of every file those runs and a final ``report`` write
 (the manifest aside, which holds timestamps); ``tests/test_golden_cli.py``
@@ -26,12 +28,18 @@ from sdlab import acceptance
 from sdlab.cli import main as sdlab_main
 
 GOLDEN = pathlib.Path(__file__).with_name("acceptance.txt")
+VALUES = pathlib.Path(__file__).with_name("acceptance_values.txt")
 CLI_GOLDEN = pathlib.Path(__file__).with_name("cli.txt")
 CLI_CONFIGS = pathlib.Path(__file__).with_name("cli")
 
 
 def versions():
     return f"python {platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}"
+
+
+def value_line(result):
+    """A criterion's measured values, bit for bit."""
+    return f"criterion {result.index:2d} {result.measured!r}"
 
 
 def cli_record(out):
@@ -52,9 +60,10 @@ def main():
         cli_lines = cli_record(pathlib.Path(tmp))
     CLI_GOLDEN.write_text(f"# {versions()}\n" + "".join(line + "\n" for line in cli_lines))
     print(f"wrote {len(cli_lines)} lines to {CLI_GOLDEN}")
-    lines = [r.line() for r in acceptance.run_all()]
-    GOLDEN.write_text(f"# {versions()}\n" + "".join(line + "\n" for line in lines))
-    print(f"wrote {len(lines)} lines to {GOLDEN}")
+    results = acceptance.run_all()
+    for path, lines in ((GOLDEN, [r.line() for r in results]), (VALUES, [value_line(r) for r in results])):
+        path.write_text(f"# {versions()}\n" + "".join(line + "\n" for line in lines))
+        print(f"wrote {len(lines)} lines to {path}")
 
 
 if __name__ == "__main__":

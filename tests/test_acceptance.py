@@ -1,13 +1,14 @@
 """Acceptance gate: every headline criterion at its pinned tolerance.
 
 Each test prints the one-line PASS/FAIL summary for its criterion (run
-pytest with -s to see them stream), checks it against its record in
-``golden/acceptance.txt``, and asserts the flag.  A change that moves a
+pytest with -s to see them stream), checks it and the ``repr`` of its
+measured values against their records in ``golden/acceptance.txt`` and
+``golden/acceptance_values.txt``, and asserts the flag.  A change that moves a
 printed number rewrites the record with ``golden/regenerate.py`` and
 lists the diff.
 """
 
-from golden.regenerate import GOLDEN, versions
+from golden.regenerate import GOLDEN, VALUES, value_line, versions
 from sdlab import acceptance as acc
 
 _results = {}
@@ -19,10 +20,11 @@ def _run(index):
     r = _results[index]
     print()
     print(r.line(), f"({r.seconds:.1f}s)")
-    header, *lines = GOLDEN.read_text().splitlines()
-    assert r.line() == lines[index - 1], (
-        f"criterion {index}'s line differs from its record in {GOLDEN.name}, made with {header[2:]}; "
-        f"this run has {versions()}")
+    for record, line in ((GOLDEN, r.line()), (VALUES, value_line(r))):
+        header, *lines = record.read_text().splitlines()
+        assert line == lines[index - 1], (
+            f"criterion {index}'s line differs from its record in {record.name}, made with {header[2:]}; "
+            f"this run has {versions()}")
     return r
 
 
