@@ -3,12 +3,17 @@
 Each criterion function returns a CriterionResult with its pass flag and
 the measured numbers; run_all executes them in order.  Tolerances are
 fixed here, not configurable: they are the exit criteria of the build.
+The named ones are also the pass rules of the criteria's CLI twins
+(``resolvent``, ``pseudo-resolvent``, ``verify-kernels``,
+``weak-identity`` and ``smoothing-study``), which import them with
+``truncation_remainder`` (check A0) and ``bounded_under_refinement``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -21,22 +26,22 @@ from .fields import (
     mollify,
     truncate,
 )
-from .grid import Grid, GridFunction, GridVectorField, lp_norm
+from .grid import Grid, GridFunction, GridVectorField, gaussian_bump, lp_norm
 from .kernels import (
-    KernelProbe,
     check_complex_domination,
     check_fractional_power_identity,
     check_gradient_domination,
     kernel_value,
+    radial_probes,
     truncation_l1_curve,
     yukawa_value,
 )
-from .regularity import bessel_smoothing_study, make_test_functions, weak_identity_residual
+from .regularity import bessel_smoothing_study, make_test_functions, rough_input, weak_identity_residual
 from .resolvent import (
     ResolventAssembly,
     ResolventParams,
-    apply_generator,
     estimate_op_norm,
+    generator_residual,
     pseudo_resolvent_residual,
     strong_convergence_study,
     zeta_ray_grid,
@@ -44,7 +49,12 @@ from .resolvent import (
 from .semigroup import SemigroupParams, evolve, semigroup_convergence_study, ultracontractivity_study
 from .sim import mc_vs_semigroup
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "CRITERIA", "truncation_remainder", "bounded_under_refinement"]
+
+RESIDUAL_TOL = 1e-8  # relative residual of the generator equation (2) and the resolvent identity (3)
+WEAK_RESIDUAL_TOL = 1e-6  # relative residual of the weak identity (10)
+POWER_IDENTITY_TOL = 1e-6  # relative error of the fractional-power identity (9, check A5)
+SMOOTHING_GROWTH = 1.1  # largest ratio of successive output norms under refinement (12)
 
 
 @dataclass
@@ -97,6 +107,14 @@ def _estimate(field_key, b, lams):
     return _cache[key]
 
 
+def _guarded(b, p, lams=np.logspace(-1, 2, 5), zeta=(2.0, 0.0), key=None):
+    """ResolventParams at the guarded F_half pair (delta, lam) of ``b`` in d = 3, with
+    zeta = (zeta[0] + i zeta[1]) lam; the estimate is cached under ``key`` if one is given."""
+    est = estimate_class_F_half(b, lambda_grid=lams) if key is None else _estimate(key, b, lams)
+    delta, lam = guarded_pair(est, p=p, d=3)
+    return ResolventParams(p=p, zeta=complex(zeta[0] * lam, zeta[1] * lam), delta=delta, lam=lam)
+
+
 @_timed
 def constants_consistency():
     """Closed-form constants: cross-formula agreement and interval guards."""
@@ -135,18 +153,14 @@ def resolvent_identity_oracle():
     ]
     rng = np.random.default_rng(2)
     f = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    p = 2.5
     worst = 0.0
     for b in fields:
-        est = estimate_class_F_half(b, lambda_grid=np.logspace(-1, 2, 5))
-        delta, lam = guarded_pair(est, p=p, d=3)
-        for zeta in zeta_ray_grid(lam, 3, n_ray=3, n_real=2):
-            pr = ResolventParams(p=p, zeta=zeta, delta=delta, lam=lam)
-            u = ResolventAssembly(pr, b).apply(f)
-            resid = zeta * u + apply_generator(b, u) - f
-            worst = max(worst, lp_norm(resid, p) / lp_norm(f, p))
+        guarded = _guarded(b, 2.5)
+        for zeta in zeta_ray_grid(guarded.lam, 3, n_ray=3, n_real=2):
+            pr = guarded.with_zeta(zeta)
+            worst = max(worst, generator_residual(pr, b, f, ResolventAssembly(pr, b).apply(f)))
     return CriterionResult(
-        2, "resolvent solves the generator equation", worst <= 1e-8, {"max_residual": worst}
+        2, "resolvent solves the generator equation", worst <= RESIDUAL_TOL, {"max_residual": worst}
     )
 
 
@@ -158,39 +172,31 @@ def pseudo_resolvent_identity():
         truncate(DriftSpec("hardy", c=0.2).on_grid(g), 2.0),
         DriftSpec("smooth-random", amp=0.2, kmax=1, seed=7).on_grid(g),
     ]
-    rng = np.random.default_rng(3)
-    f = GridFunction(g, rng.standard_normal(g.shape) + 0j)
+    f = rough_input(g, seed=3)
     worst = 0.0
     for b in fields:
-        est = estimate_class_F_half(b, lambda_grid=np.logspace(-1, 2, 5))
-        delta, lam = guarded_pair(est, p=2.5, d=3)
-        pr = ResolventParams(p=2.5, zeta=complex(2 * lam, 0.0), delta=delta, lam=lam)
-        zetas = zeta_ray_grid(lam, 3, n_ray=3, n_real=2)
-        pairs = [(zetas[i], zetas[j]) for i in range(len(zetas)) for j in range(i + 1, len(zetas))]
-        for zeta, eta in pairs[:10]:
+        pr = _guarded(b, 2.5)
+        for zeta, eta in combinations(zeta_ray_grid(pr.lam, 3, n_ray=3, n_real=2), 2):
             worst = max(worst, pseudo_resolvent_residual(pr, b, zeta, eta, f))
     return CriterionResult(
-        3, "pseudo-resolvent identity", worst <= 1e-8, {"max_residual": worst}
+        3, "pseudo-resolvent identity", worst <= RESIDUAL_TOL, {"max_residual": worst}
     )
 
 
 @_timed
 def representation_agreement():
     """All four factorizations agree pairwise on 32^3 with the pole field."""
-    g = Grid(3, 32, 16.0)
     b = _hardy(32, 16.0, 0.2)
-    est = _estimate("hardy32", b, np.logspace(-1, 2, 6))
-    delta, lam = guarded_pair(est, p=2.0, d=3)
-    pr = ResolventParams(p=2.0, zeta=complex(2.0 * lam, lam), delta=delta, lam=lam)
+    g = b.grid
+    pr = _guarded(b, 2.0, np.logspace(-1, 2, 6), (2.0, 1.0), key="hardy32")
     rng = np.random.default_rng(4)
     f = GridFunction(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
     outs = [ResolventAssembly(pr, b, rep).apply(f) for rep in
             ("direct", "fractional", "split", "symmetric")]
     scale = lp_norm(outs[0], 2)
     worst = 0.0
-    for i in range(len(outs)):
-        for j in range(i + 1, len(outs)):
-            worst = max(worst, lp_norm(outs[i] - outs[j], 2) / scale)
+    for u, v in combinations(outs, 2):
+        worst = max(worst, lp_norm(u - v, 2) / scale)
     return CriterionResult(
         4, "factorizations agree pairwise", worst <= 1e-8, {"max_pairwise": worst}
     )
@@ -238,16 +244,11 @@ def loop_norm_bounds():
 @_timed
 def truncation_convergence():
     """Resolvent and semigroup errors decrease along the truncation ladder."""
-    g = Grid(3, 96, 4.0)
     b = _hardy(96, 4.0, 0.25)
     est = _estimate("hardy96", b, np.array([1.0]))
     delta, lam = est.delta, est.lam
-    p = 2.0
-    pr = ResolventParams(p=p, zeta=complex(2.0 * C.kappa_d(3) * lam, 0.0), delta=delta, lam=lam)
-    center = g.length / 2.0
-    f = GridFunction.from_callable(
-        g, lambda x, y, z: np.exp(-((x - center) ** 2 + (y - center) ** 2 + (z - center) ** 2) / 0.18)
-    )
+    pr = ResolventParams(p=2.0, zeta=complex(2.0 * C.kappa_d(3) * lam, 0.0), delta=delta, lam=lam)
+    f = gaussian_bump(b.grid, 0.18)[0]
     levels = [2.0, 4.0, 8.0, 16.0, 32.0]
     b_ref = truncate(b, 64.0)
     res_curve = strong_convergence_study(pr, b, levels, f, b_ref=b_ref)
@@ -285,17 +286,12 @@ def positivity_and_contraction():
         mollify(truncate(DriftSpec("sphere", beta=0.5, amp=0.15).on_grid(g), 4.0), 1.25),
         mollify(DriftSpec("smooth-random", amp=0.3, kmax=2, seed=5).on_grid(g), 1.25),
     ]
-    bump = GridFunction.from_callable(
-        g, lambda x, y, z: np.exp(-((x - 8) ** 2 + (y - 8) ** 2 + (z - 8) ** 2) / 4.5)
-    )
+    bump = gaussian_bump(g, 4.5)[0]
     sup0 = lp_norm(bump, np.inf)
     worst_min = 0.0
     worst_sup = 0.0
     for b in smooth_fields:
-        est = estimate_class_F_half(b, lambda_grid=np.logspace(-1, 2, 5))
-        delta, lam = guarded_pair(est, p=2.0, d=3)
-        pr = ResolventParams(p=2.0, zeta=complex(2 * lam, 0.0), delta=delta, lam=lam)
-        u = evolve(SemigroupParams(0.2, 8), pr, b, bump)
+        u = evolve(SemigroupParams(0.2, 8), _guarded(b, 2.0), b, bump)
         worst_min = min(worst_min, float(np.min(u.values.real)))
         worst_sup = max(worst_sup, lp_norm(u, np.inf))
     ok = worst_min >= -1e-8 * sup0 and worst_sup <= (1 + 1e-8) * sup0
@@ -318,11 +314,8 @@ def ultracontractivity_exponent():
         pr0, b0, 1, np.inf, t_grid, steps=24, n_sources=1, neumann_tol=1e-8
     )
     b = mollify(truncate(_hardy(64, 16.0, 0.2), 8.0), 1.0)
-    est = estimate_class_F_half(b, lambda_grid=np.array([0.25, 1.0, 4.0]))
-    delta, lam = guarded_pair(est, p=2.0, d=3)
-    pr = ResolventParams(p=2.0, zeta=complex(2 * lam, 0.0), delta=delta, lam=lam)
     slope_drift, _, _ = ultracontractivity_study(
-        pr, b, 1, np.inf, t_grid, steps=24, n_sources=2, neumann_tol=1e-6
+        _guarded(b, 2.0, np.array([0.25, 1.0, 4.0])), b, 1, np.inf, t_grid, steps=24, n_sources=2, neumann_tol=1e-6
     )
     target = -1.5
     ok = abs(slope_free - target) <= 0.1 * abs(target) and abs(slope_drift - target) <= 0.1 * abs(target)
@@ -340,31 +333,22 @@ def kernel_estimates():
     closed-form check, and the truncation remainder decay."""
     distances = np.logspace(-1, 1, 10)
     re_zetas = np.logspace(np.log10(0.2), np.log10(20.0), 10)
-    ratios_neg = np.linspace(-1.0, 0.0, 8)
-    probes_a1 = [
-        KernelProbe(3, (0.0, 0.0, 0.0), (r, 0.0, 0.0), complex(rz, q * rz), 2.0)
-        for r in distances
-        for rz in re_zetas
-        for q in ratios_neg
-    ]
+
+    def probes(ratios):
+        return radial_probes(3, distances, [complex(rz, q * rz) for rz in re_zetas for q in ratios])
+
+    probes_a1 = probes(np.linspace(-1.0, 0.0, 8))
     rows1 = check_gradient_domination(probes_a1)
     a1_pass = sum(1 for r in rows1 if r[4])
-    ratios_pm = np.array([-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0])
-    probes_c = [
-        KernelProbe(3, (0.0, 0.0, 0.0), (r, 0.0, 0.0), complex(rz, q * rz), 2.0)
-        for r in distances
-        for rz in re_zetas
-        for q in ratios_pm
-    ]
+    probes_c = probes([-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0])
     rows_grad, rows_half = check_complex_domination(probes_c)
     c_grad_pass = sum(1 for r in rows_grad if r[4])
     c_half_pass = sum(1 for r in rows_half if r[4])
 
     yuk_worst = 0.0
-    for r in np.logspace(-1, 1, 20):
-        got = kernel_value(KernelProbe(3, (0, 0, 0), (r, 0, 0), 1.0, 2.0))
-        want = yukawa_value(r, 1.0)
-        yuk_worst = max(yuk_worst, abs(got - want) / abs(want))
+    for pr in radial_probes(3, np.logspace(-1, 1, 20), [1.0]):
+        want = yukawa_value(pr.y[0], 1.0)
+        yuk_worst = max(yuk_worst, abs(kernel_value(pr) - want) / abs(want))
 
     a5_worst = 0.0
     combos = [
@@ -378,21 +362,13 @@ def kernel_estimates():
             check_fractional_power_identity(z, q, (0.0, 0.0, 0.0), (r, 0.0, 0.0)),
         )
 
-    g = Grid(3, 64, 4.0)
-    b = _hardy(64, 4.0, 0.2)
-    center = g.length / 2.0
-    f = GridFunction.from_callable(
-        g, lambda x, y, z: np.exp(-((x - center) ** 2 + (y - center) ** 2 + (z - center) ** 2) / 0.18)
-    )
-    curve = truncation_l1_curve(b, f, 2.0, [0.25, 0.5, 1.0, 2.0])
-    a0_ok = all(curve[i + 1] < curve[i] for i in range(len(curve) - 1)) and curve[-1] < 0.05 * curve[0]
-
+    _, curve, a0_ok = truncation_remainder()
     ok = (
         a1_pass == len(probes_a1)
         and c_grad_pass == len(probes_c)
         and c_half_pass == len(probes_c)
         and yuk_worst <= 1e-9
-        and a5_worst <= 1e-6
+        and a5_worst <= POWER_IDENTITY_TOL
         and a0_ok
     )
     return CriterionResult(
@@ -413,33 +389,18 @@ def kernel_estimates():
 @_timed
 def weak_identity():
     """Distributional identity of the generator on 32^3, five test functions."""
-    g = Grid(3, 32, 16.0)
     b = _hardy(32, 16.0, 0.2)
-    est = _estimate("hardy32", b, np.logspace(-1, 2, 6))
-    delta, lam = guarded_pair(est, p=2.5, d=3)
-    pr = ResolventParams(p=2.5, zeta=complex(2 * lam, 0.5 * lam), delta=delta, lam=lam)
-    rng = np.random.default_rng(12)
-    f = GridFunction(g, rng.standard_normal(g.shape) + 0j)
-    vs = make_test_functions(g, count=5, seed=0)
-    worst = weak_identity_residual(pr, b, f, vs)
-    return CriterionResult(10, "weak identity of the generator", worst <= 1e-6, {"max_residual": worst})
+    pr = _guarded(b, 2.5, np.logspace(-1, 2, 6), (2.0, 0.5), key="hardy32")
+    worst = weak_identity_residual(pr, b, rough_input(b.grid, seed=12), make_test_functions(b.grid, count=5, seed=0))
+    return CriterionResult(10, "weak identity of the generator", worst <= WEAK_RESIDUAL_TOL, {"max_residual": worst})
 
 
 @_timed
 def feller_cross_validation():
     """Monte Carlo vs semigroup at five starts, plus the sign-flip mutation."""
-    g = Grid(3, 32, 16.0)
     b = mollify(truncate(_hardy(32, 16.0, 0.2), 8.0), 1.25)
-    est = estimate_class_F_half(b, lambda_grid=np.logspace(-1, 2, 5))
-    delta, lam = guarded_pair(est, p=2.0, d=3)
-    pr = ResolventParams(p=2.0, zeta=complex(2 * lam, 0.0), delta=delta, lam=lam)
-    f = GridFunction.from_callable(
-        g, lambda x, y, z: np.exp(-((x - 8) ** 2 + (y - 8) ** 2 + (z - 8) ** 2) / 4.5)
-    )
-
-    def bump(pts):
-        return np.exp(-np.sum((pts - 8.0) ** 2, axis=1) / 4.5)
-
+    pr = _guarded(b, 2.0)
+    f, bump = gaussian_bump(b.grid, 4.5)
     starts = [
         np.array([9.2, 8.0, 8.0]),
         np.array([8.0, 6.6, 8.0]),
@@ -471,7 +432,7 @@ def smoothing_refinement():
     rows = bessel_smoothing_study(fields, pr, q, seed=21)
     outs = [r[1] for r in rows]
     ins = [r[2] for r in rows]
-    bounded = all(outs[i + 1] <= outs[i] * 1.1 for i in range(len(outs) - 1))
+    bounded = bounded_under_refinement(outs)
     diverging = all(ins[i + 1] > 1.5 * ins[i] for i in range(len(ins) - 1))
     return CriterionResult(
         12,
@@ -479,6 +440,23 @@ def smoothing_refinement():
         bounded and diverging,
         {"output_norms": outs, "input_norms": ins},
     )
+
+
+def truncation_remainder():
+    """Kernel check A0 at its one fixed set-up: ``truncation_l1_curve`` at zeta = 2 for the
+    pole field (c = 0.2) on the 3-D 64^3 grid of side 4, on the bump of width 0.18 at the
+    box centre.  Returns (levels, curve, passed); it passes when the curve decreases
+    strictly, to below 5 % of its first value."""
+    levels = [0.25, 0.5, 1.0, 2.0]
+    b = _hardy(64, 4.0, 0.2)
+    curve = truncation_l1_curve(b, gaussian_bump(b.grid, 0.18)[0], 2.0, levels)
+    return levels, curve, all(b < a for a, b in zip(curve, curve[1:])) and curve[-1] < 0.05 * curve[0]
+
+
+def bounded_under_refinement(norms):
+    """Criterion 12's bound on output norms, coarse grid to fine: each is at most
+    SMOOTHING_GROWTH times the one before."""
+    return all(b <= a * SMOOTHING_GROWTH for a, b in zip(norms, norms[1:]))
 
 
 CRITERIA = [

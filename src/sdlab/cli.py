@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -27,11 +28,18 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import constants as Cmod
-from .acceptance import CRITERIA, run_all
+from .acceptance import (
+    CRITERIA,
+    POWER_IDENTITY_TOL,
+    RESIDUAL_TOL,
+    WEAK_RESIDUAL_TOL,
+    bounded_under_refinement,
+    run_all,
+    truncation_remainder,
+)
 from .errors import ConfigError, GuardViolationError, SpectralDomainError
 from .fields import (
     PARAM_KINDS,
-    DriftSpec,
     default_lambda_grid,
     drift_from_config,
     estimate_class_F,
@@ -41,28 +49,37 @@ from .fields import (
     mollify,
     truncate,
 )
-from .grid import Grid, GridFunction, GridVectorField, lp_norm, pairing, parse_thread_count, set_fft_workers
+from .grid import (
+    Grid,
+    GridFunction,
+    GridVectorField,
+    gaussian_bump,
+    lp_norm,
+    pairing,
+    parse_thread_count,
+    set_fft_workers,
+)
 from .gridio import save_grid_function, write_csv, write_manifest
 from .kernels import (
-    KernelProbe,
     check_complex_domination,
     check_fractional_gradient_domination,
     check_fractional_power_identity,
     check_gradient_domination,
-    truncation_l1_curve,
+    radial_probes,
 )
 from .regularity import (
     bessel_smoothing_study,
     holder_probe,
     holder_separations,
     make_test_functions,
+    rough_input,
     weak_identity_residual,
 )
 from .resolvent import (
     REPRESENTATIONS,
     ResolventAssembly,
     ResolventParams,
-    apply_generator,
+    generator_residual,
     norm_bound_report,
     pseudo_resolvent_residual,
     strong_convergence_study,
@@ -233,12 +250,9 @@ def _input(value, path, ctx):
     """The input f on the grid, and the bump's closed form for the Monte Carlo payoff (None for noise)."""
     kind = INPUT_KIND.read(value.get("kind", "bump"), f"{path}.kind", ctx) if isinstance(value, dict) else "bump"
     f = SimpleNamespace(**_read_object(INPUTS[kind], value, path, ctx))
-    grid = ctx["grid"]
     if kind == "noise":
-        return GridFunction(grid, np.random.default_rng(f.seed).standard_normal(grid.shape).astype(np.complex128)), None
-    r2 = sum((x - ci) ** 2 for x, ci in zip(grid.coordinates(), f.center))
-    return (GridFunction(grid, np.exp(-r2 / f.sigma2).astype(np.complex128)),
-            lambda pts: np.exp(-np.sum((pts - f.center) ** 2, axis=1) / f.sigma2))
+        return rough_input(ctx["grid"], f.seed), None
+    return gaussian_bump(ctx["grid"], f.sigma2, f.center)
 
 
 def _zeta(value, path, ctx):
@@ -326,30 +340,26 @@ def run_estimate_class(c, out, seed):
             representation=choice("direct", REPRESENTATIONS))
 def run_resolvent(c, out, seed):
     params = _resolvent_setup(c, seed, c.zeta)
-    f = c.f[0]
-    u = ResolventAssembly(params, c.field, c.representation).apply(f)
-    resid = params.zeta * u + apply_generator(c.field, u) - f
-    rel = lp_norm(resid, params.p) / lp_norm(f, params.p)
+    u = ResolventAssembly(params, c.field, c.representation).apply(c.f[0])
+    rel = generator_residual(params, c.field, c.f[0], u)
+    ok = rel <= RESIDUAL_TOL
     save_grid_function(u, out / "resolvent_output")
     write_csv(out / "residual_report.csv", ["quantity", "lhs", "rhs_bound", "pass"],
-              [("generator_equation_residual", rel, 1e-8, rel <= 1e-8)])
-    return 0 if rel <= 1e-8 else 1
+              [("generator_equation_residual", rel, RESIDUAL_TOL, ok)])
+    return 0 if ok else 1
 
 
 @experiment("pseudo-resolvent", "grid", "field", "p", "lambda_grid", "guard_margin", n_pairs=count(10))
 def run_pseudo_resolvent(c, out, seed):
     params = _resolvent_setup(c, seed)
-    f = GridFunction(c.grid, np.random.default_rng(seed).standard_normal(c.grid.shape) + 0j)
-    zetas = zeta_ray_grid(params.lam, c.grid.d, n_ray=4, n_real=3)
-    pairs = [(zetas[i], zetas[j]) for i in range(len(zetas)) for j in range(i + 1, len(zetas))][:c.n_pairs]
+    f = rough_input(c.grid, seed)
+    pairs = list(combinations(zeta_ray_grid(params.lam, c.grid.d, n_ray=4, n_real=3), 2))[:c.n_pairs]
     rows = []
-    ok = True
     for zeta, eta in pairs:
         r = pseudo_resolvent_residual(params, c.field, zeta, eta, f)
-        rows.append((zeta, eta, r, r <= 1e-8))
-        ok = ok and r <= 1e-8
+        rows.append((zeta, eta, r, r <= RESIDUAL_TOL))
     write_csv(out / "pseudo_resolvent.csv", ["zeta", "eta", "residual", "pass"], rows)
-    return 0 if ok else 1
+    return 0 if all(row[3] for row in rows) else 1
 
 
 @experiment("norm-bounds", "grid", "field", "p", "lambda_grid", "guard_margin", n_starts=count(8))
@@ -423,8 +433,7 @@ def run_verify_kernels(c, out, seed):
 
     def complex_probes(qs):
         """Probes at zeta = rz (1 + i q) for each distance, Re zeta and q."""
-        return [KernelProbe(d, (0.0,) * d, (r,) + (0.0,) * (d - 1), complex(rz, q * rz), 2.0)
-                for r in distances for rz in re_zetas for q in qs]
+        return radial_probes(d, distances, [complex(rz, q * rz) for rz in re_zetas for q in qs])
 
     def domination_csv(token, checked):
         """One kernels_<token>.csv row per checked probe; 0 when every probe passes, else 1."""
@@ -437,20 +446,12 @@ def run_verify_kernels(c, out, seed):
         if token == "A1":
             status |= domination_csv(token, check_gradient_domination(complex_probes((-1.0, -0.5, 0.0))))
         elif token == "A2":
-            probes = [
-                KernelProbe(d, (0.0,) * d, (r,) + (0.0,) * (d - 1), rz, 2.0)
-                for r in distances for rz in re_zetas
-            ]
-            rows_all = []
+            rows, probes = [], radial_probes(d, distances, re_zetas)
             for r_exp in (1.5, 4.0):
-                sup, rows = check_fractional_gradient_domination(probes, r_exp)
-                rows_all.extend(
-                    (r_exp, p_.distance, p_.zeta, lhs, rhs, ratio)
-                    for (p_, lhs, rhs, ratio) in rows
-                )
-                rows_all.append((r_exp, float("nan"), "", float("nan"), float("nan"), sup))
-            write_csv(out / "kernels_A2.csv",
-                      ["r", "distance", "zeta", "lhs", "rhs", "ratio_or_sup"], rows_all)
+                sup, checked = check_fractional_gradient_domination(probes, r_exp)
+                rows += [(r_exp, p_.distance, p_.zeta, lhs, rhs, ratio) for (p_, lhs, rhs, ratio) in checked]
+                rows.append((r_exp, float("nan"), "", float("nan"), float("nan"), sup))
+            write_csv(out / "kernels_A2.csv", ["r", "distance", "zeta", "lhs", "rhs", "ratio_or_sup"], rows)
         elif token in ("A3", "A4"):
             rows_grad, rows_half = check_complex_domination(complex_probes((-1.0, -0.5, 0.5, 1.0)))
             status |= domination_csv(token, rows_grad if token == "A3" else rows_half)
@@ -458,25 +459,14 @@ def run_verify_kernels(c, out, seed):
             rows = []
             for q in (1.5, 2.0, 3.0):
                 for r in (0.5, 1.0):
-                    err = check_fractional_power_identity(
-                        1.0, q, (0.0,) * d, (r,) + (0.0,) * (d - 1), d=d
-                    )
-                    rows.append((q, r, err, err <= 1e-6))
+                    err = check_fractional_power_identity(1.0, q, (0.0,) * d, (r,) + (0.0,) * (d - 1), d=d)
+                    rows.append((q, r, err, err <= POWER_IDENTITY_TOL))
             write_csv(out / "kernels_A5.csv", ["q", "distance", "rel_error", "pass"], rows)
             status |= 0 if all(r[3] for r in rows) else 1
-        else:  # A0
-            grid = Grid(3, 64, 4.0)
-            b = DriftSpec("hardy", c=0.2).on_grid(grid)
-            c0 = grid.length / 2.0
-            f = GridFunction.from_callable(
-                grid,
-                lambda x, y, z: np.exp(-((x - c0) ** 2 + (y - c0) ** 2 + (z - c0) ** 2) / 0.18),
-            )
-            levels = [0.25, 0.5, 1.0, 2.0]
-            curve = truncation_l1_curve(b, f, 2.0, levels)
-            rows = list(zip(levels, curve))
-            write_csv(out / "kernels_A0.csv", ["level", "l1_remainder"], rows)
-            status |= 0 if all(b2 < a2 for a2, b2 in zip(curve, curve[1:])) else 1
+        else:  # A0: criterion 9's fixed 3-D set-up, whatever d is
+            levels, curve, passed = truncation_remainder()
+            write_csv(out / "kernels_A0.csv", ["level", "l1_remainder"], zip(levels, curve))
+            status |= 0 if passed else 1
     return status
 
 
@@ -506,16 +496,11 @@ SIZES = listof(count())
 def run_smoothing_study(c, out, seed):
     params = ResolventParams(p=c.p, zeta=complex(2 * Cmod.kappa_d(c.grid.d) * c.lam, 0.0), delta=c.delta, lam=c.lam)
     rows = bessel_smoothing_study(c.field, params, c.q, seed=seed)
-    out_rows = []
-    prev = None
-    ok = True
-    for n, o, i in rows:
-        ratio = float("nan") if prev is None else o / prev
-        ok = ok and (prev is None or o <= prev * 1.1)
-        out_rows.append((n, o, i, ratio))
-        prev = o
-    write_csv(out / "smoothing.csv", ["n", "out_norm", "in_norm", "out_ratio"], out_rows)
-    return 0 if ok else 1
+    outs = [row[1] for row in rows]
+    ratios = [float("nan")] + [b / a for a, b in zip(outs, outs[1:])]
+    write_csv(out / "smoothing.csv", ["n", "out_norm", "in_norm", "out_ratio"],
+              [row + (ratio,) for row, ratio in zip(rows, ratios)])
+    return 0 if bounded_under_refinement(outs) else 1
 
 
 @experiment("weak-identity", "grid", "field", "p", "f", "lambda_grid", "guard_margin", count=count(5))
@@ -523,9 +508,10 @@ def run_weak_identity(c, out, seed):
     params = _resolvent_setup(c, seed)
     vs = make_test_functions(c.grid, count=c.count, seed=seed)
     worst = weak_identity_residual(params, c.field, c.f[0], vs)
+    ok = worst <= WEAK_RESIDUAL_TOL
     write_csv(out / "weak_identity.csv", ["quantity", "lhs", "rhs_bound", "pass"],
-              [("max_residual", worst, 1e-6, worst <= 1e-6)])
-    return 0 if worst <= 1e-6 else 1
+              [("max_residual", worst, WEAK_RESIDUAL_TOL, ok)])
+    return 0 if ok else 1
 
 
 @experiment(

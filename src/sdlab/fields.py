@@ -51,13 +51,13 @@ def default_lambda_grid():
 class DriftSpec:
     """Closed-form drift field, evaluable at any off-singularity point.
 
-    Kinds and parameters (a parameter the kind does not take is a
-    ``ValueError``):
+    Kinds and parameters (a parameter the kind does not take, or a
+    missing one of ``REQUIRED``, is a ``ValueError`` naming it):
 
     * ``hardy``: c * (x - x0)/|x - x0|^2, singular at the box center.
     * ``sphere``: amp * | |x - x0| - radius |^(-beta) radial profile
       (beta < 1), singular on a sphere.
-    * ``constant``: fixed vector.
+    * ``constant``: fixed vector, one entry per grid axis.
     * ``smooth-random``: band-limited random field (amp, kmax, seed), d = 3 only.
     * ``sum``: superposition of terms.
 
@@ -71,9 +71,10 @@ class DriftSpec:
         "hardy": {"c": "number"},
         "sphere": {"beta": "number", "radius": "number", "amp": "number"},
         "constant": {"vector": "vector"},
-        "smooth-random": {"amp": "number", "kmax": "count", "seed": "count"},
+        "smooth-random": {"amp": "number", "kmax": "positive count", "seed": "count"},
         "sum": {"terms": "terms"},
     }
+    REQUIRED = {"sphere": "beta", "constant": "vector", "sum": "terms"}
 
     def __init__(self, kind, **params):
         if kind not in self.PARAMS:
@@ -84,6 +85,9 @@ class DriftSpec:
                     f"{key}: unknown parameter for drift kind {kind!r} "
                     f"(it takes {', '.join(self.PARAMS[kind])})"
                 )
+        required = self.REQUIRED.get(kind)
+        if required is not None and required not in params:
+            raise ValueError(f"{required}: required parameter of drift kind {kind!r} missing")
         self.kind = kind
         self.params = dict(params)
         if kind == "sum":
@@ -114,6 +118,8 @@ class DriftSpec:
         n, d = pts.shape
         if self.kind == "constant":
             v = np.asarray(self.params["vector"], dtype=float)
+            if v.shape != (d,):
+                raise ValueError(f"vector: expected {d} numbers, one per grid axis, got {v.size}")
             return np.broadcast_to(v, (n, d)).copy()
         if self.kind == "hardy":
             x0 = self.singular_point(grid)
@@ -170,6 +176,7 @@ def _is_number(x):
 PARAM_KINDS = {
     "number": ("a finite number", _is_number),
     "count": ("a whole number of at least 0", lambda x: _is_number(x) and x == int(x) and x >= 0),
+    "positive count": ("a whole number of at least 1", lambda x: _is_number(x) and x == int(x) and x >= 1),
     "vector": ("a nonempty list of finite numbers", lambda x: isinstance(x, list) and x and all(map(_is_number, x))),
     "terms": ("a nonempty list of field objects", lambda x: isinstance(x, list) and x),
 }

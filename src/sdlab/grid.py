@@ -63,6 +63,7 @@ __all__ = [
     "Grid",
     "GridFunction",
     "GridVectorField",
+    "gaussian_bump",
     "lp_norm",
     "pairing",
     "bessel_norm",
@@ -323,6 +324,18 @@ class GridFunction:
 
     def __repr__(self):
         return f"GridFunction({self.grid}, |f|_max={np.abs(self.values).max():.4g})"
+
+
+def gaussian_bump(grid, sigma2, center=None):
+    """The Gaussian exp(-|x - center|^2 / sigma2), centred in the box unless ``center`` is given.
+
+    Returns its samples on the grid's nodes, a GridFunction, and its closed
+    form on an (N, d) array of points, the form a Monte Carlo payoff takes.
+    """
+    center = np.full(grid.d, grid.length / 2.0) if center is None else np.asarray(center, dtype=float)
+    r2 = sum((x - c) ** 2 for x, c in zip(grid.coordinates(), center))
+    return (GridFunction(grid, np.exp(-r2 / sigma2)),
+            lambda points: np.exp(-np.sum((points - center) ** 2, axis=1) / sigma2))
 
 
 class GridVectorField:

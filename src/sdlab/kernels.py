@@ -20,7 +20,7 @@ Bessel function K_nu of complex argument is scipy's (Amos, ACM TOMS 12,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gamma as _gamma, kv
@@ -32,6 +32,7 @@ from .grid import GridFunction, fftn, ifftn, lp_norm
 
 __all__ = [
     "KernelProbe",
+    "radial_probes",
     "kernel_value",
     "grad_kernel_value",
     "yukawa_value",
@@ -72,6 +73,12 @@ class KernelProbe:
         return float(np.linalg.norm(np.asarray(self.x, float) - np.asarray(self.y, float)))
 
 
+def radial_probes(d, distances, zetas):
+    """Probes of the resolvent kernel (gamma = 2) from the origin to (r, 0, ..., 0), for each
+    distance r and, within it, each zeta in turn."""
+    return [KernelProbe(d, (0.0,) * d, (r,) + (0.0,) * (d - 1), zeta, 2.0) for r in distances for zeta in zetas]
+
+
 def _log_integral(d, r, zeta, gamma, extra_inv_t=0):
     """integral of e^(-zeta t - r^2/4t) t^(gamma/2 - 1 - extra_inv_t) (4 pi t)^(-d/2) dt.
 
@@ -107,10 +114,25 @@ def yukawa_value(r, zeta):
     return np.exp(-s * r) / (4.0 * np.pi * r)
 
 
-def _passes(lhs, rhs, slack=1e-8):
-    if rhs < UNDERFLOW_FLOOR and lhs < UNDERFLOW_FLOOR:
-        return True, True  # (passed, skipped)
-    return lhs <= rhs * (1.0 + slack), False
+def _dominated(probes, lhs, rhs):
+    """Rows (probe, lhs, rhs, ratio, passed, skipped) of the bound lhs(probe) <= rhs(probe).
+
+    A probe whose two sides both lie below UNDERFLOW_FLOOR passes as
+    skipped; otherwise lhs may exceed rhs by a relative rounding slack of
+    1e-8.  The ratio is NaN where rhs does not exceed the floor.
+    """
+    rows = []
+    for pr in probes:
+        left, right = lhs(pr), rhs(pr)
+        ratio = left / right if right > UNDERFLOW_FLOOR else np.nan
+        skipped = right < UNDERFLOW_FLOOR and left < UNDERFLOW_FLOOR
+        rows.append((pr, left, right, ratio, True if skipped else left <= right * (1.0 + 1e-8), bool(skipped)))
+    return rows
+
+
+def _grad_resolvent(pr):
+    """|grad (zeta - Lap)^(-1)(x, y)| at the probe's x, y and zeta."""
+    return grad_kernel_magnitude(replace(pr, gamma=2.0))
 
 
 def check_gradient_domination(probes):
@@ -120,17 +142,8 @@ def check_gradient_domination(probes):
 
     Returns rows (probe, lhs, rhs, ratio, passed, skipped).
     """
-    rows = []
-    for pr in probes:
-        d = pr.d
-        md, kd = C.m_d(d), C.kappa_d(d)
-        lhs = grad_kernel_magnitude(KernelProbe(d, pr.x, pr.y, pr.zeta, 2.0))
-        rhs_probe = KernelProbe(d, pr.x, pr.y, complex(pr.zeta).real / kd, 1.0)
-        rhs = md * kernel_value(rhs_probe).real
-        ok, skipped = _passes(lhs, rhs)
-        ratio = lhs / rhs if rhs > UNDERFLOW_FLOOR else np.nan
-        rows.append((pr, lhs, rhs, ratio, ok, skipped))
-    return rows
+    return _dominated(probes, _grad_resolvent, lambda pr: C.m_d(pr.d) * kernel_value(
+        replace(pr, zeta=complex(pr.zeta).real / C.kappa_d(pr.d), gamma=1.0)).real)
 
 
 def check_fractional_gradient_domination(probes, r_exponent):
@@ -144,19 +157,10 @@ def check_fractional_gradient_domination(probes, r_exponent):
     if not (r_exponent > 1.0 or r_exponent == np.inf):
         raise ValueError(f"r must lie in (1, inf], got {r_exponent}")
     inv = 0.0 if r_exponent == np.inf else 1.0 / r_exponent
-    gamma_lhs = 2.0 - inv
-    gamma_rhs = 1.0 - inv
-    rows = []
-    sup_ratio = 0.0
-    for pr in probes:
-        kd = C.kappa_d(pr.d)
-        lhs = grad_kernel_magnitude(KernelProbe(pr.d, pr.x, pr.y, pr.zeta, gamma_lhs))
-        rhs = kernel_value(KernelProbe(pr.d, pr.x, pr.y, complex(pr.zeta).real / kd, gamma_rhs)).real
-        ratio = lhs / rhs if rhs > UNDERFLOW_FLOOR else np.nan
-        if np.isfinite(ratio):
-            sup_ratio = max(sup_ratio, ratio)
-        rows.append((pr, lhs, rhs, ratio))
-    return sup_ratio, rows
+    rows = [row[:4] for row in _dominated(
+        probes, lambda pr: grad_kernel_magnitude(replace(pr, gamma=2.0 - inv)),
+        lambda pr: kernel_value(replace(pr, zeta=complex(pr.zeta).real / C.kappa_d(pr.d), gamma=1.0 - inv)).real)]
+    return max([0.0] + [row[3] for row in rows if np.isfinite(row[3])]), rows
 
 
 def check_complex_domination(probes):
@@ -167,27 +171,20 @@ def check_complex_domination(probes):
         |(zeta-Lap)^(-1/2)(x,y)|
             <= 2^(d/4+1/4) (2^(-1/2) |zeta| - Lap)^(-1/2)(x,y).
 
-    Returns (rows_gradient, rows_half_power).
+    Returns (rows_gradient, rows_half_power), each as check_gradient_domination's.
     """
-    rows_a, rows_b = [], []
-    for pr in probes:
-        d = pr.d
-        md, kd = C.m_d(d), C.kappa_d(d)
-        az = abs(complex(pr.zeta))
-        lhs = grad_kernel_magnitude(KernelProbe(d, pr.x, pr.y, pr.zeta, 2.0))
-        rhs_probe = KernelProbe(d, pr.x, pr.y, az / (kd * np.sqrt(2.0)), 1.0)
-        rhs = 2.0 ** (d / 4.0) * md * kernel_value(rhs_probe).real
-        ok, skipped = _passes(lhs, rhs)
-        rows_a.append((pr, lhs, rhs, lhs / rhs if rhs > UNDERFLOW_FLOOR else np.nan, ok, skipped))
+    def half_power(pr, zeta):
+        return kernel_value(replace(pr, zeta=zeta, gamma=1.0))
 
-        lhs_b = abs(kernel_value(KernelProbe(d, pr.x, pr.y, pr.zeta, 1.0)))
-        rhs_probe = KernelProbe(d, pr.x, pr.y, az / np.sqrt(2.0), 1.0)
-        rhs_b = 2.0 ** (d / 4.0 + 0.25) * kernel_value(rhs_probe).real
-        ok_b, skipped_b = _passes(lhs_b, rhs_b)
-        rows_b.append(
-            (pr, lhs_b, rhs_b, lhs_b / rhs_b if rhs_b > UNDERFLOW_FLOOR else np.nan, ok_b, skipped_b)
-        )
-    return rows_a, rows_b
+    def grad_bound(pr):
+        az = abs(complex(pr.zeta))
+        return 2.0 ** (pr.d / 4.0) * C.m_d(pr.d) * half_power(pr, az / (C.kappa_d(pr.d) * np.sqrt(2.0))).real
+
+    def half_bound(pr):
+        return 2.0 ** (pr.d / 4.0 + 0.25) * half_power(pr, abs(complex(pr.zeta)) / np.sqrt(2.0)).real
+
+    return (_dominated(probes, _grad_resolvent, grad_bound),
+            _dominated(probes, lambda pr: abs(half_power(pr, pr.zeta)), half_bound))
 
 
 def check_fractional_power_identity(zeta, q, x, y, d=3):

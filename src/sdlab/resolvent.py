@@ -119,6 +119,7 @@ __all__ = [
     "REPRESENTATIONS",
     "LinearOp",
     "estimate_op_norm",
+    "generator_residual",
     "pseudo_resolvent_residual",
     "strong_convergence_study",
     "norm_bound_report",
@@ -729,6 +730,12 @@ def apply_generator(b, f):
 
     advect = np.sum(b.values * gradient_apply(f), axis=0)
     return GridFunction(f.grid, -laplacian_apply(f).values + advect)
+
+
+def generator_residual(params, b, f, u):
+    """|zeta u + (-Lap + b . grad) u - f|_p / |f|_p at ``params``' zeta and p: how far u is from R(zeta) f."""
+    resid = params.zeta * u + apply_generator(b, u) - f
+    return lp_norm(resid, params.p) / lp_norm(f, params.p)
 
 
 def _dual_vector(v, mag, p):

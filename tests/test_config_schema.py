@@ -25,7 +25,7 @@ BUMP = {"kind": "bump", "sigma2": 4.0, "center": [4.0, 4.0, 4.0]}
 HEAVY = (
     "estimate_class_F_half", "estimate_class_F", "estimate_class_K", "bessel_smoothing_study", "run_all",
     "check_gradient_domination", "check_fractional_gradient_domination", "check_complex_domination",
-    "check_fractional_power_identity", "truncation_l1_curve",
+    "check_fractional_power_identity", "truncation_remainder",
 )
 
 # the key set each experiment accepted before the schema was declared, besides schema and experiment
@@ -179,6 +179,20 @@ def test_the_field_and_input_escapes_exit_2_naming_their_key(tmp_path, capsys, h
 def test_drift_parameters_are_checked_against_their_declared_kind(tmp_path, capsys, heavy_raises, drift, named):
     code, err = _run("estimate-class", {"field": drift, "grid": {"n": 8}}, tmp_path, capsys)
     assert code == 2 and err.startswith(f"config error: field: {named}: expected "), err
+
+
+@pytest.mark.parametrize(
+    "drift, message",
+    [
+        ({"kind": "sphere"}, "beta: required parameter of drift kind 'sphere' missing"),
+        ({"kind": "smooth-random", "kmax": 0}, "kmax: expected a whole number of at least 1, got 0"),
+        ({"kind": "constant", "vector": [0.1, 0.0]}, "vector: expected 3 numbers, one per grid axis, got 2"),
+    ],
+)
+def test_drift_parameter_errors_name_the_parameter(tmp_path, capsys, heavy_raises, drift, message):
+    # these exited 2 as "field: 'beta'", "field: matmul: ... size 0 ..." and "field: operands could not be broadcast"
+    code, err = _run("estimate-class", {"field": drift, "grid": {"n": 8}}, tmp_path, capsys)
+    assert code == 2 and err.strip() == f"config error: field: {message}", err
 
 
 def test_drift_spec_keyword_api_is_unchecked_by_kind():
